@@ -12,7 +12,6 @@ from .adapter_io import (
     AdapterLibrary,
     export_merged,
     load_library,
-    materialize_delta,
     save_library,
 )
 from .clustering import (
@@ -28,7 +27,6 @@ from .cp_decomposition import (
     AlsOptions,
     CPFactors,
     cp_als,
-    cp_compress_task,
     cp_merge,
     cp_reconstruct,
     cp_reconstruct_slice,

@@ -73,11 +73,6 @@ class AdapterDelta:
         return self.scaling_s * (self.a @ self.b.T)
 
 
-def materialize_delta(d: AdapterDelta) -> np.ndarray:
-    """Dense d_in×d_out delta: scaling_s · A · Bᵀ."""
-    return d.materialize()
-
-
 @dataclass(frozen=True)
 class AdapterLibrary:
     """Per-(task, layer) deltas under a shared layer schema."""

@@ -25,7 +25,14 @@ from .clustering import (
     partition_manifest,
     save_manifest,
 )
-from .cp_decomposition import AlsOptions, cp_als, cp_compress_task, load_factors, save_factors, storage_bytes
+from .cp_decomposition import (
+    AlsOptions,
+    cp_als,
+    cp_reconstruct_slice,
+    load_factors,
+    save_factors,
+    storage_bytes,
+)
 from .interference import layer_profile
 from .merge_ops import METHODS, MergeConfig, merge_library
 from .synth import PlantedSpec, gen_planted_library, load_truth, recovery_error, save_truth
@@ -198,7 +205,7 @@ def cmd_compress(args) -> int:
         save_factors(factors, path)
         # report from what a consumer would actually read back
         reloaded = load_factors(path)
-        approx = cp_compress_task(reloaded, task_idx)
+        approx = cp_reconstruct_slice(reloaded, task_idx)
         target = ds[task_idx]
         err = recovery_error(approx, target)
         compressed_bytes += storage_bytes(reloaded)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContainerFormatError
+from .errors import ContainerFormatError, require_keys
 
 DISTANCES = ("euclidean", "cosine")
 
@@ -65,12 +65,14 @@ def _prepare(vectors, distance):
 
 
 def _sq_dists(x, centroids):
-    # n × K matrix of squared Euclidean distances
-    return (
+    # n × K matrix of squared Euclidean distances; the expanded form can
+    # round below zero for near-coincident points, so clamp at 0
+    d2 = (
         np.einsum("ij,ij->i", x, x)[:, None]
         - 2.0 * x @ centroids.T
         + np.einsum("ij,ij->i", centroids, centroids)[None, :]
     )
+    return np.maximum(d2, 0.0)
 
 
 def kmeans_fit(
@@ -221,14 +223,15 @@ def load_embeddings(path) -> EmbeddingSet:
         raise ContainerFormatError(f"{path}: bad emb header: {exc}") from None
     if header.get("format") != "emb":
         raise ContainerFormatError(f"{path}: not an emb container")
-    n, dim = int(header["n"]), int(header["dim"])
+    n, dim, ids = require_keys(header, ("n", "dim", "ids"), path)
+    n, dim = int(n), int(dim)
     expected = n * dim * np.dtype(_EMB_DTYPE).itemsize
     if len(payload) != expected:
         raise ContainerFormatError(
             f"{path}: payload is {len(payload)} bytes, expected {expected}"
         )
     vectors = np.frombuffer(payload, dtype=_EMB_DTYPE).reshape(n, dim)
-    return EmbeddingSet(ids=tuple(header["ids"]), vectors=vectors)
+    return EmbeddingSet(ids=tuple(ids), vectors=vectors)
 
 
 def load_manifest(path) -> dict:

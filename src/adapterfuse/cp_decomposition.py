@@ -22,6 +22,7 @@ from .tensor_core import fold, frobenius_norm, khatri_rao, stack_slices, unfold
 from .svd_kernel import svd
 
 _COND_LIMIT = 1e12  # beyond this the normal equations get a ridge
+_PAIRING_DRAWS = 4  # random slice mixes tried by the "svd" init
 
 
 @dataclass(frozen=True)
@@ -155,26 +156,43 @@ def _ls_solve(gram, mttkrp):
     return np.linalg.solve(gram, mttkrp.T).T
 
 
-def _gram_leading_vectors(x, R, rng):
-    """Leading left singular vectors of x via its (small) Gram matrix."""
-    dim = x.shape[0]
-    u = svd(x @ x.T).u
-    if R <= dim:
-        return np.array(u[:, :R])
-    pad, _ = _normalize_columns(rng.standard_normal((dim, R - dim)))
-    return np.hstack([u, pad])
+def _pad_columns(f, R, rng):
+    """f widened to R columns with seeded random unit columns."""
+    if f.shape[1] >= R:
+        return f
+    pad, _ = _normalize_columns(rng.standard_normal((f.shape[0], R - f.shape[1])))
+    return np.hstack([f, pad])
 
 
-def _init_factors(x1, x2, x3, R, opts, rng):
-    if opts.init == "svd":
-        a = _gram_leading_vectors(x3, R, rng)
-        b = _gram_leading_vectors(x1, R, rng)
-        c = _gram_leading_vectors(x2, R, rng)
-    else:
-        a, _ = _normalize_columns(rng.standard_normal((x3.shape[0], R)))
+def _init_factors(t, x1, x2, R, opts, rng):
+    """Row and column factors to start from (the task factor is solved first).
+
+    "svd" spans the leading left singular subspaces of the mode-1 and
+    mode-2 unfoldings (HOSVD).  Within a subspace whose singular values
+    repeat, e.g. tasks of equal weight, the basis is arbitrary, and
+    pairing row and column vectors from two independent SVDs can leave
+    ALS at a saddle.  Weighting each slice by its inner product with a
+    seeded random matrix G gives a mix Σ_k w_k T_k = B·diag(lam·Aᵀw)·Cᵀ
+    that does not depend on task order and has generically distinct
+    singular values, so its SVD inside the two subspaces pairs them up.
+    Of _PAIRING_DRAWS such mixes the one whose singular values are best
+    separated wins: near-equal values would mix components again.
+    """
+    if opts.init == "random":
         b, _ = _normalize_columns(rng.standard_normal((x1.shape[0], R)))
         c, _ = _normalize_columns(rng.standard_normal((x2.shape[0], R)))
-    return a, b, c
+        return b, c
+    u = svd(x1).u[:, :R]
+    v = svd(x2).u[:, :R]
+    best_gap, pair = -1.0, None
+    for _ in range(_PAIRING_DRAWS):
+        w = np.tensordot(rng.standard_normal(t.shape[:2]), t, axes=2)
+        cand = svd(u.T @ (t @ w) @ v)
+        s = cand.sigma
+        gap = np.min(s[:-1] - s[1:], initial=s[0]) / s[0] if s[0] > 0 else 0.0
+        if gap > best_gap:
+            best_gap, pair = gap, cand
+    return _pad_columns(u @ pair.u, R, rng), _pad_columns(v @ pair.v, R, rng)
 
 
 def cp_als(t, R: int, opts: AlsOptions | None = None) -> CPFactors:
@@ -212,8 +230,7 @@ def cp_als(t, R: int, opts: AlsOptions | None = None) -> CPFactors:
 
     x1, x2, x3 = unfold(t, 1), unfold(t, 2), unfold(t, 3)
     rng = np.random.default_rng(opts.seed)
-    a, b, c = _init_factors(x1, x2, x3, R, opts, rng)
-    lam = np.ones(R)
+    b, c = _init_factors(t, x1, x2, R, opts, rng)
 
     trace: list = []
     prev_fit = None
@@ -261,17 +278,6 @@ def cp_merge(f: CPFactors) -> np.ndarray:
     """Merged delta: task loadings summed per component before assembly."""
     coeff = f.lam * f.a_task.sum(axis=0)
     return (f.b_row * coeff) @ f.c_col.T
-
-
-def cp_compress_task(f: CPFactors, h: int) -> np.ndarray:
-    """Low-rank stand-in for task h's dense delta.
-
-    Identical to cp_reconstruct_slice: compressing to task h keeps each
-    component scaled by that task's loading.
-    """
-    if not 0 <= h < f.n_tasks:
-        raise ValueError(f"task index {h} out of range for n_tasks={f.n_tasks}")
-    return cp_reconstruct_slice(f, h)
 
 
 def storage_bytes(f, element_bytes: int = 4) -> int:
@@ -324,7 +330,7 @@ def save_factors(f: CPFactors, path) -> None:
 
 
 def load_factors(path) -> CPFactors:
-    from .errors import ContainerFormatError
+    from .errors import ContainerFormatError, require_keys
 
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -335,8 +341,10 @@ def load_factors(path) -> CPFactors:
         raise ContainerFormatError(f"{path}: bad cpf header: {e}") from None
     if header.get("format") != "cpf":
         raise ContainerFormatError(f"{path}: not a cpf container")
-    R, n, d_in, d_out = (header[k] for k in ("rank", "n_tasks", "d_in", "d_out"))
-    dtype = np.dtype(header["dtype"])
+    R, n, d_in, d_out, dtype, offsets = require_keys(
+        header, ("rank", "n_tasks", "d_in", "d_out", "dtype", "offsets"), path
+    )
+    dtype = np.dtype(dtype)
     shapes = {"lam": (R,), "a_task": (n, R), "b_row": (d_in, R), "c_col": (d_out, R)}
     expected = sum(int(np.prod(s)) for s in shapes.values()) * dtype.itemsize
     if len(payload) != expected:
@@ -345,7 +353,7 @@ def load_factors(path) -> CPFactors:
         )
     out = {}
     for name, shape in shapes.items():
-        start = header["offsets"][name]
+        start = offsets[name]
         count = int(np.prod(shape))
         arr = np.frombuffer(payload, dtype=dtype, count=count, offset=start)
         out[name] = arr.reshape(shape).astype(np.float64)

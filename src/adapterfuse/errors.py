@@ -19,3 +19,11 @@ class ContainerFormatError(ValueError):
 
 class ChecksumError(ContainerFormatError):
     """Container payload bytes do not match the recorded checksum."""
+
+
+def require_keys(header: dict, keys, path) -> list:
+    """Values of the required header keys, in order; a missing one is named."""
+    for key in keys:
+        if key not in header:
+            raise ContainerFormatError(f"{path}: header is missing {key!r}")
+    return [header[key] for key in keys]

@@ -247,7 +247,11 @@ def merge_library(lib, cfg: MergeConfig) -> dict:
         ds = [lib.deltas[(task, layer_id)].materialize() for task in tasks]
         return merge_deltas(ds, cfg, salt=layer_salt(layer_id))
 
-    n_threads = max(1, int(os.environ.get("ADAPTERFUSE_THREADS", "1")))
+    raw = os.environ.get("ADAPTERFUSE_THREADS", "1")
+    try:
+        n_threads = max(1, int(raw))
+    except ValueError:
+        raise ValueError(f"ADAPTERFUSE_THREADS must be an integer, got {raw!r}") from None
     if n_threads > 1 and len(layers) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             merged = list(pool.map(one_layer, layers))

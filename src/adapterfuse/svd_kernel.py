@@ -1,16 +1,13 @@
-"""Singular value decomposition via one-sided Jacobi rotations.
+"""Thin singular value decomposition on top of LAPACK, canonicalized.
 
-No LAPACK: the decomposition is built from plane rotations that
-orthogonalize matrix columns in place (Hestenes' method).  For an m×n
-input we always rotate on the narrow side, so a sweep costs
-O(min(m,n)² · max(m,n)).  Rotations within a sweep follow a round-robin
-schedule of disjoint column pairs, which lets each round be applied as
-one vectorized update.
-
-Determinism: fixed sweep schedule, descending stable sort of singular
-values, sign canonicalization (largest-magnitude entry of each left
-singular vector made positive), and canonical-basis completion for
-singular values clamped to zero.
+``np.linalg.svd(full_matrices=False)`` does the factorization; this
+module adds the conventions the rest of the package relies on.  Singular
+values below CLAMP_REL times the largest come back as exact zeros, so
+SvdResult.rank counts numerically nonzero directions.  Each left
+singular vector is flipped so its largest-magnitude entry is positive
+(the right vector flipped along), which pins down the sign LAPACK leaves
+free.  Reruns on one BLAS/LAPACK build give byte-identical results;
+different builds may differ in the last bits.
 """
 
 from __future__ import annotations
@@ -19,11 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Stopping/clamping constants. Off-diagonal Gram entries are driven below
-# OFFDIAG_TOL relative to the participating column norms, or we give up
-# after MAX_SWEEPS (never observed at desk scale).
-OFFDIAG_TOL = 1e-12
-MAX_SWEEPS = 60
 CLAMP_REL = 1e-12
 
 
@@ -43,111 +35,6 @@ class SvdResult:
         return (self.u * self.sigma) @ self.v.T
 
 
-def _round_robin_schedule(n: int):
-    """All unordered column pairs, grouped into rounds of disjoint pairs.
-
-    Circle method: one slot fixed, the rest rotate. n-1 rounds for even n
-    (n rounds for odd, via a bye slot), ⌊n/2⌋ pairs per round.
-    """
-    slots = list(range(n))
-    if n % 2:
-        slots.append(-1)  # bye
-    m = len(slots)
-    rounds = []
-    for _ in range(m - 1):
-        pairs = [
-            (min(a, b), max(a, b))
-            for a, b in ((slots[i], slots[m - 1 - i]) for i in range(m // 2))
-            if a != -1 and b != -1
-        ]
-        rounds.append(np.array(pairs, dtype=np.intp))
-        slots = [slots[0], slots[-1]] + slots[1:-1]
-    return rounds
-
-
-def _jacobi_orthogonalize(w: np.ndarray):
-    """Rotate columns of w (in place) until mutually orthogonal.
-
-    Returns the accumulated rotation v (orthogonal, n×n) with
-    w_final = w_original @ v.
-    """
-    n = w.shape[1]
-    v = np.eye(n)
-    if n == 1:
-        return w, v
-    schedule = _round_robin_schedule(n)
-    for _ in range(MAX_SWEEPS):
-        rotated = False
-        # Columns whose norm has collapsed to the clamp floor carry only
-        # rounding noise; their pairwise angles never settle relative to
-        # their own (vanishing) norms, so leave them out of the schedule
-        # or rank-deficient inputs spin for the full sweep budget.
-        dead2 = CLAMP_REL**2 * np.einsum("ij,ij->j", w, w).max()
-        for pairs in schedule:
-            p, q = pairs[:, 0], pairs[:, 1]
-            wp, wq = w[:, p], w[:, q]
-            alpha = np.einsum("ij,ij->j", wp, wp)
-            beta = np.einsum("ij,ij->j", wq, wq)
-            gamma = np.einsum("ij,ij->j", wp, wq)
-            active = (
-                (np.abs(gamma) > OFFDIAG_TOL * np.sqrt(alpha * beta))
-                & (alpha > dead2)
-                & (beta > dead2)
-            )
-            if not active.any():
-                continue
-            rotated = True
-            theta = 0.5 * np.arctan2(2.0 * gamma, alpha - beta)
-            c = np.where(active, np.cos(theta), 1.0)
-            s = np.where(active, np.sin(theta), 0.0)
-            w[:, p], w[:, q] = c * wp + s * wq, c * wq - s * wp
-            vp, vq = v[:, p], v[:, q]
-            v[:, p], v[:, q] = c * vp + s * vq, c * vq - s * vp
-        if not rotated:
-            break
-    return w, v
-
-
-def _complete_basis(u: np.ndarray, filled: int) -> np.ndarray:
-    """Fill columns u[:, filled:] so u has orthonormal columns.
-
-    Greedy and deterministic: repeatedly take the canonical basis vector
-    with the largest residual after projecting out all columns so far
-    (ties fall to the lowest index).
-    """
-    m, p = u.shape
-    resid = np.eye(m) - u[:, :filled] @ u[:, :filled].T
-    for col in range(filled, p):
-        pick = int(np.argmax(np.einsum("ij,ij->j", resid, resid)))
-        newcol = resid[:, pick]
-        newcol = newcol / np.linalg.norm(newcol)
-        u[:, col] = newcol
-        resid -= np.outer(newcol, newcol @ resid)
-    return u
-
-
-def _svd_tall(m: np.ndarray) -> SvdResult:
-    # m has rows ≥ cols; rotate its columns directly.  Fortran order keeps
-    # the per-round column gathers contiguous.
-    w, v = _jacobi_orthogonalize(np.array(m, dtype=np.float64, order="F", copy=True))
-    norms = np.sqrt(np.einsum("ij,ij->j", w, w))
-    order = np.argsort(-norms, kind="stable")
-    sigma = norms[order]
-    w = w[:, order]
-    v = v[:, order]
-
-    u = np.zeros_like(w)
-    cutoff = CLAMP_REL * sigma[0] if sigma[0] > 0 else 0.0
-    keep = sigma > cutoff if cutoff > 0 else sigma > 0
-    sigma = np.where(keep, sigma, 0.0)
-    u[:, keep] = w[:, keep] / sigma[keep]
-    if not keep.all():
-        # clamped directions: vectors are arbitrary, pick a canonical set
-        first_zero = int(np.argmin(keep))
-        u = _complete_basis(u, first_zero)
-    return SvdResult(u=u, sigma=sigma, v=v)
-
-
 def svd(m) -> SvdResult:
     """Thin SVD with descending singular values; see SvdResult.
 
@@ -160,15 +47,10 @@ def svd(m) -> SvdResult:
     if not np.all(np.isfinite(m)):
         raise ValueError("svd: input has non-finite entries")
 
-    if m.shape[0] >= m.shape[1]:
-        res = _svd_tall(m)
-        u, sigma, v = res.u, res.sigma, res.v
-    else:
-        res = _svd_tall(m.T)
-        u, sigma, v = res.v, res.sigma, res.u
-
+    u, sigma, vt = np.linalg.svd(m, full_matrices=False)
+    sigma = np.where(sigma > CLAMP_REL * sigma[0], sigma, 0.0)
     flip = np.where(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0, -1.0, 1.0)
-    return SvdResult(u=u * flip, sigma=sigma, v=v * flip)
+    return SvdResult(u=u * flip, sigma=sigma, v=vt.T * flip)
 
 
 def truncated_approx(m, k: int) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kvconfig
 from .adapter_io import AdapterDelta, AdapterLibrary
-from .errors import ContainerFormatError, ShapeMismatchError
+from .errors import ContainerFormatError, ShapeMismatchError, require_keys
 from .tensor_core import frobenius_norm
 
 _SEED_MASK = (1 << 64) - 1
@@ -300,10 +300,11 @@ def load_truth(path) -> dict:
         raise ContainerFormatError(f"{path}: bad truth header: {exc}") from None
     if header.get("format") != "truth":
         raise ContainerFormatError(f"{path}: not a truth sidecar")
-    dtype = np.dtype(header["dtype"])
+    dtype, layers, shapes = require_keys(header, ("dtype", "layers", "shapes"), path)
+    dtype = np.dtype(dtype)
     out = {}
     offset = 0
-    for layer, shape in zip(header["layers"], header["shapes"]):
+    for layer, shape in zip(layers, shapes):
         count = int(np.prod(shape))
         if offset + count * dtype.itemsize > len(payload):
             raise ContainerFormatError(f"{path}: truncated payload at layer {layer!r}")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -36,3 +38,12 @@ def blob_points(n_per=40, dim=4, spread=0.05, centers=((0.0, 5.0), (5.0, 0.0)), 
         pts.append(mu + spread * rng.standard_normal((n_per, dim)))
         labels += [lab] * n_per
     return np.vstack(pts).astype(np.float32), np.array(labels)
+
+
+def drop_header_key(path, key):
+    """Rewrite a JSON-header-line container without one header key."""
+    blob = path.read_bytes()
+    line, payload = blob.split(b"\n", 1)
+    header = json.loads(line)
+    del header[key]
+    path.write_bytes(json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + payload)

@@ -21,7 +21,7 @@ from adapterfuse import (
 from adapterfuse.clustering import load_manifest, save_manifest
 from adapterfuse.cli import main
 
-from conftest import blob_points, make_library
+from conftest import blob_points, drop_header_key, make_library
 
 
 @pytest.fixture
@@ -127,6 +127,17 @@ class TestMergeCommand:
                    "--out", str(tmp_path / "m.alib"), "--truth", str(t)])
         assert rc == 2
         assert "no layer" in capsys.readouterr().err
+
+    def test_truth_missing_header_key_is_exit_2(self, tmp_path, spec_path, capsys):
+        out = tmp_path / "p.alib"
+        main(["synth", "--spec", str(spec_path), "--out", str(out)])
+        truth = tmp_path / "p.alib.truth"
+        drop_header_key(truth, "dtype")
+        capsys.readouterr()
+        rc = main(["merge", "--library", str(out), "--method", "uniform",
+                   "--out", str(tmp_path / "m.alib"), "--truth", str(truth)])
+        assert rc == 2
+        assert "missing 'dtype'" in capsys.readouterr().err
 
     def test_missing_library_file(self, tmp_path, capsys):
         rc = main(["merge", "--library", str(tmp_path / "nope.alib"),
@@ -265,9 +276,9 @@ class TestCompressCommand:
             path = out / f"layer_{layer}.cpf"
             assert path.exists()
             # reported error is reproducible from the artifact alone
-            from adapterfuse import cp_compress_task
+            from adapterfuse import cp_reconstruct_slice
             from adapterfuse.synth import recovery_error
-            approx = cp_compress_task(load_factors(path), 1)
+            approx = cp_reconstruct_slice(load_factors(path), 1)
             target = lib.deltas[("1", layer)].materialize()
             line = [l for l in stdout.splitlines() if l.startswith(f"{layer}:")][0]
             reported = float(line.split("= ", 1)[1].split(" ->")[0])

@@ -17,7 +17,7 @@ from adapterfuse import (
 )
 from adapterfuse.clustering import assign_many, load_manifest, save_manifest
 
-from conftest import blob_points
+from conftest import blob_points, drop_header_key
 
 
 def blob_set(**kw):
@@ -89,6 +89,17 @@ class TestKmeansFit:
         model = kmeans_fit(e, K=2, sample_fraction=1.0, seed=0)
         assert model.centroids.shape == (2, 2)
         assert model.inertia == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seeding_survives_roundoff_in_distances(self, seed):
+        # points that sit on a seeding centroid get expanded-form squared
+        # distances a hair below zero; k-means++ must still draw from them
+        rng = np.random.default_rng(seed)
+        centres = 4.0 * rng.standard_normal((8, 128))
+        x = centres[rng.integers(8, size=1000)] + rng.standard_normal((1000, 128))
+        e = EmbeddingSet(ids=tuple(range(1000)), vectors=x)
+        m = kmeans_fit(e, 8, seed=seed)
+        assert m.centroids.shape == (8, 128) and np.isfinite(m.inertia)
 
     def test_k_equals_n(self):
         e, _ = blob_set(n_per=3)
@@ -196,6 +207,15 @@ class TestEmbContainer:
         p = tmp_path / "x.emb"
         p.write_bytes(b'{"format": "cpf", "version": 1}\n')
         with pytest.raises(ContainerFormatError, match="not an emb"):
+            load_embeddings(p)
+
+    @pytest.mark.parametrize("key", ["n", "dim", "ids"])
+    def test_missing_header_key_named(self, key, tmp_path):
+        e, _ = blob_set(n_per=3)
+        p = tmp_path / "x.emb"
+        save_embeddings(e, p)
+        drop_header_key(p, key)
+        with pytest.raises(ContainerFormatError, match=f"missing '{key}'"):
             load_embeddings(p)
 
     def test_truncated_payload(self, tmp_path):

@@ -19,6 +19,8 @@ from adapterfuse import (
     storage_bytes,
 )
 
+from conftest import drop_header_key
+
 
 def planted_tensor(rng, n_tasks=4, d_in=9, d_out=7, lam=(3.0, 2.0, 1.0)):
     """Exact-rank tensor with orthonormal row/col factors and unit task rows."""
@@ -224,6 +226,14 @@ class TestFactorContainer:
         p = tmp_path / "x.cpf"
         p.write_bytes(b'{"format": "something-else", "version": 1}\n')
         with pytest.raises(ContainerFormatError):
+            load_factors(p)
+
+    @pytest.mark.parametrize("key", ["rank", "n_tasks", "d_in", "d_out", "dtype", "offsets"])
+    def test_missing_header_key_named(self, key, rng, tmp_path):
+        p = tmp_path / "x.cpf"
+        save_factors(cp_als(rng.standard_normal((4, 3, 2)), 1), p)
+        drop_header_key(p, key)
+        with pytest.raises(ContainerFormatError, match=f"missing '{key}'"):
             load_factors(p)
 
     def test_truncated_payload_rejected(self, rng, tmp_path):

@@ -263,6 +263,11 @@ class TestMergeLibrary:
             np.testing.assert_array_equal(serial[layer], threaded[layer])
         assert os.environ["ADAPTERFUSE_THREADS"] == "4"
 
+    def test_bad_thread_count_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("ADAPTERFUSE_THREADS", "four")
+        with pytest.raises(ValueError, match="ADAPTERFUSE_THREADS.*'four'"):
+            merge_library(make_library(n_tasks=2, n_layers=2), MergeConfig(method="uniform"))
+
 
 class TestMergeConfig:
     def test_validation(self):

@@ -1,4 +1,4 @@
-"""One-sided Jacobi SVD checked against numpy's LAPACK-backed svd."""
+"""The canonicalized LAPACK SVD: clamp, sign convention, shapes, validation."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adapterfuse import svd, truncated_approx
-from adapterfuse.svd_kernel import _round_robin_schedule
 
 
 def _check_factorization(m, res, atol=1e-9):
@@ -142,16 +141,3 @@ def test_truncated_approx_k_range(rng):
     with pytest.raises(ValueError):
         truncated_approx(m, 5)
 
-
-def test_round_robin_schedule_covers_all_pairs():
-    for n in (2, 3, 4, 5, 8):
-        seen = set()
-        for rnd in _round_robin_schedule(n):
-            cols = set()
-            for p, q in rnd:
-                assert p < q
-                seen.add((p, q))
-                # each column appears at most once per round: rotations commute
-                assert p not in cols and q not in cols
-                cols.update((p, q))
-        assert seen == {(p, q) for p in range(n) for q in range(p + 1, n)}

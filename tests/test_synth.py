@@ -18,6 +18,8 @@ from adapterfuse import (
 )
 from adapterfuse import kvconfig
 
+from conftest import drop_header_key
+
 
 class TestPlantedSpec:
     def test_defaults_and_total_rank(self):
@@ -192,6 +194,14 @@ class TestTruthContainer:
             load_truth(p)
         p.write_bytes(b'{"format": "emb", "version": 1}\n')
         with pytest.raises(ContainerFormatError, match="not a truth"):
+            load_truth(p)
+
+    @pytest.mark.parametrize("key", ["dtype", "layers", "shapes"])
+    def test_missing_header_key_named(self, key, tmp_path, rng):
+        p = tmp_path / "x.truth"
+        save_truth({"00": rng.standard_normal((3, 3))}, p)
+        drop_header_key(p, key)
+        with pytest.raises(ContainerFormatError, match=f"missing '{key}'"):
             load_truth(p)
 
     def test_truncated_and_trailing(self, tmp_path, rng):
