@@ -24,7 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChecksumError, ContainerFormatError, SchemaError
+from .errors import (
+    ChecksumError,
+    ContainerFormatError,
+    SchemaError,
+    require_keys,
+    require_span,
+)
 
 _MAGIC = b"ALIB"
 _VERSION = 1
@@ -186,31 +192,34 @@ def _read_container(path):
 
 
 def _entry_array(payload, spec, dtype, path):
-    shape = tuple(int(x) for x in spec["shape"])
+    shape, offset = require_keys(spec, ("shape", "offset"), path)
+    shape = tuple(int(x) for x in shape)
+    if min(shape, default=0) < 0:
+        raise ContainerFormatError(f"{path}: negative tensor shape {shape}")
     count = int(np.prod(shape))
-    offset = int(spec["offset"])
-    if offset + count * dtype.itemsize > len(payload):
-        raise ContainerFormatError(f"{path}: tensor at offset {offset} overruns payload")
+    require_span(offset, count * dtype.itemsize, len(payload), "tensor", path)
     arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
     return arr.reshape(shape).astype(np.float64)
 
 
 def _library_from_container(index, payload, path) -> AdapterLibrary:
     dtype = np.dtype(index.get("dtype", _DTYPE))
+    entries, tasks, layers = require_keys(index, ("entries", "tasks", "layers"), path)
     deltas = {}
-    for rec in index["entries"]:
-        task, layer = str(rec["task"]), str(rec["layer"])
+    for rec in entries:
+        task, layer, s, a, b = require_keys(rec, ("task", "layer", "s", "a", "b"), path)
+        task, layer = str(task), str(layer)
         if (task, layer) in deltas:
             raise ContainerFormatError(f"{path}: duplicate entry ({task}, {layer})")
         deltas[(task, layer)] = AdapterDelta(
             layer_id=layer,
-            a=_entry_array(payload, rec["a"], dtype, path),
-            b=_entry_array(payload, rec["b"], dtype, path),
-            scaling_s=float(rec["s"]),
+            a=_entry_array(payload, a, dtype, path),
+            b=_entry_array(payload, b, dtype, path),
+            scaling_s=float(s),
         )
     return AdapterLibrary(
-        tasks=tuple(index["tasks"]),
-        layers=tuple(index["layers"]),
+        tasks=tuple(tasks),
+        layers=tuple(layers),
         deltas=deltas,
         meta=dict(index.get("meta", {})),
     )

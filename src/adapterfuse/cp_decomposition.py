@@ -198,11 +198,14 @@ def _init_factors(t, x1, x2, R, opts, rng):
 def cp_als(t, R: int, opts: AlsOptions | None = None) -> CPFactors:
     """Rank-R CP fit by alternating least squares.
 
-    Update order per iteration is task mode, then row, then column; each
-    update is an exact least-squares solve, so the reconstruction error is
-    non-increasing across iterations.  Stops when the fit change drops
-    below opts.tol or after opts.max_iters iterations.  Deterministic for
-    fixed (t, R, opts).
+    Update order per iteration is task mode, then row, then column.  Each
+    update is an exact least-squares solve only when its Gram matrix is
+    not near singular (otherwise _ls_solve adds a ridge), and then only
+    in exact arithmetic: the reconstruction error is usually, not always,
+    non-increasing across iterations.  After a ridge, or from round-off
+    in ill-conditioned solves once the fit is near exact, it can rise.
+    Stops when the fit change drops below opts.tol or after
+    opts.max_iters iterations.  Deterministic for fixed (t, R, opts).
     """
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 3:
@@ -243,7 +246,6 @@ def cp_als(t, R: int, opts: AlsOptions | None = None) -> CPFactors:
         c, lam = _normalize_columns(c)
 
         err = frobenius_norm(t - _reconstruct_raw(lam, a, b, c, t.shape)) / norm_t
-        assert not trace or err <= trace[-1] + 1e-12, "ALS error increased"
         trace.append(err)
         fit = 1.0 - err
         if prev_fit is not None and abs(fit - prev_fit) < opts.tol:
@@ -330,7 +332,7 @@ def save_factors(f: CPFactors, path) -> None:
 
 
 def load_factors(path) -> CPFactors:
-    from .errors import ContainerFormatError, require_keys
+    from .errors import ContainerFormatError, require_keys, require_span
 
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -351,10 +353,11 @@ def load_factors(path) -> CPFactors:
         raise ContainerFormatError(
             f"{path}: payload is {len(payload)} bytes, expected {expected}"
         )
+    starts = require_keys(offsets, tuple(shapes), path)
     out = {}
-    for name, shape in shapes.items():
-        start = offsets[name]
+    for (name, shape), start in zip(shapes.items(), starts):
         count = int(np.prod(shape))
+        require_span(start, count * dtype.itemsize, len(payload), name, path)
         arr = np.frombuffer(payload, dtype=dtype, count=count, offset=start)
         out[name] = arr.reshape(shape).astype(np.float64)
     return CPFactors(

@@ -126,23 +126,31 @@ def ties_merge(deltas, cfg: MergeConfig) -> np.ndarray:
     """Trim, elect signs, average the agreeing survivors.
 
     Per task the top ceil(k_density · n_entries) entries by |magnitude|
-    survive (magnitude ties keep the lower linear index).  Each entry's
-    sign is elected from the sign of the summed survivors (an exact zero
-    elects +); the output is alpha times the mean over tasks whose
-    surviving entry is nonzero and matches the elected sign.
+    survive (magnitude ties keep the lower linear index).  Survivors are
+    found by per-task selection rather than a sort: every entry above the
+    k-th largest magnitude, then the lowest-index entries equal to it.
+    Each entry's sign is elected from the sign of the summed survivors
+    (an exact zero elects +); the output is alpha times the mean over
+    tasks whose surviving entry is nonzero and matches the elected sign.
     """
     if not 0.0 < cfg.k_density <= 1.0:
         raise ValueError(f"k_density must be in (0,1], got {cfg.k_density}")
     stack = np.stack(_check_deltas(deltas), axis=0)
     n_tasks = stack.shape[0]
     flat = stack.reshape(n_tasks, -1)
-    k = math.ceil(cfg.k_density * flat.shape[1])
+    n = flat.shape[1]
+    k = math.ceil(cfg.k_density * n)
 
-    # descending |magnitude|, stable: equal magnitudes stay in index order
-    order = np.argsort(-np.abs(flat), axis=1, kind="stable")
-    survives = np.zeros(flat.shape, dtype=bool)
-    np.put_along_axis(survives, order[:, :k], True, axis=1)
-    trimmed = np.where(survives, flat, 0.0)
+    # one row at a time: whole-matrix masks would raise peak memory;
+    # k = 0 only for empty deltas, which have nothing to select
+    trimmed = np.zeros_like(flat)
+    for row, out in zip(flat, trimmed) if k > 0 else ():
+        mag = np.abs(row)
+        thr = np.partition(mag, n - k)[n - k]  # k-th largest magnitude
+        keep = mag > thr
+        room = k - np.count_nonzero(keep)
+        keep[np.flatnonzero(mag == thr)[:room]] = True
+        out[keep] = row[keep]
 
     elected = np.where(trimmed.sum(axis=0) >= 0.0, 1.0, -1.0)
     agrees = (np.sign(trimmed) == elected) & (trimmed != 0.0)

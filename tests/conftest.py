@@ -40,10 +40,15 @@ def blob_points(n_per=40, dim=4, spread=0.05, centers=((0.0, 5.0), (5.0, 0.0)), 
     return np.vstack(pts).astype(np.float32), np.array(labels)
 
 
-def drop_header_key(path, key):
-    """Rewrite a JSON-header-line container without one header key."""
+def edit_header(path, edit):
+    """Rewrite a JSON-header-line container after edit(header) mutates it."""
     blob = path.read_bytes()
     line, payload = blob.split(b"\n", 1)
     header = json.loads(line)
-    del header[key]
+    edit(header)
     path.write_bytes(json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + payload)
+
+
+def drop_header_key(path, key):
+    """Rewrite a JSON-header-line container without one header key."""
+    edit_header(path, lambda header: header.pop(key))

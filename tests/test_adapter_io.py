@@ -185,6 +185,44 @@ class TestCorruption:
         with pytest.raises(ContainerFormatError, match="overruns"):
             load_library(p)
 
+    def valid_entry(self):
+        return {"task": "t", "layer": "00", "s": "1.0",
+                "a": {"shape": [2, 1], "offset": 0},
+                "b": {"shape": [2, 1], "offset": 8}}
+
+    @pytest.mark.parametrize("key", ["entries", "tasks", "layers"])
+    def test_missing_index_key_named(self, key, tmp_path):
+        payload = np.zeros(4, dtype="<f4").tobytes()
+        index = self.crafted_index(payload, [self.valid_entry()])
+        del index[key]
+        p = self.write_index(tmp_path, index, payload)
+        with pytest.raises(ContainerFormatError, match=f"missing '{key}'"):
+            load_library(p)
+
+    @pytest.mark.parametrize("key", ["task", "layer", "s", "a", "b"])
+    def test_missing_entry_key_named(self, key, tmp_path):
+        payload = np.zeros(4, dtype="<f4").tobytes()
+        rec = self.valid_entry()
+        del rec[key]
+        p = self.write_index(tmp_path, self.crafted_index(payload, [rec]), payload)
+        with pytest.raises(ContainerFormatError, match=f"missing '{key}'"):
+            load_library(p)
+
+    @pytest.mark.parametrize("spec", [
+        {"shape": [2, 1], "offset": -4},
+        {"shape": [2, 1], "offset": "0"},
+        {"shape": [2, 1]},
+        {"shape": [-2, -1], "offset": 0},
+        7,
+    ])
+    def test_bad_tensor_spec_rejected(self, spec, tmp_path):
+        payload = np.zeros(4, dtype="<f4").tobytes()
+        rec = self.valid_entry()
+        rec["b"] = spec
+        p = self.write_index(tmp_path, self.crafted_index(payload, [rec]), payload)
+        with pytest.raises(ContainerFormatError):
+            load_library(p)
+
     def test_duplicate_entry(self, tmp_path):
         payload = np.zeros(4, dtype="<f4").tobytes()
         rec = {"task": "t", "layer": "00", "s": "1.0",

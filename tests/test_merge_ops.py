@@ -81,14 +81,22 @@ class TestTies:
                 ties_merge(mats, cfg), ties_reference(mats, kd, 1.3), atol=1e-12)
 
     def test_integer_grid_with_ties_in_magnitude(self):
-        # repeated magnitudes exercise the stable trim order
-        vals = [-2, -1, 0, 1, 2]
+        # repeated magnitudes exercise the lowest-index tie rule; on the
+        # 16×16 grids the cut splits a run of equal magnitudes in every task
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            mats = [rng.choice(vals, size=(2, 3)).astype(float) for _ in range(3)]
-            cfg = MergeConfig(method="ties", k_density=0.5)
-            np.testing.assert_array_equal(
-                ties_merge(mats, cfg), ties_reference(mats, 0.5, 1.0))
+        cases = [((2, 3), 2, 0.5, 50)] + [((16, 16), 3, kd, 5) for kd in (0.1, 0.3, 0.5)]
+        for shape, top, kd, trials in cases:
+            k = math.ceil(kd * math.prod(shape))
+            for _ in range(trials):
+                mats = [rng.choice(np.arange(-top, top + 1), size=shape).astype(float)
+                        for _ in range(3)]
+                if shape == (16, 16):
+                    for m in mats:
+                        mags = np.sort(np.abs(m), axis=None)[::-1]
+                        assert mags[k - 1] == mags[k]
+                cfg = MergeConfig(method="ties", k_density=kd)
+                np.testing.assert_array_equal(
+                    ties_merge(mats, cfg), ties_reference(mats, kd, 1.0))
 
     def test_sign_tie_elects_positive(self):
         mats = [np.array([[1.0]]), np.array([[-1.0]])]
@@ -112,8 +120,11 @@ class TestTies:
 
     def test_all_zero_inputs(self):
         cfg = MergeConfig(method="ties", k_density=0.5)
-        np.testing.assert_array_equal(
-            ties_merge([np.zeros((2, 2))] * 3, cfg), np.zeros((2, 2)))
+        # empty deltas select nothing and keep their shape
+        for shape in ((2, 2), (0, 4), (3, 0)):
+            out = ties_merge([np.zeros(shape)] * 3, cfg)
+            assert out.shape == shape
+            np.testing.assert_array_equal(out, np.zeros(shape))
 
 
 class TestDare:
@@ -214,6 +225,14 @@ class TestDispatcher:
         dropped = [dare_transform(m, cfg, stream=(i, salt)) for i, m in enumerate(mats)]
         want = ties_merge(dropped, MergeConfig(method="ties", k_density=0.6))
         np.testing.assert_allclose(merge_deltas(mats, cfg, salt=salt), want, atol=1e-12)
+        # k_density > 1 - dare_p keeps more entries than DARE left nonzero,
+        # so the k-th largest magnitude is 0
+        mats = [rng.standard_normal((6, 5)) for _ in range(3)]
+        cfg = MergeConfig(method="dare-ties", dare_p=0.6, seed=2, k_density=0.7)
+        dropped = [dare_transform(m, cfg, stream=(i, salt)) for i, m in enumerate(mats)]
+        assert all(np.count_nonzero(d) < math.ceil(0.7 * d.size) for d in dropped)
+        np.testing.assert_array_equal(
+            merge_deltas(mats, cfg, salt=salt), ties_reference(dropped, 0.7, 1.0))
 
     def test_shape_mismatch_names_index(self, rng):
         mats = [rng.standard_normal((3, 3)), rng.standard_normal((3, 4))]
