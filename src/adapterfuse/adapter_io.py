@@ -1,10 +1,11 @@
 """Adapter library containers: low-rank per-(task, layer) factor storage.
 
-Single-file format (`.alib`): magic ``ALIB``, little-endian u16 version,
-u32 JSON index length, the JSON index, then one raw little-endian float32
-payload holding every factor back to back.  The index records tasks, the
-layer schema, per-tensor shapes/offsets, per-delta scaling, a CRC32 of
-the payload, and free-form metadata.
+Single-file format (`.alib`): the ALIB framing of containers.py (magic,
+version, JSON index, then a payload whose length and CRC32 the index
+records), written atomically.  The payload holds every factor back to
+back as little-endian float32; the index records tasks, the layer
+schema, per-tensor shapes and payload offsets, per-delta scaling and
+free-form metadata.
 
 A directory of ``task_<id>/layer_<id>.bin`` files (each a one-entry
 container in the same format) is accepted on load for interoperability
@@ -15,25 +16,15 @@ Factors live on disk as float32 and are widened to float64 in memory.
 
 from __future__ import annotations
 
-import json
 import os
 import re
-import struct
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ChecksumError,
-    ContainerFormatError,
-    SchemaError,
-    require_keys,
-    require_span,
-)
+from .containers import read_alib, read_array, require_keys, write_alib
+from .errors import ContainerFormatError, SchemaError
 
-_MAGIC = b"ALIB"
-_VERSION = 1
 _DTYPE = "<f4"
 
 
@@ -116,112 +107,58 @@ class AdapterLibrary:
         return d.d_in, d.d_out
 
 
-def _index_and_payload(tasks, layers, deltas, meta):
+def save_library(lib: AdapterLibrary, path) -> None:
+    lib.validate()
     entries = []
     chunks = []
     offset = 0
-    for task in tasks:
-        for layer in layers:
-            d = deltas[(task, layer)]
+    for task in lib.tasks:
+        for layer in lib.layers:
+            d = lib.deltas[(task, layer)]
             rec = {"task": task, "layer": layer, "s": repr(float(d.scaling_s))}
             for name in ("a", "b"):
                 arr = np.ascontiguousarray(getattr(d, name), dtype=_DTYPE)
                 rec[name] = {"shape": list(arr.shape), "offset": offset}
-                chunks.append(arr.tobytes())
+                chunks.append(arr)
                 offset += arr.nbytes
             entries.append(rec)
-    payload = b"".join(chunks)
     index = {
-        "tasks": list(tasks),
-        "layers": list(layers),
+        "tasks": list(lib.tasks),
+        "layers": list(lib.layers),
         "dtype": _DTYPE,
         "entries": entries,
-        "payload_bytes": len(payload),
-        "payload_crc32": zlib.crc32(payload),
-        "meta": meta,
+        "meta": lib.meta,
     }
-    return index, payload
+    write_alib(path, index, chunks)
 
 
-def _write_container(index, payload, path):
-    blob = json.dumps(index, sort_keys=True).encode("utf-8")
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<H", _VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(payload)
-    os.replace(tmp, path)
+def _tensor(payload, spec, what, path):
+    shape, offset = require_keys(spec, {"shape": object, "offset": object}, path)
+    return read_array(payload, _DTYPE, shape, offset, what, path)
 
 
-def save_library(lib: AdapterLibrary, path) -> None:
-    lib.validate()
-    index, payload = _index_and_payload(lib.tasks, lib.layers, lib.deltas, lib.meta)
-    _write_container(index, payload, path)
-
-
-def _read_container(path):
-    with open(path, "rb") as fh:
-        head = fh.read(6)
-        if len(head) < 6 or head[:4] != _MAGIC:
-            raise ContainerFormatError(f"{path}: bad magic, not an adapter container")
-        (version,) = struct.unpack("<H", head[4:6])
-        if version != _VERSION:
-            raise ContainerFormatError(f"{path}: unsupported version {version}")
-        raw_len = fh.read(4)
-        if len(raw_len) < 4:
-            raise ContainerFormatError(f"{path}: truncated header")
-        (index_len,) = struct.unpack("<I", raw_len)
-        blob = fh.read(index_len)
-        if len(blob) < index_len:
-            raise ContainerFormatError(f"{path}: truncated index")
-        try:
-            index = json.loads(blob)
-        except json.JSONDecodeError as exc:
-            raise ContainerFormatError(f"{path}: bad index json: {exc}") from None
-        payload = fh.read()
-    if len(payload) != index.get("payload_bytes"):
-        raise ChecksumError(
-            f"{path}: payload is {len(payload)} bytes, "
-            f"index says {index.get('payload_bytes')}"
-        )
-    if zlib.crc32(payload) != index.get("payload_crc32"):
-        raise ChecksumError(f"{path}: payload checksum mismatch")
-    return index, payload
-
-
-def _entry_array(payload, spec, dtype, path):
-    shape, offset = require_keys(spec, ("shape", "offset"), path)
-    shape = tuple(int(x) for x in shape)
-    if min(shape, default=0) < 0:
-        raise ContainerFormatError(f"{path}: negative tensor shape {shape}")
-    count = int(np.prod(shape))
-    require_span(offset, count * dtype.itemsize, len(payload), "tensor", path)
-    arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
-    return arr.reshape(shape).astype(np.float64)
-
-
-def _library_from_container(index, payload, path) -> AdapterLibrary:
-    dtype = np.dtype(index.get("dtype", _DTYPE))
-    entries, tasks, layers = require_keys(index, ("entries", "tasks", "layers"), path)
+def _load_file(path) -> AdapterLibrary:
+    index, payload = read_alib(path, _DTYPE)
+    entries, tasks, layers, meta = require_keys(
+        {"meta": {}, **index},  # meta is optional
+        {"entries": list, "tasks": list, "layers": list, "meta": dict},
+        path,
+    )
     deltas = {}
     for rec in entries:
-        task, layer, s, a, b = require_keys(rec, ("task", "layer", "s", "a", "b"), path)
-        task, layer = str(task), str(layer)
+        task, layer, s, a, b = require_keys(
+            rec, {"task": str, "layer": str, "s": str, "a": object, "b": object}, path
+        )
         if (task, layer) in deltas:
             raise ContainerFormatError(f"{path}: duplicate entry ({task}, {layer})")
         deltas[(task, layer)] = AdapterDelta(
             layer_id=layer,
-            a=_entry_array(payload, a, dtype, path),
-            b=_entry_array(payload, b, dtype, path),
+            a=_tensor(payload, a, f"tensor a of ({task}, {layer})", path),
+            b=_tensor(payload, b, f"tensor b of ({task}, {layer})", path),
             scaling_s=float(s),
         )
     return AdapterLibrary(
-        tasks=tuple(tasks),
-        layers=tuple(layers),
-        deltas=deltas,
-        meta=dict(index.get("meta", {})),
+        tasks=tuple(tasks), layers=tuple(layers), deltas=deltas, meta=dict(meta)
     )
 
 
@@ -247,8 +184,7 @@ def _load_directory(path) -> AdapterLibrary:
             match = re.fullmatch(r"layer_(.+)\.bin", fname)
             if not match:
                 continue
-            index, payload = _read_container(os.path.join(tdir, fname))
-            sub = _library_from_container(index, payload, os.path.join(tdir, fname))
+            sub = _load_file(os.path.join(tdir, fname))
             if len(sub.tasks) != 1 or len(sub.layers) != 1:
                 raise ContainerFormatError(
                     f"{tdir}/{fname}: per-file containers must hold exactly one delta"
@@ -270,8 +206,7 @@ def load_library(path) -> AdapterLibrary:
     """Load a `.alib` container or a task_<id>/layer_<id>.bin directory."""
     if os.path.isdir(path):
         return _load_directory(path)
-    index, payload = _read_container(path)
-    return _library_from_container(index, payload, path)
+    return _load_file(path)
 
 
 def export_merged(merged: dict, path, meta: dict | None = None) -> None:

@@ -25,6 +25,7 @@ from .clustering import (
     partition_manifest,
     save_manifest,
 )
+from .containers import atomic_write
 from .cp_decomposition import (
     AlsOptions,
     cp_als,
@@ -175,12 +176,8 @@ def cmd_sweep(args) -> int:
         done.add(key)
         print(f"{args.param} = {value}: {metric} = {score!r}")
 
-    tmp = str(args.out) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("param,value,metric,score\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-    os.replace(tmp, args.out)
+    lines = ["param,value,metric,score"] + [",".join(row) for row in rows]
+    atomic_write(args.out, [("\n".join(lines) + "\n").encode("utf-8")])
     print(f"wrote {args.out}")
     return 0
 

@@ -9,12 +9,18 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContainerFormatError, require_keys
+from .containers import (
+    atomic_write,
+    read_array,
+    read_framed,
+    require_end,
+    require_keys,
+    write_framed,
+)
 
 DISTANCES = ("euclidean", "cosine")
 
@@ -86,8 +92,11 @@ def kmeans_fit(
     """k-means++ then Lloyd, on a seeded subsample of the points.
 
     Stops at an assignment fixpoint or max_iters.  Empty clusters are
-    reseeded to the point currently farthest from its centroid.  The
-    reported inertia is over the training subsample.
+    reseeded to the point currently farthest from its centroid.  A Lloyd
+    step lowers the inertia only in exact arithmetic: the expanded-form
+    distances round (worst for points far from the origin), so a step can
+    raise it slightly.  The reported inertia is over the training
+    subsample, against the final centroids.
     """
     if not 1 <= K <= e.n:
         raise ValueError(f"K={K} out of range [1, {e.n}]")
@@ -117,8 +126,6 @@ def kmeans_fit(
         d2 = np.minimum(d2, _sq_dists(x, centroids[j : j + 1])[:, 0])
 
     labels = None
-    inertia = math.inf
-    iterations = 0
     for iterations in range(1, max_iters + 1):
         dists = _sq_dists(x, centroids)
         new_labels = np.argmin(dists, axis=1)  # ties fall to the lowest index
@@ -132,12 +139,9 @@ def kmeans_fit(
                 centroids[j] = x[far]
                 new_labels[far] = j
                 point_d2[far] = 0.0
-        new_inertia = float(point_d2.sum())
-        assert new_inertia <= inertia + 1e-9, "Lloyd inertia increased"
         if labels is not None and np.array_equal(labels, new_labels):
-            inertia = new_inertia
             break
-        labels, inertia = new_labels, new_inertia
+        labels = new_labels
 
     # inertia must match the final centroids (they moved after the last
     # assignment above): recompute once against them
@@ -198,39 +202,15 @@ _EMB_DTYPE = "<f4"
 
 
 def save_embeddings(e: EmbeddingSet, path) -> None:
-    header = {
-        "format": "emb",
-        "version": 1,
-        "n": e.n,
-        "dim": e.dim,
-        "ids": list(e.ids),
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
-    blob += np.ascontiguousarray(e.vectors, dtype=_EMB_DTYPE).tobytes()
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    header = {"format": "emb", "version": 1, "n": e.n, "dim": e.dim, "ids": list(e.ids)}
+    write_framed(path, header, [np.ascontiguousarray(e.vectors, dtype=_EMB_DTYPE)])
 
 
 def load_embeddings(path) -> EmbeddingSet:
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        payload = fh.read()
-    try:
-        header = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ContainerFormatError(f"{path}: bad emb header: {exc}") from None
-    if header.get("format") != "emb":
-        raise ContainerFormatError(f"{path}: not an emb container")
-    n, dim, ids = require_keys(header, ("n", "dim", "ids"), path)
-    n, dim = int(n), int(dim)
-    expected = n * dim * np.dtype(_EMB_DTYPE).itemsize
-    if len(payload) != expected:
-        raise ContainerFormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
-        )
-    vectors = np.frombuffer(payload, dtype=_EMB_DTYPE).reshape(n, dim)
+    header, payload = read_framed(path, "emb", _EMB_DTYPE)
+    n, dim, ids = require_keys(header, {"n": int, "dim": int, "ids": list}, path)
+    vectors = read_array(payload, _EMB_DTYPE, (n, dim), 0, "vectors", path)
+    require_end(payload, vectors.nbytes, path)
     return EmbeddingSet(ids=tuple(ids), vectors=vectors)
 
 
@@ -243,6 +223,8 @@ def load_manifest(path) -> dict:
             if not line:
                 continue
             rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError(f"{path}:{lineno}: record is not a JSON object")
             if "id" not in rec:
                 raise ValueError(f"{path}:{lineno}: record has no 'id' field")
             sid = str(rec["id"])
@@ -253,8 +235,5 @@ def load_manifest(path) -> dict:
 
 
 def save_manifest(records: dict, path) -> None:
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for rec in records.values():
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    lines = (json.dumps(rec, sort_keys=True) + "\n" for rec in records.values())
+    atomic_write(path, (line.encode("utf-8") for line in lines))

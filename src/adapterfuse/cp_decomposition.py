@@ -12,12 +12,11 @@ directly from this form.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .containers import read_array, read_framed, require_end, require_keys, write_framed
 from .tensor_core import fold, frobenius_norm, khatri_rao, stack_slices, unfold
 from .svd_kernel import svd
 
@@ -301,15 +300,13 @@ _CPF_DTYPE = "<f4"  # float32 on disk, widened on load
 
 
 def save_factors(f: CPFactors, path) -> None:
-    arrays = [
-        f.lam.astype(_CPF_DTYPE),
-        np.ascontiguousarray(f.a_task, dtype=_CPF_DTYPE),
-        np.ascontiguousarray(f.b_row, dtype=_CPF_DTYPE),
-        np.ascontiguousarray(f.c_col, dtype=_CPF_DTYPE),
-    ]
+    arrays = {
+        name: np.ascontiguousarray(getattr(f, name), dtype=_CPF_DTYPE)
+        for name in ("lam", "a_task", "b_row", "c_col")
+    }
     offsets = {}
     pos = 0
-    for name, arr in zip(("lam", "a_task", "b_row", "c_col"), arrays):
+    for name, arr in arrays.items():
         offsets[name] = pos
         pos += arr.nbytes
     header = {
@@ -323,48 +320,22 @@ def save_factors(f: CPFactors, path) -> None:
         "offsets": offsets,
         "fit": repr(float(f.fit)),
     }
-    blob = json.dumps(header, sort_keys=True).encode("ascii") + b"\n"
-    blob += b"".join(arr.tobytes() for arr in arrays)
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    write_framed(path, header, arrays.values())
 
 
 def load_factors(path) -> CPFactors:
-    from .errors import ContainerFormatError, require_keys, require_span
-
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        payload = fh.read()
-    try:
-        header = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise ContainerFormatError(f"{path}: bad cpf header: {e}") from None
-    if header.get("format") != "cpf":
-        raise ContainerFormatError(f"{path}: not a cpf container")
-    R, n, d_in, d_out, dtype, offsets = require_keys(
-        header, ("rank", "n_tasks", "d_in", "d_out", "dtype", "offsets"), path
+    header, payload = read_framed(path, "cpf", _CPF_DTYPE)
+    R, n, d_in, d_out, _, offsets, fit = require_keys(
+        {"fit": "0.0", **header},  # fit is optional
+        {"rank": int, "n_tasks": int, "d_in": int, "d_out": int, "dtype": object,
+         "offsets": object, "fit": str},
+        path,
     )
-    dtype = np.dtype(dtype)
     shapes = {"lam": (R,), "a_task": (n, R), "b_row": (d_in, R), "c_col": (d_out, R)}
-    expected = sum(int(np.prod(s)) for s in shapes.values()) * dtype.itemsize
-    if len(payload) != expected:
-        raise ContainerFormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
-        )
-    starts = require_keys(offsets, tuple(shapes), path)
-    out = {}
-    for (name, shape), start in zip(shapes.items(), starts):
-        count = int(np.prod(shape))
-        require_span(start, count * dtype.itemsize, len(payload), name, path)
-        arr = np.frombuffer(payload, dtype=dtype, count=count, offset=start)
-        out[name] = arr.reshape(shape).astype(np.float64)
-    return CPFactors(
-        rank_R=R,
-        lam=out["lam"],
-        a_task=out["a_task"],
-        b_row=out["b_row"],
-        c_col=out["c_col"],
-        fit=float(header.get("fit", 0.0)),
-    )
+    starts = require_keys(offsets, dict.fromkeys(shapes, object), path)
+    out = {
+        name: read_array(payload, _CPF_DTYPE, shape, start, name, path)
+        for (name, shape), start in zip(shapes.items(), starts)
+    }
+    require_end(payload, sum(arr.nbytes for arr in out.values()), path)
+    return CPFactors(rank_R=R, fit=float(fit), **out)

@@ -20,22 +20,3 @@ class ContainerFormatError(ValueError):
 class ChecksumError(ContainerFormatError):
     """Container payload bytes do not match the recorded checksum."""
 
-
-def require_keys(header: dict, keys, path) -> list:
-    """Values of the required header keys, in order; a missing one is named."""
-    if not isinstance(header, dict):
-        raise ContainerFormatError(f"{path}: expected a JSON object, got {header!r:.40}")
-    for key in keys:
-        if key not in header:
-            raise ContainerFormatError(f"{path}: header is missing {key!r}")
-    return [header[key] for key in keys]
-
-
-def require_span(offset, nbytes: int, size: int, what: str, path) -> None:
-    """Check that nbytes starting at offset lie inside a size-byte payload."""
-    if not isinstance(offset, int) or offset < 0:
-        raise ContainerFormatError(f"{path}: {what} has a bad offset {offset!r}")
-    if offset + nbytes > size:
-        raise ContainerFormatError(
-            f"{path}: {what} at offset {offset} overruns the {size}-byte payload"
-        )

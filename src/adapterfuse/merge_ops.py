@@ -3,15 +3,14 @@
 Every operator takes the full list of per-task deltas for one layer plus
 a MergeConfig and returns a single merged delta.  Stochastic operators
 (the DARE family) draw from a stream derived from (seed, task index,
-layer salt) so serial and parallel library merges agree bit-for-bit.
+layer salt), so a layer's merge does not depend on which layers were
+merged before it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,24 +244,11 @@ def merge_deltas(deltas, cfg: MergeConfig, salt: int = 0) -> np.ndarray:
 def merge_library(lib, cfg: MergeConfig) -> dict:
     """Merge every layer of an adapter library independently.
 
-    Returns {layer_id: merged delta} in schema order.  Honors the
-    ADAPTERFUSE_THREADS cap; results do not depend on the schedule.
+    Returns {layer_id: merged delta} in schema order.
     """
     lib.validate()
-    tasks, layers = lib.tasks, lib.layers
-
-    def one_layer(layer_id):
-        ds = [lib.deltas[(task, layer_id)].materialize() for task in tasks]
-        return merge_deltas(ds, cfg, salt=layer_salt(layer_id))
-
-    raw = os.environ.get("ADAPTERFUSE_THREADS", "1")
-    try:
-        n_threads = max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"ADAPTERFUSE_THREADS must be an integer, got {raw!r}") from None
-    if n_threads > 1 and len(layers) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            merged = list(pool.map(one_layer, layers))
-    else:
-        merged = [one_layer(layer_id) for layer_id in layers]
-    return dict(zip(layers, merged))
+    merged = {}
+    for layer_id in lib.layers:
+        ds = [lib.deltas[(task, layer_id)].materialize() for task in lib.tasks]
+        merged[layer_id] = merge_deltas(ds, cfg, salt=layer_salt(layer_id))
+    return merged

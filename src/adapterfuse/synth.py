@@ -11,16 +11,15 @@ layer depth; interference profiles over it must come out monotone.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kvconfig
 from .adapter_io import AdapterDelta, AdapterLibrary
-from .errors import ContainerFormatError, ShapeMismatchError, require_keys
+from .containers import read_array, read_framed, require_end, require_keys, write_framed
+from .errors import ContainerFormatError, ShapeMismatchError
 from .tensor_core import frobenius_norm
 
 _SEED_MASK = (1 << 64) - 1
@@ -282,35 +281,23 @@ def save_truth(layer_sums: dict, path) -> None:
         "shapes": [list(m.shape) for m in mats],
         "dtype": _TRUTH_DTYPE,
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
-    blob += b"".join(m.tobytes() for m in mats)
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    write_framed(path, header, mats)
 
 
 def load_truth(path) -> dict:
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        payload = fh.read()
-    try:
-        header = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ContainerFormatError(f"{path}: bad truth header: {exc}") from None
-    if header.get("format") != "truth":
-        raise ContainerFormatError(f"{path}: not a truth sidecar")
-    dtype, layers, shapes = require_keys(header, ("dtype", "layers", "shapes"), path)
-    dtype = np.dtype(dtype)
+    header, payload = read_framed(path, "truth", _TRUTH_DTYPE)
+    _, layers, shapes = require_keys(
+        header, {"dtype": object, "layers": list, "shapes": list}, path
+    )
+    if len(layers) != len(shapes):
+        raise ContainerFormatError(
+            f"{path}: header lists {len(layers)} layers but {len(shapes)} shapes"
+        )
     out = {}
     offset = 0
     for layer, shape in zip(layers, shapes):
-        count = int(np.prod(shape))
-        if offset + count * dtype.itemsize > len(payload):
-            raise ContainerFormatError(f"{path}: truncated payload at layer {layer!r}")
-        arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
-        out[layer] = arr.reshape(shape).astype(np.float64)
-        offset += count * dtype.itemsize
-    if offset != len(payload):
-        raise ContainerFormatError(f"{path}: {len(payload) - offset} trailing bytes")
+        arr = read_array(payload, _TRUTH_DTYPE, shape, offset, f"layer {layer!r}", path)
+        out[str(layer)] = arr.astype(np.float64)
+        offset += arr.nbytes
+    require_end(payload, offset, path)
     return out

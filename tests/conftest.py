@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -52,3 +53,11 @@ def edit_header(path, edit):
 def drop_header_key(path, key):
     """Rewrite a JSON-header-line container without one header key."""
     edit_header(path, lambda header: header.pop(key))
+
+
+def edit_alib_index(path, edit):
+    """Rewrite an .alib with edit(index) as its index; the payload is kept."""
+    blob = path.read_bytes()
+    (n,) = struct.unpack_from("<I", blob, 6)
+    index = json.dumps(edit(json.loads(blob[10 : 10 + n])), sort_keys=True).encode()
+    path.write_bytes(blob[:6] + struct.pack("<I", len(index)) + index + blob[10 + n :])

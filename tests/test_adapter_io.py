@@ -17,9 +17,9 @@ from adapterfuse import (
     load_library,
     save_library,
 )
-from adapterfuse.adapter_io import _MAGIC, _VERSION, _write_container
+from adapterfuse.containers import ALIB_MAGIC, ALIB_VERSION, write_alib
 
-from conftest import make_library
+from conftest import edit_alib_index, make_library
 
 
 class TestAdapterDelta:
@@ -120,7 +120,7 @@ class TestCorruption:
     def test_unsupported_version(self, tmp_path):
         p = self.saved(tmp_path)
         blob = bytearray(p.read_bytes())
-        blob[4:6] = struct.pack("<H", _VERSION + 1)
+        blob[4:6] = struct.pack("<H", ALIB_VERSION + 1)
         p.write_bytes(bytes(blob))
         with pytest.raises(ContainerFormatError, match="version"):
             load_library(p)
@@ -141,9 +141,30 @@ class TestCorruption:
     def test_bad_index_json(self, tmp_path):
         junk = b"{broken"
         p = tmp_path / "x.alib"
-        p.write_bytes(_MAGIC + struct.pack("<H", _VERSION)
+        p.write_bytes(ALIB_MAGIC + struct.pack("<H", ALIB_VERSION)
                       + struct.pack("<I", len(junk)) + junk)
         with pytest.raises(ContainerFormatError, match="json"):
+            load_library(p)
+
+    @pytest.mark.parametrize("junk", [b"[]", b'{"\xff": 1}', b"[" * 100_000],
+                             ids=["array", "not-utf8", "too-deep"])
+    def test_index_not_a_json_object(self, junk, tmp_path):
+        p = tmp_path / "x.alib"
+        p.write_bytes(ALIB_MAGIC + struct.pack("<HI", ALIB_VERSION, len(junk)) + junk)
+        with pytest.raises(ContainerFormatError, match="(?i)json"):
+            load_library(p)
+
+    @pytest.mark.parametrize("edit", [
+        lambda index: {**index, "dtype": "nonsense"},
+        lambda index: {**index, "dtype": "<i4"},
+        lambda index: {**index, "tasks": 5},
+        lambda index: {**index, "meta": 5},
+        lambda index: {**index, "entries": [{**index["entries"][0], "s": [1]}]},
+    ], ids=["dtype-nonsense", "dtype-i4", "tasks-int", "meta-int", "scaling-list"])
+    def test_bad_index_value_rejected(self, edit, tmp_path):
+        p = self.saved(tmp_path)
+        edit_alib_index(p, edit)
+        with pytest.raises(ContainerFormatError):
             load_library(p)
 
     def test_short_payload(self, tmp_path):
@@ -162,7 +183,7 @@ class TestCorruption:
 
     def write_index(self, tmp_path, index, payload):
         p = tmp_path / "crafted.alib"
-        _write_container(index, payload, p)
+        write_alib(p, index, [payload])
         return p
 
     def crafted_index(self, payload, entries):

@@ -21,7 +21,7 @@ from adapterfuse import (
 from adapterfuse.clustering import load_manifest, save_manifest
 from adapterfuse.cli import main
 
-from conftest import blob_points, drop_header_key, make_library
+from conftest import blob_points, drop_header_key, edit_alib_index, edit_header, make_library
 
 
 @pytest.fixture
@@ -138,6 +138,21 @@ class TestMergeCommand:
                    "--out", str(tmp_path / "m.alib"), "--truth", str(truth)])
         assert rc == 2
         assert "missing 'dtype'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suffix,edit", [
+        ("", lambda p: edit_alib_index(p, lambda index: [])),
+        ("", lambda p: edit_alib_index(p, lambda index: {**index, "dtype": "<i4"})),
+        (".truth", lambda p: edit_header(p, lambda h: h["layers"].append("99"))),
+    ], ids=["index-array", "dtype-i4", "truth-extra-layer"])
+    def test_malformed_header_is_exit_2(self, suffix, edit, tmp_path, spec_path, capsys):
+        out = tmp_path / "p.alib"
+        main(["synth", "--spec", str(spec_path), "--out", str(out)])
+        edit(tmp_path / f"p.alib{suffix}")
+        capsys.readouterr()
+        rc = main(["merge", "--library", str(out), "--method", "uniform",
+                   "--out", str(tmp_path / "m.alib"), "--truth", f"{out}.truth"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_library_file(self, tmp_path, capsys):
         rc = main(["merge", "--library", str(tmp_path / "nope.alib"),

@@ -101,6 +101,15 @@ class TestKmeansFit:
         m = kmeans_fit(e, 8, seed=seed)
         assert m.centroids.shape == (8, 128) and np.isfinite(m.inertia)
 
+    def test_lloyd_survives_roundoff_in_inertia(self):
+        # far from the origin the expanded-form distances round, so a Lloyd
+        # step can raise the inertia a little; the fit must still finish
+        rng = np.random.default_rng(80)
+        x = 1e4 + 0.01 * rng.standard_normal((400, 8))
+        e = EmbeddingSet(ids=tuple(range(400)), vectors=x)
+        m = kmeans_fit(e, K=12, sample_fraction=1.0, seed=80)
+        assert m.centroids.shape == (12, 8) and np.isfinite(m.inertia)
+
     def test_k_equals_n(self):
         e, _ = blob_set(n_per=3)
         model = kmeans_fit(e, K=6, sample_fraction=1.0, seed=1, max_iters=50)
@@ -248,6 +257,12 @@ class TestManifestIO:
         p = tmp_path / "m.jsonl"
         p.write_text('{"id": "x"}\n{"text": "no id"}\n')
         with pytest.raises(ValueError, match=r"m\.jsonl:2"):
+            load_manifest(p)
+
+    def test_record_not_an_object(self, tmp_path):
+        p = tmp_path / "m.jsonl"
+        p.write_text('{"id": "x"}\n5\n')
+        with pytest.raises(ValueError, match=r"m\.jsonl:2: .*not a JSON object"):
             load_manifest(p)
 
     def test_duplicate_id(self, tmp_path):

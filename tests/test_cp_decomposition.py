@@ -272,6 +272,16 @@ class TestFactorContainer:
         with pytest.raises(ContainerFormatError, match="JSON object"):
             load_factors(p)
 
+    @pytest.mark.parametrize("edit", [
+        {"d_in": 4.0}, {"dtype": "nonsense"}, {"dtype": "<i4"}, {"rank": "1"}, {"fit": [1]},
+    ], ids=["d_in-float", "dtype-nonsense", "dtype-i4", "rank-str", "fit-list"])
+    def test_bad_header_value_rejected(self, edit, rng, tmp_path):
+        p = tmp_path / "x.cpf"
+        save_factors(cp_als(rng.standard_normal((4, 3, 2)), 1), p)
+        edit_header(p, lambda h: h.update(edit))
+        with pytest.raises(ContainerFormatError):
+            load_factors(p)
+
     def test_truncated_payload_rejected(self, rng, tmp_path):
         f = cp_als(rng.standard_normal((4, 4, 2)), 1)
         p = tmp_path / "x.cpf"

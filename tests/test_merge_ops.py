@@ -1,7 +1,6 @@
 """Merge operators against hand-written scalar references."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -271,21 +270,6 @@ class TestMergeLibrary:
         again = merge_library(lib, cfg)
         for layer in lib.layers:
             np.testing.assert_array_equal(out[layer], again[layer])
-
-    def test_threaded_path_matches_serial(self, monkeypatch):
-        lib = make_library(n_tasks=3, n_layers=4, seed=2)
-        cfg = MergeConfig(method="ties", k_density=0.5)
-        serial = merge_library(lib, cfg)
-        monkeypatch.setenv("ADAPTERFUSE_THREADS", "4")
-        threaded = merge_library(lib, cfg)
-        for layer in lib.layers:
-            np.testing.assert_array_equal(serial[layer], threaded[layer])
-        assert os.environ["ADAPTERFUSE_THREADS"] == "4"
-
-    def test_bad_thread_count_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("ADAPTERFUSE_THREADS", "four")
-        with pytest.raises(ValueError, match="ADAPTERFUSE_THREADS.*'four'"):
-            merge_library(make_library(n_tasks=2, n_layers=2), MergeConfig(method="uniform"))
 
 
 class TestMergeConfig:

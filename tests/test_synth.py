@@ -18,7 +18,7 @@ from adapterfuse import (
 )
 from adapterfuse import kvconfig
 
-from conftest import drop_header_key
+from conftest import drop_header_key, edit_header
 
 
 class TestPlantedSpec:
@@ -202,6 +202,19 @@ class TestTruthContainer:
         save_truth({"00": rng.standard_normal((3, 3))}, p)
         drop_header_key(p, key)
         with pytest.raises(ContainerFormatError, match=f"missing '{key}'"):
+            load_truth(p)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["layers"].append("01"),
+        lambda h: h["shapes"].append([3, 3]),
+        lambda h: h["shapes"][0].append(0.5),
+        lambda h: h.update(dtype="<i8"),
+    ], ids=["extra-layer", "extra-shape", "float-dim", "dtype-i8"])
+    def test_bad_header_value_rejected(self, edit, tmp_path, rng):
+        p = tmp_path / "x.truth"
+        save_truth({"00": rng.standard_normal((3, 3))}, p)
+        edit_header(p, edit)
+        with pytest.raises(ContainerFormatError):
             load_truth(p)
 
     def test_truncated_and_trailing(self, tmp_path, rng):
