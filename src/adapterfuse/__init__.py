@@ -27,8 +27,8 @@ from .cp_decomposition import (
     AlsOptions,
     CPFactors,
     cp_als,
+    cp_als_factored,
     cp_merge,
-    cp_reconstruct,
     cp_reconstruct_slice,
     load_factors,
     normalize_factors,
@@ -39,7 +39,6 @@ from .errors import ChecksumError, ContainerFormatError, SchemaError, ShapeMisma
 from .interference import InterferenceReport, cp_sti, layer_profile, sti
 from .merge_ops import (
     MergeConfig,
-    apply_merge,
     cp_merge_layer,
     dare_transform,
     merge_deltas,
@@ -62,12 +61,9 @@ from .synth import (
 from .tensor_core import (
     fold,
     frobenius_norm,
-    get_slice,
     khatri_rao,
-    outer3,
     stack_slices,
     unfold,
-    unstack,
 )
 
 __version__ = "0.1.0"

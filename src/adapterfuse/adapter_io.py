@@ -16,6 +16,7 @@ Factors live on disk as float32 and are widened to float64 in memory.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -51,8 +52,8 @@ class AdapterDelta:
             raise ValueError("factor rank must be ≥ 1")
         if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b))):
             raise ValueError(f"delta {self.layer_id!r}: non-finite factor entries")
-        if not self.scaling_s >= 1.0:
-            raise ValueError(f"scaling_s must be ≥ 1, got {self.scaling_s}")
+        if not 1.0 <= self.scaling_s < math.inf:
+            raise ValueError(f"scaling_s must be finite and ≥ 1, got {self.scaling_s}")
 
     @property
     def d_in(self) -> int:

@@ -28,7 +28,7 @@ from .clustering import (
 from .containers import atomic_write
 from .cp_decomposition import (
     AlsOptions,
-    cp_als,
+    cp_als_factored,
     cp_reconstruct_slice,
     load_factors,
     save_factors,
@@ -37,7 +37,7 @@ from .cp_decomposition import (
 from .interference import layer_profile
 from .merge_ops import METHODS, MergeConfig, merge_library
 from .synth import PlantedSpec, gen_planted_library, load_truth, recovery_error, save_truth
-from .tensor_core import frobenius_norm, stack_slices
+from .tensor_core import frobenius_norm
 
 
 def cmd_cluster(args) -> int:
@@ -196,17 +196,17 @@ def cmd_compress(args) -> int:
     compressed_bytes = 0
     dense_bytes = 0
     for layer_id in lib.layers:
-        ds = [lib.deltas[(task, layer_id)].materialize() for task in lib.tasks]
-        factors = cp_als(stack_slices(ds), args.cp_rank, opts)
+        layer = [lib.deltas[(task, layer_id)] for task in lib.tasks]
+        factors = cp_als_factored(layer, args.cp_rank, opts)
         path = os.path.join(args.out, f"layer_{layer_id}.cpf")
         save_factors(factors, path)
         # report from what a consumer would actually read back
         reloaded = load_factors(path)
         approx = cp_reconstruct_slice(reloaded, task_idx)
-        target = ds[task_idx]
+        target = layer[task_idx].materialize()
         err = recovery_error(approx, target)
         compressed_bytes += storage_bytes(reloaded)
-        dense_bytes += len(ds) * target.size * 4  # float32 accounting
+        dense_bytes += len(layer) * target.size * 4  # float32 accounting
         print(f"{layer_id}: error = {err!r} -> {path}")
     print(f"storage_bytes = {compressed_bytes}")
     print(f"dense_bytes = {dense_bytes}")

@@ -222,7 +222,10 @@ def load_manifest(path) -> dict:
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: not JSON ({exc.msg})") from exc
             if not isinstance(rec, dict):
                 raise ValueError(f"{path}:{lineno}: record is not a JSON object")
             if "id" not in rec:

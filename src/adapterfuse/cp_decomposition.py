@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blas import single_threaded
 from .containers import read_array, read_framed, require_end, require_keys, write_framed
 from .tensor_core import fold, frobenius_norm, khatri_rao, stack_slices, unfold
 from .svd_kernel import svd
@@ -98,6 +99,26 @@ def _cycling_basis(dim: int, R: int) -> np.ndarray:
     out = np.zeros((dim, R))
     out[np.arange(R) % dim, np.arange(R)] = 1.0
     return out
+
+
+def _check_rank(R, shape):
+    d_in, d_out, n = shape
+    max_rank = min(d_in * d_out, d_in * n, d_out * n)
+    if not 1 <= R <= max_rank:
+        raise ValueError(f"R={R} out of range [1, {max_rank}] for shape {tuple(shape)}")
+
+
+def _zero_factors(R, shape):
+    d_in, d_out, n = shape
+    return CPFactors(
+        rank_R=R,
+        lam=np.zeros(R),
+        a_task=np.zeros((n, R)),
+        b_row=_cycling_basis(d_in, R),
+        c_col=_cycling_basis(d_out, R),
+        fit=1.0,  # zero tensor fits itself perfectly
+        error_trace=(0.0,),
+    )
 
 
 def _normalize_columns(f):
@@ -213,22 +234,11 @@ def cp_als(t, R: int, opts: AlsOptions | None = None) -> CPFactors:
         raise ValueError("cp_als: tensor has non-finite entries")
     if opts is None:
         opts = AlsOptions()
-    d_in, d_out, n = t.shape
-    max_rank = min(d_in * d_out, d_in * n, d_out * n)
-    if not 1 <= R <= max_rank:
-        raise ValueError(f"R={R} out of range [1, {max_rank}] for shape {t.shape}")
+    _check_rank(R, t.shape)
 
     norm_t = frobenius_norm(t)
     if norm_t == 0.0:
-        return CPFactors(
-            rank_R=R,
-            lam=np.zeros(R),
-            a_task=np.zeros((n, R)),
-            b_row=_cycling_basis(d_in, R),
-            c_col=_cycling_basis(d_out, R),
-            fit=1.0,  # zero tensor fits itself perfectly
-            error_trace=(0.0,),
-        )
+        return _zero_factors(R, t.shape)
 
     x1, x2, x3 = unfold(t, 1), unfold(t, 2), unfold(t, 3)
     rng = np.random.default_rng(opts.seed)
@@ -263,16 +273,48 @@ def cp_als(t, R: int, opts: AlsOptions | None = None) -> CPFactors:
     )
 
 
+def cp_als_factored(deltas, R: int, opts: AlsOptions | None = None) -> CPFactors:
+    """cp_als on the stack of deltas Δ_k = s_k·A_k·B_kᵀ, fitted on a compressed core.
+
+    deltas is a sequence of AdapterDelta (a: d_in×r_k, b: d_out×r_k).
+    With the QRs [s_1A_1 … s_NA_N] = Q_A·R_A and [B_1 … B_N] = Q_B·R_B
+    every slice is Q_A·G_k·Q_Bᵀ, G_k = R_A[:, k-block]·R_B[:, k-block]ᵀ.
+    cp_als runs on the Σr_k × Σr_k × N core of the G_k and its row and
+    column factors are lifted through Q_A and Q_B (CANDELINC; Bro &
+    Andersson 1998).  Q is orthonormal, so fit and error_trace are those
+    of the full stack.  The core fit runs on one BLAS thread (blas).  A mode is compressed only when R ≤ Σr_k < its
+    dimension; with neither compressed (dense-stored deltas, or R above
+    Σr_k) this is cp_als on the materialized stack.
+    """
+    if not deltas:
+        raise ValueError("need at least one delta")
+    shape = (deltas[0].d_in, deltas[0].d_out, len(deltas))
+    _check_rank(R, shape)
+    ranks = [d.rank for d in deltas]
+    shrink_a, shrink_b = (R <= sum(ranks) < dim for dim in shape[:2])
+    if not (shrink_a or shrink_b):
+        return cp_als(stack_slices(d.materialize() for d in deltas), R, opts)
+    a = np.hstack([d.scaling_s * d.a for d in deltas])
+    b = np.hstack([d.b for d in deltas])
+    qa, ra = np.linalg.qr(a) if shrink_a else (None, a)
+    qb, rb = np.linalg.qr(b) if shrink_b else (None, b)
+    ends = np.cumsum(ranks)
+    core = stack_slices(ra[:, i:j] @ rb[:, i:j].T for i, j in zip(ends - ranks, ends))
+    if not np.any(core):
+        return _zero_factors(R, shape)
+    with single_threaded():
+        f = cp_als(core, R, opts)
+    b_row = qa @ f.b_row if shrink_a else f.b_row
+    c_col = qb @ f.c_col if shrink_b else f.c_col
+    lifted = normalize_factors(f.lam, f.a_task, b_row, c_col)
+    return CPFactors(R, *lifted, fit=f.fit, error_trace=f.error_trace)
+
+
 def cp_reconstruct_slice(f: CPFactors, i: int) -> np.ndarray:
     """Task i's slice: Σ_r lam[r]·a_task[i,r]·b_row[:,r]·c_col[:,r]ᵀ."""
     if not 0 <= i < f.n_tasks:
         raise ValueError(f"task index {i} out of range for n_tasks={f.n_tasks}")
     return (f.b_row * (f.lam * f.a_task[i])) @ f.c_col.T
-
-
-def cp_reconstruct(f: CPFactors) -> np.ndarray:
-    """Full model tensor, stacked from per-task slices."""
-    return stack_slices([cp_reconstruct_slice(f, i) for i in range(f.n_tasks)])
 
 
 def cp_merge(f: CPFactors) -> np.ndarray:

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cp_decomposition import AlsOptions, CPFactors, cp_als
+from .cp_decomposition import AlsOptions, CPFactors, cp_als_factored
 from .errors import ShapeMismatchError
 from .svd_kernel import svd
-from .tensor_core import stack_slices
 
 
 @dataclass(frozen=True)
@@ -109,11 +108,9 @@ def cp_sti(f: CPFactors, weight_by_lambda: bool = False) -> float:
 def layer_profile(lib, k: int, R: int, opts: AlsOptions | None = None) -> InterferenceReport:
     """Score every layer of a library; rows follow the library's layer order."""
     lib.validate()
-    if opts is None:
-        opts = AlsOptions()
     rows = []
     for layer_id in lib.layers:
-        ds = [lib.deltas[(task, layer_id)].materialize() for task in lib.tasks]
-        f = cp_als(stack_slices(ds), R, opts)
-        rows.append((layer_id, sti(ds, k), cp_sti(f)))
+        layer = [lib.deltas[(task, layer_id)] for task in lib.tasks]
+        f = cp_als_factored(layer, R, opts)
+        rows.append((layer_id, sti([d.materialize() for d in layer], k), cp_sti(f)))
     return InterferenceReport(per_layer=tuple(rows), k=k, R=R)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kvconfig
-from .cp_decomposition import AlsOptions, cp_als, cp_merge
+from .cp_decomposition import AlsOptions, cp_als, cp_als_factored, cp_merge
 from .errors import ShapeMismatchError
 from .svd_kernel import truncated_approx
 from .tensor_core import stack_slices
@@ -187,27 +187,15 @@ def tsv_merge(deltas, cfg: MergeConfig) -> np.ndarray:
     return cfg.alpha * sum(truncated_approx(d, k) for d in deltas)
 
 
-def cp_merge_layer(deltas, cfg: MergeConfig, opts: AlsOptions | None = None) -> np.ndarray:
-    """Stack the deltas, fit CP at cfg.cp_rank, sum over the task mode."""
-    deltas = _check_deltas(deltas)
-    t = stack_slices(deltas)
-    if opts is None:
-        opts = AlsOptions(seed=cfg.seed)
-    merged = cp_merge(cp_als(t, cfg.cp_rank, opts))
-    if cfg.average:
-        merged = merged / len(deltas)
+def _scaled_cp_merge(f, cfg: MergeConfig) -> np.ndarray:
+    merged = cp_merge(f) / f.n_tasks if cfg.average else cp_merge(f)
     return cfg.alpha * merged
 
 
-def apply_merge(w0, delta, alpha: float) -> np.ndarray:
-    """w0 + alpha · delta."""
-    w0 = np.asarray(w0, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
-    if w0.shape != delta.shape:
-        raise ShapeMismatchError(
-            f"w0 has shape {w0.shape} but delta has shape {delta.shape}"
-        )
-    return w0 + alpha * delta
+def cp_merge_layer(deltas, cfg: MergeConfig) -> np.ndarray:
+    """Stack the deltas, fit CP at cfg.cp_rank, sum over the task mode."""
+    t = stack_slices(_check_deltas(deltas))
+    return _scaled_cp_merge(cp_als(t, cfg.cp_rank, AlsOptions(seed=cfg.seed)), cfg)
 
 
 def layer_salt(layer_id: str) -> int:
@@ -244,11 +232,17 @@ def merge_deltas(deltas, cfg: MergeConfig, salt: int = 0) -> np.ndarray:
 def merge_library(lib, cfg: MergeConfig) -> dict:
     """Merge every layer of an adapter library independently.
 
-    Returns {layer_id: merged delta} in schema order.
+    Returns {layer_id: merged delta} in schema order.  The cp method fits
+    on the factored deltas (cp_als_factored); the others materialize them.
     """
     lib.validate()
     merged = {}
     for layer_id in lib.layers:
-        ds = [lib.deltas[(task, layer_id)].materialize() for task in lib.tasks]
-        merged[layer_id] = merge_deltas(ds, cfg, salt=layer_salt(layer_id))
+        layer = [lib.deltas[(task, layer_id)] for task in lib.tasks]
+        if cfg.method == "cp":
+            f = cp_als_factored(layer, cfg.cp_rank, AlsOptions(seed=cfg.seed))
+            merged[layer_id] = _scaled_cp_merge(f, cfg)
+        else:
+            ds = [d.materialize() for d in layer]
+            merged[layer_id] = merge_deltas(ds, cfg, salt=layer_salt(layer_id))
     return merged

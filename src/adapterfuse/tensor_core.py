@@ -22,26 +22,6 @@ from .errors import ShapeMismatchError
 _MODE_AXES = {1: 0, 2: 1, 3: 2}
 
 
-def _as_tensor(t) -> np.ndarray:
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim != 3:
-        raise ValueError(f"expected a third-order tensor, got ndim={t.ndim}")
-    return t
-
-
-def outer3(u, v, w) -> np.ndarray:
-    """Rank-one tensor u ∘ v ∘ w with entries u[i]*v[j]*w[k]."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    w = np.asarray(w, dtype=np.float64).ravel()
-    if u.size == 0 or v.size == 0 or w.size == 0:
-        raise ValueError("outer3 requires non-empty vectors")
-    for name, vec in (("u", u), ("v", v), ("w", w)):
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"outer3: vector {name} has non-finite entries")
-    return np.einsum("i,j,k->ijk", u, v, w)
-
-
 def stack_slices(slices) -> np.ndarray:
     """Stack matrices along the task mode; slice i of the result is input i."""
     slices = list(slices)
@@ -59,24 +39,11 @@ def stack_slices(slices) -> np.ndarray:
     return np.stack(mats, axis=2)
 
 
-def get_slice(t, i: int) -> np.ndarray:
-    """Frontal slice i (a d_in × d_out matrix) of a stacked tensor."""
-    t = _as_tensor(t)
-    n = t.shape[2]
-    if not 0 <= i < n:
-        raise ValueError(f"slice index {i} out of range for n_tasks={n}")
-    return np.array(t[:, :, i])
-
-
-def unstack(t) -> list:
-    """Inverse of stack_slices."""
-    t = _as_tensor(t)
-    return [np.array(t[:, :, i]) for i in range(t.shape[2])]
-
-
 def unfold(t, mode: int) -> np.ndarray:
     """Mode-n matricization; see the module docstring for column order."""
-    t = _as_tensor(t)
+    t = np.asarray(t, dtype=np.float64)
+    if t.ndim != 3:
+        raise ValueError(f"expected a third-order tensor, got ndim={t.ndim}")
     if mode not in _MODE_AXES:
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
     axis = _MODE_AXES[mode]

@@ -4,7 +4,17 @@ import struct
 import numpy as np
 import pytest
 
-from adapterfuse import AdapterDelta, AdapterLibrary
+from adapterfuse import AdapterDelta, AdapterLibrary, cp_reconstruct_slice
+
+
+def outer3(u, v, w):
+    """Rank-one tensor u ∘ v ∘ w with entries u[i]*v[j]*w[k] (test oracle)."""
+    return np.einsum("i,j,k->ijk", u, v, w)
+
+
+def cp_reconstruct(f):
+    """A CPFactors' full model tensor, stacked from per-task slices (test oracle)."""
+    return np.stack([cp_reconstruct_slice(f, i) for i in range(f.n_tasks)], axis=2)
 
 
 @pytest.fixture

@@ -41,6 +41,9 @@ class TestAdapterDelta:
             AdapterDelta(layer_id="x", a=np.full((2, 1), np.nan), b=np.ones((2, 1)))
         with pytest.raises(ValueError, match="scaling_s"):
             AdapterDelta(layer_id="x", a=a, b=b, scaling_s=0.5)
+        for s in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="scaling_s"):
+                AdapterDelta(layer_id="x", a=a, b=b, scaling_s=s)
 
 
 class TestAdapterLibrary:
@@ -165,6 +168,13 @@ class TestCorruption:
         p = self.saved(tmp_path)
         edit_alib_index(p, edit)
         with pytest.raises(ContainerFormatError):
+            load_library(p)
+
+    def test_infinite_scaling_rejected(self, tmp_path):
+        p = self.saved(tmp_path)
+        edit_alib_index(p, lambda index: {**index, "entries": [
+            {**index["entries"][0], "s": "inf"}, *index["entries"][1:]]})
+        with pytest.raises(ValueError, match="scaling_s"):
             load_library(p)
 
     def test_short_payload(self, tmp_path):

@@ -154,6 +154,14 @@ class TestMergeCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_infinite_scaling_is_exit_2(self, tmp_path, lib_path, capsys):
+        edit_alib_index(lib_path, lambda index: {**index, "entries": [
+            {**index["entries"][0], "s": "inf"}, *index["entries"][1:]]})
+        rc = main(["merge", "--library", str(lib_path), "--method", "cp",
+                   "--out", str(tmp_path / "m.alib")])
+        assert rc == 2
+        assert "scaling_s" in capsys.readouterr().err
+
     def test_missing_library_file(self, tmp_path, capsys):
         rc = main(["merge", "--library", str(tmp_path / "nope.alib"),
                    "--method", "uniform", "--out", str(tmp_path / "m.alib")])

@@ -265,6 +265,12 @@ class TestManifestIO:
         with pytest.raises(ValueError, match=r"m\.jsonl:2: .*not a JSON object"):
             load_manifest(p)
 
+    def test_line_not_json(self, tmp_path):
+        p = tmp_path / "m.jsonl"
+        p.write_text('{"id": "x"}\nnot json\n')
+        with pytest.raises(ValueError, match=r"m\.jsonl:2: not JSON"):
+            load_manifest(p)
+
     def test_duplicate_id(self, tmp_path):
         p = tmp_path / "m.jsonl"
         p.write_text('{"id": "x"}\n{"id": "x"}\n')

@@ -9,17 +9,15 @@ from adapterfuse import (
     CPFactors,
     cp_als,
     cp_merge,
-    cp_reconstruct,
     cp_reconstruct_slice,
     load_factors,
     normalize_factors,
-    outer3,
     save_factors,
     stack_slices,
     storage_bytes,
 )
 
-from conftest import drop_header_key, edit_header
+from conftest import cp_reconstruct, drop_header_key, edit_header, outer3
 
 
 def planted_tensor(rng, n_tasks=4, d_in=9, d_out=7, lam=(3.0, 2.0, 1.0)):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from adapterfuse import (
     MergeConfig,
     ShapeMismatchError,
-    apply_merge,
     cp_merge_layer,
     dare_transform,
     merge_deltas,
@@ -243,12 +242,6 @@ class TestDispatcher:
             merge_deltas([], MergeConfig(method="uniform"))
         with pytest.raises(ValueError):
             merge_deltas([np.array([[np.nan]])], MergeConfig(method="uniform"))
-
-
-def test_apply_merge(rng):
-    w0 = rng.standard_normal((3, 3))
-    d = rng.standard_normal((3, 3))
-    np.testing.assert_allclose(apply_merge(w0, d, 0.5), w0 + 0.5 * d, atol=1e-15)
 
 
 class TestMergeLibrary:

