@@ -68,7 +68,12 @@ class AdapterDelta:
         return self.a.shape[1]
 
     def materialize(self) -> np.ndarray:
-        return self.scaling_s * (self.a @ self.b.T)
+        """s·A·Bᵀ; a dense-stored delta (B the identity) skips the matmul."""
+        b = self.b
+        n = b.shape[0]
+        if b.shape[1] == n and np.count_nonzero(b) == n and np.all(b.diagonal() == 1.0):
+            return self.scaling_s * self.a + 0.0  # as A @ I would: −0.0 becomes +0.0
+        return self.scaling_s * (self.a @ b.T)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,17 @@
 """Hold numpy's OpenBLAS to one thread over a block of small calls.
 
-On the compressed CP core (Σr_k × Σr_k × N) OpenBLAS's thread hand-offs
-cost more than they save, its idle threads spin between calls, and each
-call waits for its slowest thread, so the fit's speed follows other load
-on the machine.  On a 2-core Xeon VM a 48×384 SVD took 2.4 ms on two
-threads and 1.4 ms on one (6.4 and 1.2 ms beside a busy process).
-single_threaded() does nothing without an OpenBLAS in numpy's wheel.
+cp_als (on a compressed Σr_k × Σr_k × N core or a dense stack) and the
+per-task SVDs of sti run inside single_threaded().  At those sizes
+OpenBLAS's thread hand-offs cost more than they save, its idle threads
+spin between calls, and each call waits for its slowest thread, so the
+speed follows other load on the machine.  On a 2-core Xeon VM, SVDs
+run back to back took 6.1 ms on two threads and 4.0 ms on one at
+96×256, and 4.2 and 2.0 ms at 64×384; `interfere` on a library of
+96×64 deltas ran 18-19 ops/s on two threads and 25 on one.  Large
+factorizations do gain from the second thread: a 1024×1024 SVD took
+590-610 ms on two and 810-910 ms on one, so truncated_approx (TSV)
+keeps the caller's thread count.  single_threaded() does nothing
+without an OpenBLAS in numpy's wheel.
 """
 
 import ctypes

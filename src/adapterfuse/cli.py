@@ -117,9 +117,17 @@ def _read_sweep_rows(path):
             lines = fh.read().splitlines()
         if lines and lines[0] != "param,value,metric,score":
             raise ValueError(f"{path}: not a sweep csv (bad header)")
-        for line in lines[1:]:
-            if line:
-                rows.append(tuple(line.split(",", 3)))
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line:
+                continue
+            row = tuple(line.split(",", 3))
+            if len(row) != 4:
+                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+            try:
+                float(row[3])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: score {row[3]!r} is not a number") from None
+            rows.append(row)
     return rows
 
 

@@ -27,7 +27,12 @@ _PAIRING_DRAWS = 4  # random slice mixes tried by the "svd" init
 
 @dataclass(frozen=True)
 class AlsOptions:
-    """Knobs for cp_als. init is "svd" (HOSVD-style) or "random" (seeded)."""
+    """Knobs for cp_als.
+
+    init is "svd" (HOSVD subspaces of the unfoldings, taken from the
+    eigendecompositions of their Grams, then paired; see _init_factors)
+    or "random" (seeded unit columns).
+    """
 
     max_iters: int = 200
     tol: float = 1e-8
@@ -121,6 +126,11 @@ def _zero_factors(R, shape):
     )
 
 
+def _largest_entry_signs(f):
+    """Per column: −1.0 where its largest-magnitude entry is negative, else 1.0."""
+    return np.where(f[np.argmax(np.abs(f), axis=0), np.arange(f.shape[1])] < 0, -1.0, 1.0)
+
+
 def _normalize_columns(f):
     norms = np.linalg.norm(f, axis=0)
     return f / np.where(norms > 0, norms, 1.0), norms
@@ -149,9 +159,7 @@ def normalize_factors(lam, a_task, b_row, c_col):
         c[:, dead] = 0.0
         c[0, dead] = 1.0
 
-    cols = np.arange(lam.size)
-    sb = np.where(b[np.argmax(np.abs(b), axis=0), cols] < 0, -1.0, 1.0)
-    sc = np.where(c[np.argmax(np.abs(c), axis=0), cols] < 0, -1.0, 1.0)
+    sb, sc = _largest_entry_signs(b), _largest_entry_signs(c)
     b *= sb
     c *= sc
     a *= sb * sc
@@ -184,14 +192,28 @@ def _pad_columns(f, R, rng):
     return np.hstack([f, pad])
 
 
+def _leading_eigvecs(x, R):
+    """The leading min(R, *x.shape) left singular vectors of x, from eigh of x·xᵀ.
+
+    eigh of the Gram spans the same subspace as svd(x).u (HOSVD "nvecs";
+    Kolda & Bader 2009, §3.4) at the cost of a small symmetric
+    eigenproblem.  Columns are ordered by descending eigenvalue and each
+    is flipped so its largest-magnitude entry is positive, as in svd.
+    """
+    _, q = np.linalg.eigh(x @ x.T)
+    q = q[:, ::-1][:, : min(R, *x.shape)]
+    return q * _largest_entry_signs(q)
+
+
 def _init_factors(t, x1, x2, R, opts, rng):
     """Row and column factors to start from (the task factor is solved first).
 
     "svd" spans the leading left singular subspaces of the mode-1 and
-    mode-2 unfoldings (HOSVD).  Within a subspace whose singular values
-    repeat, e.g. tasks of equal weight, the basis is arbitrary, and
-    pairing row and column vectors from two independent SVDs can leave
-    ALS at a saddle.  Weighting each slice by its inner product with a
+    mode-2 unfoldings (HOSVD), taken as the leading eigenvectors of their
+    Grams x1·x1ᵀ and x2·x2ᵀ (_leading_eigvecs).  Within a subspace whose
+    singular values repeat, e.g. tasks of equal weight, the basis is
+    arbitrary, and pairing row and column vectors from two independent
+    eigendecompositions can leave ALS at a saddle.  Weighting each slice by its inner product with a
     seeded random matrix G gives a mix Σ_k w_k T_k = B·diag(lam·Aᵀw)·Cᵀ
     that does not depend on task order and has generically distinct
     singular values, so its SVD inside the two subspaces pairs them up.
@@ -202,8 +224,8 @@ def _init_factors(t, x1, x2, R, opts, rng):
         b, _ = _normalize_columns(rng.standard_normal((x1.shape[0], R)))
         c, _ = _normalize_columns(rng.standard_normal((x2.shape[0], R)))
         return b, c
-    u = svd(x1).u[:, :R]
-    v = svd(x2).u[:, :R]
+    u = _leading_eigvecs(x1, R)
+    v = _leading_eigvecs(x2, R)
     best_gap, pair = -1.0, None
     for _ in range(_PAIRING_DRAWS):
         w = np.tensordot(rng.standard_normal(t.shape[:2]), t, axes=2)
@@ -215,6 +237,7 @@ def _init_factors(t, x1, x2, R, opts, rng):
     return _pad_columns(u @ pair.u, R, rng), _pad_columns(v @ pair.v, R, rng)
 
 
+@single_threaded()  # a context manager doubles as a decorator: each call runs inside it
 def cp_als(t, R: int, opts: AlsOptions | None = None) -> CPFactors:
     """Rank-R CP fit by alternating least squares.
 
@@ -226,6 +249,7 @@ def cp_als(t, R: int, opts: AlsOptions | None = None) -> CPFactors:
     in ill-conditioned solves once the fit is near exact, it can rise.
     Stops when the fit change drops below opts.tol or after
     opts.max_iters iterations.  Deterministic for fixed (t, R, opts).
+    The whole fit runs with BLAS held to one thread (blas).
     """
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 3:
@@ -282,7 +306,7 @@ def cp_als_factored(deltas, R: int, opts: AlsOptions | None = None) -> CPFactors
     cp_als runs on the Σr_k × Σr_k × N core of the G_k and its row and
     column factors are lifted through Q_A and Q_B (CANDELINC; Bro &
     Andersson 1998).  Q is orthonormal, so fit and error_trace are those
-    of the full stack.  The core fit runs on one BLAS thread (blas).  A mode is compressed only when R ≤ Σr_k < its
+    of the full stack.  A mode is compressed only when R ≤ Σr_k < its
     dimension; with neither compressed (dense-stored deltas, or R above
     Σr_k) this is cp_als on the materialized stack.
     """
@@ -302,8 +326,7 @@ def cp_als_factored(deltas, R: int, opts: AlsOptions | None = None) -> CPFactors
     core = stack_slices(ra[:, i:j] @ rb[:, i:j].T for i, j in zip(ends - ranks, ends))
     if not np.any(core):
         return _zero_factors(R, shape)
-    with single_threaded():
-        f = cp_als(core, R, opts)
+    f = cp_als(core, R, opts)
     b_row = qa @ f.b_row if shrink_a else f.b_row
     c_col = qb @ f.c_col if shrink_b else f.c_col
     lifted = normalize_factors(f.lam, f.a_task, b_row, c_col)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import single_threaded
 from .cp_decomposition import AlsOptions, CPFactors, cp_als_factored
 from .errors import ShapeMismatchError
 from .svd_kernel import svd
@@ -68,15 +69,16 @@ def sti(deltas, k: int) -> float:
         raise ValueError(f"k must be ≥ 1, got {k}")
     shape = deltas[0].shape
     us, sigmas, vs = [], [], []
-    for i, d in enumerate(deltas):
-        if d.shape != shape:
-            raise ShapeMismatchError(f"delta {i} has shape {d.shape}, expected {shape}")
-        res = svd(d)
-        if k > res.rank:
-            raise ValueError(f"k={k} exceeds rank {res.rank} of delta {i}")
-        us.append(res.u[:, :k])
-        sigmas.append(res.sigma[:k])
-        vs.append(res.v[:, :k])
+    with single_threaded():  # one small SVD per task: a second thread only adds hand-offs
+        for i, d in enumerate(deltas):
+            if d.shape != shape:
+                raise ShapeMismatchError(f"delta {i} has shape {d.shape}, expected {shape}")
+            res = svd(d)
+            if k > res.rank:
+                raise ValueError(f"k={k} exceeds rank {res.rank} of delta {i}")
+            us.append(res.u[:, :k])
+            sigmas.append(res.sigma[:k])
+            vs.append(res.v[:, :k])
     u = np.hstack(us)
     v = np.hstack(vs)
     sigma = np.concatenate(sigmas)

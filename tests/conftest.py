@@ -17,6 +17,12 @@ def cp_reconstruct(f):
     return np.stack([cp_reconstruct_slice(f, i) for i in range(f.n_tasks)], axis=2)
 
 
+def max_principal_sine(u, v):
+    """Sine of the largest principal angle between the column spaces of
+    orthonormal u and v (test oracle): ‖v − u·uᵀ·v‖₂."""
+    return float(np.linalg.norm(v - u @ (u.T @ v), 2))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

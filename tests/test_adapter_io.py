@@ -29,6 +29,19 @@ class TestAdapterDelta:
         np.testing.assert_allclose(d.materialize(), 2.0 * a @ b.T, atol=1e-15)
         assert d.d_in == 5 and d.d_out == 4 and d.rank == 2
 
+    @pytest.mark.parametrize("b", [np.eye(5), np.diag([1.0, 1.0, 2.0, 1.0, 1.0]),
+                                   np.where(np.eye(5) == 1, 1.0, -0.0)],
+                             ids=["identity", "not-identity", "identity-signed-zeros"])
+    @pytest.mark.parametrize("s", [1.0, 2.5])
+    def test_materialize_bytes_match_the_matmul(self, rng, b, s):
+        a = rng.standard_normal((6, 5))
+        a[0] = -0.0
+        a[1, 2] = -0.0
+        a[2] = -rng.random(5)  # every other product in the row is −0.0 too
+        a[2, 3] = -0.0
+        d = AdapterDelta(layer_id="00", a=a, b=b, scaling_s=s)
+        assert d.materialize().tobytes() == (s * (a @ b.T)).tobytes()
+
     def test_validation(self, rng):
         a, b = rng.standard_normal((5, 2)), rng.standard_normal((4, 2))
         with pytest.raises(ValueError, match="rank"):

@@ -286,6 +286,22 @@ class TestSweepCommand:
         assert rc == 2
         assert "bad header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row,message", [
+        ("cp-rank,3", "expected 4 fields, got 2"),
+        ("cp-rank,1,recovery-error,fast", "score 'fast' is not a number"),
+    ], ids=["short-row", "score-not-a-float"])
+    def test_malformed_csv_row_is_exit_2_naming_the_line(self, tmp_path, spec_path, capsys,
+                                                         row, message):
+        lib, truth = self.synth(tmp_path, spec_path)
+        out = tmp_path / "sweep.csv"
+        before = f"param,value,metric,score\ncp-rank,2,recovery-error,0.5\n{row}\n"
+        out.write_text(before)
+        rc = main(["sweep", "--library", str(lib), "--param", "cp-rank",
+                   "--values", "1", "--out", str(out), "--truth", truth])
+        assert rc == 2
+        assert f"error: {out}:3: {message}" in capsys.readouterr().err
+        assert out.read_text() == before  # nothing is written back
+
 
 class TestCompressCommand:
     def test_outputs_and_reported_error(self, tmp_path, lib_path, capsys):

@@ -7,17 +7,21 @@ from adapterfuse import (
     AlsOptions,
     ContainerFormatError,
     CPFactors,
+    PlantedSpec,
     cp_als,
     cp_merge,
     cp_reconstruct_slice,
+    gen_planted_library,
     load_factors,
     normalize_factors,
     save_factors,
     stack_slices,
     storage_bytes,
+    unfold,
 )
+from adapterfuse.cp_decomposition import _init_factors
 
-from conftest import cp_reconstruct, drop_header_key, edit_header, outer3
+from conftest import cp_reconstruct, drop_header_key, edit_header, max_principal_sine, outer3
 
 
 def planted_tensor(rng, n_tasks=4, d_in=9, d_out=7, lam=(3.0, 2.0, 1.0)):
@@ -194,6 +198,34 @@ class TestReconstruction:
         f = cp_als(rng.standard_normal((5, 6, 3)), 2, AlsOptions(max_iters=25))
         expected = sum(cp_reconstruct_slice(f, i) for i in range(3))
         np.testing.assert_allclose(cp_merge(f), expected, atol=1e-10)
+
+
+class TestGramInit:
+    """The "svd" init takes its subspaces from eigh of the unfolding Grams."""
+
+    CLEAR_GAP = 1e-4  # (σ_R − σ_R+1)/σ_1 below this leaves the R-subspace ill-defined
+
+    @pytest.mark.parametrize("spec,ranks", [
+        *((PlantedSpec(n_tasks=4, d_in=256, d_out=256, rank_shared=2, rank_specific=4,
+                       seed=seed), (18,)) for seed in (0, 1, 2)),
+        (PlantedSpec(n_tasks=5, d_in=48, d_out=48, rank_shared=0, rank_specific=4,
+                     noise_sigma=0.05, seed=0, n_layers=2), (4, 8, 12, 16, 20, 25, 30)),
+    ], ids=["S-0", "S-1", "S-2", "criterion-6"])
+    def test_subspaces_match_the_unfolding_svd(self, spec, ranks):
+        lib, _ = gen_planted_library(spec)
+        checked = 0
+        for layer_id in lib.layers:
+            t = stack_slices([lib.deltas[(task, layer_id)].materialize() for task in lib.tasks])
+            x1, x2 = unfold(t, 1), unfold(t, 2)
+            svds = [np.linalg.svd(x, full_matrices=False) for x in (x1, x2)]
+            for R in ranks:
+                b, c = _init_factors(t, x1, x2, R, AlsOptions(), np.random.default_rng(0))
+                for (u, s, _), f in zip(svds, (b, c)):
+                    if (s[R - 1] - s[R]) / s[0] < self.CLEAR_GAP:
+                        continue
+                    assert max_principal_sine(u[:, :R], f) <= 1e-8
+                    checked += 1
+        assert checked >= len(lib.layers) * len(ranks)  # most gaps are clear
 
 
 def test_storage_bytes_formula():
