@@ -39,7 +39,6 @@ from .errors import ChecksumError, ContainerFormatError, SchemaError, ShapeMisma
 from .interference import InterferenceReport, cp_sti, layer_profile, sti
 from .merge_ops import (
     MergeConfig,
-    cp_merge_layer,
     dare_transform,
     merge_deltas,
     merge_library,

@@ -91,7 +91,13 @@ class AdapterLibrary:
         self.validate()
 
     def validate(self) -> None:
-        """Schema check: complete grid, consistent dense shape per layer."""
+        """Schema check: unique ids, exactly the tasks × layers grid, one shape per layer."""
+        for kind, ids in (("task", self.tasks), ("layer", self.layers)):
+            if len(set(ids)) != len(ids):
+                raise SchemaError(f"duplicate {kind} ids in {list(ids)}")
+        extra = [k for k in self.deltas if k[0] not in self.tasks or k[1] not in self.layers]
+        if extra:
+            raise SchemaError(f"deltas outside the tasks × layers grid: {extra}")
         missing = [
             (task, layer)
             for task in self.tasks

@@ -19,7 +19,7 @@ import numpy as np
 from .blas import single_threaded
 from .containers import read_array, read_framed, require_end, require_keys, write_framed
 from .tensor_core import fold, frobenius_norm, khatri_rao, stack_slices, unfold
-from .svd_kernel import svd
+from .svd_kernel import _largest_entry_signs, svd
 
 _COND_LIMIT = 1e12  # beyond this the normal equations get a ridge
 _PAIRING_DRAWS = 4  # random slice mixes tried by the "svd" init
@@ -106,11 +106,16 @@ def _cycling_basis(dim: int, R: int) -> np.ndarray:
     return out
 
 
-def _check_rank(R, shape):
+def _check_rank(R, shape, stacked_rank=None):
+    """R within min(IJ, IK, JK) of the fitted tensor; a factored layer's core caps d_i at Σr_k."""
     d_in, d_out, n = shape
+    note = ""
+    if stacked_rank is not None:
+        d_in, d_out = min(stacked_rank, d_in), min(stacked_rank, d_out)
+        note = f" with Σr_k={stacked_rank}"
     max_rank = min(d_in * d_out, d_in * n, d_out * n)
     if not 1 <= R <= max_rank:
-        raise ValueError(f"R={R} out of range [1, {max_rank}] for shape {tuple(shape)}")
+        raise ValueError(f"R={R} out of range [1, {max_rank}] for shape {tuple(shape)}{note}")
 
 
 def _zero_factors(R, shape):
@@ -124,11 +129,6 @@ def _zero_factors(R, shape):
         fit=1.0,  # zero tensor fits itself perfectly
         error_trace=(0.0,),
     )
-
-
-def _largest_entry_signs(f):
-    """Per column: −1.0 where its largest-magnitude entry is negative, else 1.0."""
-    return np.where(f[np.argmax(np.abs(f), axis=0), np.arange(f.shape[1])] < 0, -1.0, 1.0)
 
 
 def _normalize_columns(f):
@@ -303,19 +303,22 @@ def cp_als_factored(deltas, R: int, opts: AlsOptions | None = None) -> CPFactors
     deltas is a sequence of AdapterDelta (a: d_in×r_k, b: d_out×r_k).
     With the QRs [s_1A_1 … s_NA_N] = Q_A·R_A and [B_1 … B_N] = Q_B·R_B
     every slice is Q_A·G_k·Q_Bᵀ, G_k = R_A[:, k-block]·R_B[:, k-block]ᵀ.
-    cp_als runs on the Σr_k × Σr_k × N core of the G_k and its row and
-    column factors are lifted through Q_A and Q_B (CANDELINC; Bro &
-    Andersson 1998).  Q is orthonormal, so fit and error_trace are those
-    of the full stack.  A mode is compressed only when R ≤ Σr_k < its
-    dimension; with neither compressed (dense-stored deltas, or R above
-    Σr_k) this is cp_als on the materialized stack.
+    cp_als runs on the m_1 × m_2 × N core of the G_k, m_i = min(Σr_k, d_i),
+    and its row and column factors are lifted through Q_A and Q_B
+    (CANDELINC; Bro & Andersson 1998).  Q is orthonormal, so fit and
+    error_trace are those of the full stack.  A mode is compressed
+    whenever Σr_k is below its dimension, whatever R is; with neither
+    compressed (dense-stored deltas, B = I) this is cp_als on the
+    materialized stack.  R ranges up to the rank bound of the core
+    (_check_rank), the most components any layer of this form can need
+    (Kolda & Bader 2009, §3).
     """
     if not deltas:
         raise ValueError("need at least one delta")
     shape = (deltas[0].d_in, deltas[0].d_out, len(deltas))
-    _check_rank(R, shape)
     ranks = [d.rank for d in deltas]
-    shrink_a, shrink_b = (R <= sum(ranks) < dim for dim in shape[:2])
+    _check_rank(R, shape, sum(ranks))
+    shrink_a, shrink_b = (sum(ranks) < dim for dim in shape[:2])
     if not (shrink_a or shrink_b):
         return cp_als(stack_slices(d.materialize() for d in deltas), R, opts)
     a = np.hstack([d.scaling_s * d.a for d in deltas])

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kvconfig
-from .cp_decomposition import AlsOptions, cp_als, cp_als_factored, cp_merge
+from .cp_decomposition import AlsOptions, cp_als_factored, cp_merge
 from .errors import ShapeMismatchError
 from .svd_kernel import truncated_approx
-from .tensor_core import stack_slices
 
 METHODS = ("uniform", "task-arithmetic", "ties", "dare-ties", "dare-ta", "tsv", "cp")
 
@@ -30,9 +29,9 @@ _SEED_MASK = (1 << 64) - 1  # SeedSequence wants non-negative entropy words
 class MergeConfig:
     """Merge method plus its parameters.
 
-    Only the parameters the chosen method consumes are validated; `average`
-    is consumed by the cp method alone (uniform always divides by N,
-    task arithmetic never does).
+    Every parameter is validated whatever the method, so the operators
+    trust the config they are given; `average` is consumed by the cp
+    method alone (uniform always divides by N, task arithmetic never does).
     """
 
     method: str
@@ -50,13 +49,11 @@ class MergeConfig:
             )
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
-        if self.method in ("ties", "dare-ties") and not 0.0 < self.k_density <= 1.0:
+        if not 0.0 < self.k_density <= 1.0:
             raise ValueError(f"k_density must be in (0,1], got {self.k_density}")
-        if self.method == "tsv" and not 0.0 < self.k_density <= 1.0:
-            raise ValueError(f"k_density must be in (0,1], got {self.k_density}")
-        if self.method in ("dare-ties", "dare-ta") and not 0.0 <= self.dare_p < 1.0:
+        if not 0.0 <= self.dare_p < 1.0:
             raise ValueError(f"dare_p must be in [0,1), got {self.dare_p}")
-        if self.method == "cp" and self.cp_rank < 1:
+        if self.cp_rank < 1:
             raise ValueError(f"cp_rank must be ≥ 1, got {self.cp_rank}")
 
     def to_kv(self) -> str:
@@ -132,8 +129,6 @@ def ties_merge(deltas, cfg: MergeConfig) -> np.ndarray:
     (an exact zero elects +); the output is alpha times the mean over
     tasks whose surviving entry is nonzero and matches the elected sign.
     """
-    if not 0.0 < cfg.k_density <= 1.0:
-        raise ValueError(f"k_density must be in (0,1], got {cfg.k_density}")
     stack = np.stack(_check_deltas(deltas), axis=0)
     n_tasks = stack.shape[0]
     flat = stack.reshape(n_tasks, -1)
@@ -169,8 +164,6 @@ def dare_transform(delta, cfg: MergeConfig, stream=()) -> np.ndarray:
     if delta.ndim != 2:
         raise ShapeMismatchError(f"delta is not a matrix (ndim={delta.ndim})")
     p = cfg.dare_p
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dare_p must be in [0,1), got {p}")
     if p == 0.0:
         return delta.copy()
     rng = np.random.default_rng([cfg.seed & _SEED_MASK, *(s & _SEED_MASK for s in stream)])
@@ -180,53 +173,42 @@ def dare_transform(delta, cfg: MergeConfig, stream=()) -> np.ndarray:
 
 def tsv_merge(deltas, cfg: MergeConfig) -> np.ndarray:
     """alpha · Σ_i rank-k truncation of Δ_i, k = ceil(k_density · min dim)."""
-    if not 0.0 < cfg.k_density <= 1.0:
-        raise ValueError(f"k_density must be in (0,1], got {cfg.k_density}")
     deltas = _check_deltas(deltas)
     k = math.ceil(cfg.k_density * min(deltas[0].shape))
     return cfg.alpha * sum(truncated_approx(d, k) for d in deltas)
-
-
-def _scaled_cp_merge(f, cfg: MergeConfig) -> np.ndarray:
-    merged = cp_merge(f) / f.n_tasks if cfg.average else cp_merge(f)
-    return cfg.alpha * merged
-
-
-def cp_merge_layer(deltas, cfg: MergeConfig) -> np.ndarray:
-    """Stack the deltas, fit CP at cfg.cp_rank, sum over the task mode."""
-    t = stack_slices(_check_deltas(deltas))
-    return _scaled_cp_merge(cp_als(t, cfg.cp_rank, AlsOptions(seed=cfg.seed)), cfg)
 
 
 def layer_salt(layer_id: str) -> int:
     return zlib.crc32(str(layer_id).encode("utf-8"))
 
 
+# The dense methods; the DARE pair drops entries first (merge_deltas).
+_DENSE_OPS = {
+    "uniform": uniform_merge,
+    "task-arithmetic": task_arithmetic,
+    "ties": ties_merge,
+    "tsv": tsv_merge,
+    "dare-ties": ties_merge,
+    "dare-ta": task_arithmetic,
+}
+
+
 def merge_deltas(deltas, cfg: MergeConfig, salt: int = 0) -> np.ndarray:
-    """Dispatch one layer's deltas to the configured operator.
+    """Merge one layer's dense deltas with the configured operator.
 
     `salt` (derived from the layer id by merge_library) keys the DARE
-    masks so no two layers reuse a stream.
+    masks so no two layers reuse a stream.  The cp method fits the
+    factored deltas of a library, so it runs through merge_library only.
     """
-    if cfg.method == "uniform":
-        return uniform_merge(deltas, cfg)
-    if cfg.method == "task-arithmetic":
-        return task_arithmetic(deltas, cfg)
-    if cfg.method == "ties":
-        return ties_merge(deltas, cfg)
-    if cfg.method == "tsv":
-        return tsv_merge(deltas, cfg)
-    if cfg.method == "cp":
-        return cp_merge_layer(deltas, cfg)
-    if cfg.method in ("dare-ties", "dare-ta"):
-        deltas = _check_deltas(deltas)
-        dropped = [
-            dare_transform(d, cfg, stream=(i, salt)) for i, d in enumerate(deltas)
+    op = _DENSE_OPS.get(cfg.method)
+    if op is None:
+        raise ValueError(f"method {cfg.method!r} merges factored deltas: use merge_library")
+    if cfg.method.startswith("dare-"):
+        deltas = [
+            dare_transform(d, cfg, stream=(i, salt))
+            for i, d in enumerate(_check_deltas(deltas))
         ]
-        if cfg.method == "dare-ties":
-            return ties_merge(dropped, cfg)
-        return task_arithmetic(dropped, cfg)
-    raise ValueError(f"unknown method {cfg.method!r}")  # unreachable after validation
+    return op(deltas, cfg)
 
 
 def merge_library(lib, cfg: MergeConfig) -> dict:
@@ -241,7 +223,7 @@ def merge_library(lib, cfg: MergeConfig) -> dict:
         layer = [lib.deltas[(task, layer_id)] for task in lib.tasks]
         if cfg.method == "cp":
             f = cp_als_factored(layer, cfg.cp_rank, AlsOptions(seed=cfg.seed))
-            merged[layer_id] = _scaled_cp_merge(f, cfg)
+            merged[layer_id] = cfg.alpha * (cp_merge(f) / f.n_tasks if cfg.average else cp_merge(f))
         else:
             ds = [d.materialize() for d in layer]
             merged[layer_id] = merge_deltas(ds, cfg, salt=layer_salt(layer_id))

@@ -35,6 +35,11 @@ class SvdResult:
         return (self.u * self.sigma) @ self.v.T
 
 
+def _largest_entry_signs(f):
+    """Per column: −1.0 where its largest-magnitude entry is negative, else 1.0."""
+    return np.where(f[np.argmax(np.abs(f), axis=0), np.arange(f.shape[1])] < 0, -1.0, 1.0)
+
+
 def svd(m) -> SvdResult:
     """Thin SVD with descending singular values; see SvdResult.
 
@@ -49,7 +54,7 @@ def svd(m) -> SvdResult:
 
     u, sigma, vt = np.linalg.svd(m, full_matrices=False)
     sigma = np.where(sigma > CLAMP_REL * sigma[0], sigma, 0.0)
-    flip = np.where(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0, -1.0, 1.0)
+    flip = _largest_entry_signs(u)
     return SvdResult(u=u * flip, sigma=sigma, v=vt.T * flip)
 
 

@@ -296,6 +296,8 @@ def load_truth(path) -> dict:
     out = {}
     offset = 0
     for layer, shape in zip(layers, shapes):
+        if str(layer) in out:
+            raise ContainerFormatError(f"{path}: header repeats layer {layer!r}")
         arr = read_array(payload, _TRUTH_DTYPE, shape, offset, f"layer {layer!r}", path)
         out[str(layer)] = arr.astype(np.float64)
         offset += arr.nbytes

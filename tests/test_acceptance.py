@@ -21,7 +21,6 @@ from adapterfuse import (
     assign,
     cp_als,
     cp_merge,
-    cp_merge_layer,
     cp_reconstruct_slice,
     cp_sti,
     dare_transform,
@@ -103,11 +102,9 @@ def test_criterion_3_planted_recovery():
             lib, truth = gen_planted_library(spec)
             for layer in lib.layers:
                 deltas = [lib.deltas[(t, layer)].materialize() for t in lib.tasks]
-                fit = cp_als(stack_slices(deltas), spec.total_rank, AlsOptions()).fit
-                assert fit >= 1 - 1e-6, f"config {i} layer {layer}: fit {fit}"
-                merged = cp_merge_layer(
-                    deltas, MergeConfig(method="cp", cp_rank=spec.total_rank))
-                err = recovery_error(merged, truth.layer_sums[layer])
+                f = cp_als(stack_slices(deltas), spec.total_rank, AlsOptions())
+                assert f.fit >= 1 - 1e-6, f"config {i} layer {layer}: fit {f.fit}"
+                err = recovery_error(cp_merge(f), truth.layer_sums[layer])
                 assert err < 1e-5, f"config {i} layer {layer}: error {err}"
         assert time.perf_counter() - start < 120.0
 

@@ -183,6 +183,19 @@ class TestCorruption:
         with pytest.raises(ContainerFormatError):
             load_library(p)
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda index: {**index, "tasks": ["0", "0", "2"]}, "duplicate task ids"),
+        (lambda index: {**index, "layers": ["00", "00"]}, "duplicate layer ids"),
+        (lambda index: {**index, "tasks": ["0", "1"]}, r"outside .*\('2', '00'\)"),
+    ], ids=["repeated-task", "repeated-layer", "unlisted-task"])
+    def test_index_ids_off_the_entry_grid_rejected(self, edit, message, tmp_path):
+        # every listed (task, layer) still has an entry, so only the
+        # uniqueness and grid checks catch these
+        p = self.saved(tmp_path)
+        edit_alib_index(p, edit)
+        with pytest.raises(SchemaError, match=message):
+            load_library(p)
+
     def test_infinite_scaling_rejected(self, tmp_path):
         p = self.saved(tmp_path)
         edit_alib_index(p, lambda index: {**index, "entries": [

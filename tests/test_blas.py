@@ -1,5 +1,6 @@
 """single_threaded: the scoped OpenBLAS thread limit around cp_als and sti."""
 
+import dataclasses
 import threading
 from collections import defaultdict
 
@@ -80,12 +81,14 @@ def test_cp_als_and_sti_run_on_one_thread(monkeypatch):
     spec = PlantedSpec(n_tasks=4, d_in=40, d_out=40, rank_shared=1, rank_specific=2, seed=1)
     lib, _ = gen_planted_library(spec)
     layer = [lib.deltas[(task, lib.layers[0])] for task in lib.tasks]
+    noisy, _ = gen_planted_library(dataclasses.replace(spec, noise_sigma=0.05))
+    dense_stored = [noisy.deltas[(task, noisy.layers[0])] for task in noisy.tasks]
 
     cp_als_factored(layer, spec.total_rank, AlsOptions(seed=1))  # Σr_k = 12 < 40: core fit
     assert set(seen["_ls_solve"]) == {1}
     assert seen["normalize_factors"] == [1, before]  # the lift keeps the caller's count
     seen.clear()
-    cp_als_factored(layer, 13, AlsOptions(seed=1))  # R above Σr_k: the dense stack
+    cp_als_factored(dense_stored, 13, AlsOptions(seed=1))  # B = I: the dense stack
     assert set(seen["_ls_solve"]) == {1}
     assert seen["normalize_factors"] == [1]
     sti([d.materialize() for d in layer], k=2)

@@ -105,6 +105,23 @@ class TestMergeCommand:
         assert rc == 0
         assert load_library(out).tasks == ("merged",)
 
+    def test_field_out_of_range_is_exit_2_whatever_the_method(self, tmp_path, lib_path, capsys):
+        rc = main(["merge", "--library", str(lib_path), "--method", "uniform",
+                   "--k-density", "0", "--out", str(tmp_path / "m.alib")])
+        assert rc == 2
+        assert "k_density" in capsys.readouterr().err
+
+    def test_cp_rank_above_the_layer_bound_is_exit_2(self, tmp_path, spec_path, capsys):
+        # 2 tasks of rank 2 stack to 4 columns: the 4×4×2 core allows R ≤ 8
+        lib = tmp_path / "p.alib"
+        main(["synth", "--spec", str(spec_path), "--out", str(lib)])
+        capsys.readouterr()
+        rc = main(["merge", "--library", str(lib), "--method", "cp", "--cp-rank", "9",
+                   "--out", str(tmp_path / "m.alib")])
+        assert rc == 2
+        assert "R=9 out of range [1, 8] for shape (10, 8, 2)" in capsys.readouterr().err
+        assert not (tmp_path / "m.alib").exists()
+
     def test_truth_column(self, tmp_path, spec_path, capsys):
         out = tmp_path / "p.alib"
         main(["synth", "--spec", str(spec_path), "--out", str(out)])

@@ -14,12 +14,13 @@ from adapterfuse import (
     cp_als,
     cp_als_factored,
     cp_merge,
-    cp_merge_layer,
     gen_planted_library,
     merge_library,
     recovery_error,
     stack_slices,
 )
+
+from adapterfuse import cp_decomposition
 
 from conftest import cp_reconstruct
 
@@ -53,23 +54,62 @@ def test_planted_merge_matches_dense_oracle(d, n_tasks, seed):
     lib, gt = gen_planted_library(spec)
     cfg = MergeConfig(method="cp", cp_rank=spec.total_rank, seed=seed)
     layer_id = lib.layers[0]
-    oracle = cp_merge_layer([d.materialize() for d in layer_deltas(lib, layer_id)], cfg)
+    oracle = cp_merge(dense_fit(layer_deltas(lib, layer_id), cfg.cp_rank, AlsOptions(seed=seed)))
     merged = merge_library(lib, cfg)[layer_id]
     assert rel_diff(merged, oracle) <= 1e-10
     assert recovery_error(merged, gt.layer_sums[layer_id]) < 1e-7
 
 
-def test_rank_above_stacked_rank_runs_the_dense_path():
-    # criterion 9's library: 2 tasks of rank 2 stack to 4 columns, R = 10 > 4
+def small_layer():
+    """Criterion 9's 12×10 layer: 2 tasks of rank 2 stack to 4 columns, so
+    the core is 4×4×2 and its rank bound min(16, 8, 8) = 8."""
     spec = PlantedSpec(n_tasks=2, d_in=12, d_out=10, rank_shared=1,
                        rank_specific=1, seed=6)
     lib, _ = gen_planted_library(spec)
-    deltas = layer_deltas(lib, lib.layers[0])
-    opts = AlsOptions(seed=0)
-    assert_same_factors(cp_als_factored(deltas, 10, opts), dense_fit(deltas, 10, opts))
-    # the range error names the dense shape, as cp_als on the stack does
-    with pytest.raises(ValueError, match=r"R=21 out of range \[1, 20\] for shape \(12, 10, 2\)"):
-        cp_als_factored(deltas, 21, opts)
+    return layer_deltas(lib, lib.layers[0])
+
+
+def test_rank_above_stacked_rank_fits_on_the_core(monkeypatch):
+    deltas = small_layer()
+    # at R = 8 the core fit needs more iterations than the dense one (its
+    # init pads with random columns where the dense stack has null-space
+    # vectors) and the default tol=1e-8 stops it at a 2.6e-8 merge difference;
+    # a tight tol compares converged fits
+    opts = AlsOptions(seed=0, tol=1e-12)
+    fitted = []
+
+    def recording(t, R, opts=None):
+        fitted.append(t.shape)
+        return cp_als(t, R, opts)
+
+    monkeypatch.setattr(cp_decomposition, "cp_als", recording)
+    for R in range(5, 9):
+        oracle = cp_merge(dense_fit(deltas, R, opts))
+        assert rel_diff(cp_merge(cp_als_factored(deltas, R, opts)), oracle) <= 1e-8, R
+    assert fitted == [(4, 4, 2)] * 4
+
+
+def test_rank_above_the_core_bound_is_rejected():
+    # the dense stack would allow R up to 20; the layer never needs more than 8
+    with pytest.raises(ValueError, match=r"R=9 out of range \[1, 8\] for shape \(12, 10, 2\)"):
+        cp_als_factored(small_layer(), 9)
+
+
+def test_rank_above_stacked_rank_stays_small():
+    # d = 1024, N = 8, r = 6: Σr_k = 48, R = 49; the dense stack alone is 64 MiB
+    spec = PlantedSpec(n_tasks=8, d_in=1024, d_out=1024, rank_shared=0,
+                       rank_specific=6, seed=0)
+    lib, gt = gen_planted_library(spec)
+    layer_id = lib.layers[0]
+    deltas = layer_deltas(lib, layer_id)
+    tracemalloc.start()
+    try:
+        f = cp_als_factored(deltas, 49, AlsOptions(seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak / 2**20
+    assert recovery_error(cp_merge(f), gt.layer_sums[layer_id]) < 1e-7
 
 
 def test_range_error_names_dense_shape_when_a_mode_shrinks(rng):
@@ -135,7 +175,7 @@ def test_rejects_empty_and_ragged(rng):
         cp_als_factored([], 1)
     ragged = [AdapterDelta("00", rng.standard_normal((20, 1)), rng.standard_normal((4, 1))),
               AdapterDelta("00", rng.standard_normal((20, 1)), rng.standard_normal((3, 1)))]
-    for R in (1, 3):  # compressed path, then R above Σr_k: the dense path
+    for R in (1, 3):  # R at and above Σr_k = 2: both fit on the core
         with pytest.raises(ValueError):
             cp_als_factored(ragged, R)
 

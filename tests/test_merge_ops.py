@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adapterfuse import (
+    AdapterDelta,
+    AdapterLibrary,
     MergeConfig,
     ShapeMismatchError,
-    cp_merge_layer,
     dare_transform,
     merge_deltas,
     merge_library,
@@ -23,6 +24,18 @@ from adapterfuse.merge_ops import METHODS, layer_salt
 from adapterfuse.svd_kernel import truncated_approx
 
 from conftest import make_library
+
+
+def one_layer_library(deltas, order=None):
+    """Task i holds deltas[i] as layer "00"; `order` lists the tasks' order."""
+    order = range(len(deltas)) if order is None else order
+    return AdapterLibrary(tasks=tuple(str(i) for i in order), layers=("00",),
+                          deltas={(str(i), "00"): d for i, d in enumerate(deltas)})
+
+
+def dense_library(mats, order=None):
+    """One-layer library of dense-stored deltas (A = Δ, B = I)."""
+    return one_layer_library([AdapterDelta("00", m, np.eye(m.shape[1])) for m in mats], order)
 
 
 def ties_reference(mats, k_density, alpha):
@@ -177,36 +190,57 @@ class TestTsv:
 
 
 class TestCpMergeLayer:
-    def test_sum_of_rank_one_tasks_recovered(self, rng):
+    """The cp merge of one layer, which runs through merge_library."""
+
+    @staticmethod
+    def rank_one_deltas(rng):
         # three rank-1 deltas with distinct energy: rank-3 joint model is exact
-        mats = [s * np.outer(rng.standard_normal(6), rng.standard_normal(5))
+        return [AdapterDelta("00", s * rng.standard_normal((6, 1)), rng.standard_normal((5, 1)))
                 for s in (3.0, 2.0, 1.0)]
-        cfg = MergeConfig(method="cp", cp_rank=3)
-        np.testing.assert_allclose(cp_merge_layer(mats, cfg), sum(mats), atol=1e-5)
+
+    def test_sum_of_rank_one_tasks_recovered(self, rng):
+        deltas = self.rank_one_deltas(rng)
+        out = merge_library(one_layer_library(deltas), MergeConfig(method="cp", cp_rank=3))
+        np.testing.assert_allclose(out["00"], sum(d.materialize() for d in deltas), atol=1e-5)
 
     def test_average_flag(self, rng):
-        mats = [s * np.outer(rng.standard_normal(6), rng.standard_normal(5))
-                for s in (3.0, 2.0, 1.0)]
-        out_sum = cp_merge_layer(mats, MergeConfig(method="cp", cp_rank=3))
-        out_avg = cp_merge_layer(mats, MergeConfig(method="cp", cp_rank=3, average=True))
+        lib = one_layer_library(self.rank_one_deltas(rng))
+        out_sum = merge_library(lib, MergeConfig(method="cp", cp_rank=3))["00"]
+        out_avg = merge_library(lib, MergeConfig(method="cp", cp_rank=3, average=True))["00"]
         np.testing.assert_allclose(out_avg, out_sum / 3, atol=1e-9)
+
+    def test_task_order_invariance(self, rng):
+        deltas = self.rank_one_deltas(rng)
+        cfg = MergeConfig(method="cp", cp_rank=3)
+        a = merge_library(one_layer_library(deltas), cfg)["00"]
+        b = merge_library(one_layer_library(deltas, order=(2, 0, 1)), cfg)["00"]
+        # the order changes the stacked QRs, so each fit stops (tol on the
+        # fit change) at its own point near the exact sum: the tolerance above
+        np.testing.assert_allclose(a, b, atol=1e-5)
 
 
 class TestDispatcher:
+    # merge_library dispatches every method: cp to the factored fit, the
+    # dense methods to merge_deltas
     @pytest.mark.parametrize("method", METHODS)
     def test_all_methods_run(self, method, rng):
         mats = [rng.standard_normal((4, 4)) for _ in range(3)]
         cfg = MergeConfig(method=method, cp_rank=2, seed=3)
-        out = merge_deltas(mats, cfg)
+        out = merge_library(dense_library(mats), cfg)["00"]
         assert out.shape == (4, 4) and np.all(np.isfinite(out))
 
     @pytest.mark.parametrize("method", ["uniform", "task-arithmetic", "ties", "tsv", "cp"])
     def test_permutation_invariance(self, method, rng):
         mats = [rng.standard_normal((5, 4)) for _ in range(4)]
         cfg = MergeConfig(method=method, k_density=0.5, cp_rank=2)
-        a = merge_deltas(mats, cfg)
-        b = merge_deltas([mats[2], mats[0], mats[3], mats[1]], cfg)
+        a = merge_library(dense_library(mats), cfg)["00"]
+        b = merge_library(dense_library(mats, order=(2, 0, 3, 1)), cfg)["00"]
         np.testing.assert_allclose(a, b, atol=1e-10)
+
+    def test_merge_deltas_points_cp_to_merge_library(self, rng):
+        mats = [rng.standard_normal((4, 4)) for _ in range(3)]
+        with pytest.raises(ValueError, match="merge_library"):
+            merge_deltas(mats, MergeConfig(method="cp", cp_rank=2))
 
     def test_dare_ta_equals_manual_composition(self, rng):
         mats = [rng.standard_normal((4, 3)) for _ in range(3)]
@@ -281,6 +315,14 @@ class TestMergeConfig:
             MergeConfig(method="cp", cp_rank=0)
         with pytest.raises(ValueError):
             MergeConfig(method="uniform", alpha=float("inf"))
+
+    @pytest.mark.parametrize("field,value", [
+        ("k_density", 0.0), ("k_density", float("nan")), ("dare_p", 1.0), ("cp_rank", 0),
+    ])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_field_validated_whatever_the_method(self, method, field, value):
+        with pytest.raises(ValueError, match=field):
+            MergeConfig(method=method, **{field: value})
 
     def test_kv_round_trip(self):
         cfg = MergeConfig(method="dare-ties", dare_p=0.25, k_density=0.4,

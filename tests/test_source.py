@@ -6,15 +6,37 @@ from pathlib import Path
 import adapterfuse
 
 
+def parsed_sources():
+    """(file name, ast) for every module of the package."""
+    sources = sorted(Path(adapterfuse.__file__).parent.glob("*.py"))
+    assert sources
+    return [
+        (path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        for path in sources
+    ]
+
+
 def test_no_runtime_assert():
     # bad input raises a typed ValueError; an assert is control flow that
     # python -O strips and that turns a bad input into exit 1
-    sources = sorted(Path(adapterfuse.__file__).parent.glob("*.py"))
-    assert sources
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sources
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        f"{name}:{node.lineno}"
+        for name, tree in parsed_sources()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_only_cp_decomposition_calls_cp_als():
+    # every CP model of a layer is fitted by cp_als_factored, which picks
+    # the compressed core or the dense stack; no module fits a stack itself
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in parsed_sources()
+        if name != "cp_decomposition.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "cp_als" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert found == []

@@ -217,6 +217,13 @@ class TestTruthContainer:
         with pytest.raises(ContainerFormatError):
             load_truth(p)
 
+    def test_repeated_layer_rejected(self, tmp_path, rng):
+        p = tmp_path / "x.truth"
+        save_truth({"00": rng.standard_normal((3, 3)), "01": rng.standard_normal((3, 3))}, p)
+        edit_header(p, lambda h: h.update(layers=["00", "00"]))
+        with pytest.raises(ContainerFormatError, match="repeats layer '00'"):
+            load_truth(p)
+
     def test_truncated_and_trailing(self, tmp_path, rng):
         p = tmp_path / "x.truth"
         save_truth({"00": rng.standard_normal((3, 3))}, p)
