@@ -67,13 +67,22 @@ class AdapterDelta:
     def rank(self) -> int:
         return self.a.shape[1]
 
-    def materialize(self) -> np.ndarray:
-        """s·A·Bᵀ; a dense-stored delta (B the identity) skips the matmul."""
+    def materialize(self, out=None) -> np.ndarray:
+        """s·A·Bᵀ, written into `out` (a d_in×d_out float64 array) when given.
+
+        A dense-stored delta (B the identity) skips the matmul.
+        """
+        if out is None:
+            out = np.empty((self.d_in, self.d_out))
         b = self.b
         n = b.shape[0]
         if b.shape[1] == n and np.count_nonzero(b) == n and np.all(b.diagonal() == 1.0):
-            return self.scaling_s * self.a + 0.0  # as A @ I would: −0.0 becomes +0.0
-        return self.scaling_s * (self.a @ b.T)
+            np.multiply(self.scaling_s, self.a, out=out)
+            out += 0.0  # as A @ I would: −0.0 becomes +0.0
+        else:
+            np.matmul(self.a, b.T, out=out)
+            out *= self.scaling_s
+        return out
 
 
 @dataclass(frozen=True)

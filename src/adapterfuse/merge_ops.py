@@ -5,6 +5,19 @@ a MergeConfig and returns a single merged delta.  Stochastic operators
 (the DARE family) draw from a stream derived from (seed, task index,
 layer salt), so a layer's merge does not depend on which layers were
 merged before it.
+
+The dense methods run on one float64 stack of shape (N, d_in, d_out)
+per layer.  merge_library materializes each task's s·A·Bᵀ straight into
+its slice (merge_deltas and the list operators copy their inputs into a
+new stack, so callers' arrays are never written), checks each slice is
+finite, and frees the stack before the next layer's is filled.  DARE
+drops and rescales each slice in place, reusing one noise buffer per
+layer.  The TIES trim zeroes each task's row in place; its threshold is
+the k-th largest nonzero magnitude, and a row with at most k nonzeros
+is left as it is.  Sign election and the agreeing mean run over column
+blocks small enough for a core's cache instead of whole-stack
+temporaries.  Every method returns the same bytes as the list-based
+operators it replaced (tests/conftest.py keeps those as oracles).
 """
 
 from __future__ import annotations
@@ -89,7 +102,15 @@ class MergeConfig:
         return cls(**{k: known[k](v) for k, v in raw.items()})
 
 
-def _check_deltas(deltas) -> list:
+def _require_finite(delta, i) -> None:
+    # a finite sum proves every entry finite; only an overflowing sum
+    # needs the entrywise test
+    if not (math.isfinite(delta.sum()) or np.all(np.isfinite(delta))):
+        raise ValueError(f"delta {i} has non-finite entries")
+
+
+def _stack_deltas(deltas) -> np.ndarray:
+    """Validate a list of same-shape finite matrices and copy them into one stack."""
     deltas = [np.asarray(d, dtype=np.float64) for d in deltas]
     if not deltas:
         raise ValueError("need at least one delta")
@@ -101,57 +122,155 @@ def _check_deltas(deltas) -> list:
             raise ShapeMismatchError(
                 f"delta {i} has shape {d.shape}, expected {shape}"
             )
-        if not np.all(np.isfinite(d)):
-            raise ValueError(f"delta {i} has non-finite entries")
-    return deltas
+        _require_finite(d, i)
+    return np.stack(deltas)
+
+
+def _fill_stack(layer) -> np.ndarray:
+    """One layer's factored deltas materialized straight into a new stack."""
+    stack = np.empty((len(layer), layer[0].d_in, layer[0].d_out))
+    for i, d in enumerate(layer):
+        _require_finite(d.materialize(out=stack[i]), i)  # s·A·Bᵀ can overflow
+    return stack
+
+
+def _task_sum(stack) -> np.ndarray:
+    """Σ over tasks, added in task order into a new array."""
+    total = stack[0] + 0.0  # as sum() starts from 0: −0.0 becomes +0.0
+    for delta in stack[1:]:
+        total += delta
+    return total
+
+
+def _task_arithmetic(stack, cfg):
+    total = _task_sum(stack)
+    total *= cfg.alpha
+    return total
+
+
+def _uniform(stack, cfg):
+    total = _task_arithmetic(stack, cfg)
+    total /= len(stack)
+    return total
+
+
+def _tsv(stack, cfg):
+    k = math.ceil(cfg.k_density * min(stack.shape[1:]))
+    for delta in stack:
+        delta[...] = truncated_approx(delta, k)
+    return _task_arithmetic(stack, cfg)
+
+
+def _dare(delta, cfg, stream, noise) -> None:
+    """DARE on one matrix in place; `noise` is float64 scratch of its shape."""
+    p = cfg.dare_p
+    if p == 0.0:
+        return
+    rng = np.random.default_rng([cfg.seed & _SEED_MASK, *(s & _SEED_MASK for s in stream)])
+    rng.random(out=noise)
+    np.divide(delta, 1.0 - p, out=delta)
+    # AND with all-ones keeps a survivor's bits (−0.0 included) and AND
+    # with zero leaves +0.0, as np.where(keep, delta, 0.0) would, with no
+    # branch per entry; the noise is dead once compared, so it holds the mask
+    keep = noise >= p
+    mask = noise.view(np.int64)
+    np.negative(keep.view(np.int8), out=mask)
+    bits = delta.view(np.int64)
+    np.bitwise_and(bits, mask, out=bits)
+
+
+def _dare_stack(stack, cfg, salt) -> None:
+    noise = np.empty(stack.shape[1:])
+    for i, delta in enumerate(stack):
+        _dare(delta, cfg, (i, salt), noise)
+        _require_finite(delta, i)  # dividing by 1 − p can overflow
+
+
+def _trim(row, k, mag, nonzero_mag, flags) -> None:
+    """TIES trim of one flattened delta in place: keep its k largest magnitudes.
+
+    A row with at most k nonzeros keeps them all and its zeros are
+    zeros already, so it is left alone.  Otherwise the threshold is the
+    k-th largest magnitude, selected among the nonzero ones: selection
+    over a row that DARE left half zeros degenerates on the run of equal
+    zeros.  Magnitude ties at the threshold keep the lowest indices.
+    `mag`, `nonzero_mag` (float64) and `flags` (bool) are scratch of the
+    row's length.
+    """
+    np.abs(row, out=mag)
+    nonzero = np.not_equal(mag, 0.0, out=flags)
+    nnz = np.count_nonzero(nonzero)
+    if nnz <= k:
+        return
+    top = np.compress(nonzero, mag, out=nonzero_mag[:nnz])
+    top.partition(nnz - k)
+    thr = top[nnz - k]
+    keep = np.greater_equal(mag, thr, out=flags)
+    surplus = np.count_nonzero(keep) - k
+    if surplus:
+        keep[np.flatnonzero(mag == thr)[-surplus:]] = False
+    # a dropped negative entry becomes −0.0: the sign of a zero never
+    # reaches the output (the election tests ≥ 0, agreement needs nonzero)
+    np.multiply(row, keep, out=row)
+
+
+# Elements of the stack elected per block: a block and its few same-size
+# temporaries stay in a core's L2 cache.
+_ELECT_BLOCK = 1 << 15
+
+
+def _elect_mean(flat, alpha) -> np.ndarray:
+    """alpha × the mean of each column's survivors that agree with its elected sign.
+
+    Runs over column blocks of the (tasks, entries) stack.  No block is a
+    single column unless the stack is: numpy then reduces over tasks in
+    a different order, and the sums would round differently.
+    """
+    n_tasks, n = flat.shape
+    n_blocks = max(1, n // max(2, _ELECT_BLOCK // n_tasks))
+    edges = [n * b // n_blocks for b in range(n_blocks + 1)]
+    out = np.empty(n)
+    for j0, j1 in zip(edges, edges[1:]):
+        block = flat[:, j0:j1]
+        elected = np.where(block.sum(axis=0) >= 0.0, 1.0, -1.0)
+        agrees = block * elected > 0.0
+        counts = np.add.reduce(agrees, axis=0, dtype=np.float64)
+        # a disagreeing entry adds a zero, which leaves a nonzero sum as it is
+        total = (block * agrees).sum(axis=0)
+        out[j0:j1] = alpha * np.where(counts > 0, total / np.maximum(counts, 1.0), 0.0)
+    return out
+
+
+def _ties(stack, cfg):
+    flat = stack.reshape(len(stack), -1)
+    n = flat.shape[1]
+    k = math.ceil(cfg.k_density * n)
+    mag, nonzero_mag, flags = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+    for row in flat:
+        _trim(row, k, mag, nonzero_mag, flags)
+    return _elect_mean(flat, cfg.alpha).reshape(stack.shape[1:])
 
 
 def uniform_merge(deltas, cfg: MergeConfig) -> np.ndarray:
     """alpha · (Σ Δ_i) / N."""
-    deltas = _check_deltas(deltas)
-    return cfg.alpha * sum(deltas) / len(deltas)
+    return _uniform(_stack_deltas(deltas), cfg)
 
 
 def task_arithmetic(deltas, cfg: MergeConfig) -> np.ndarray:
     """alpha · Σ Δ_i, no averaging."""
-    deltas = _check_deltas(deltas)
-    return cfg.alpha * sum(deltas)
+    return _task_arithmetic(_stack_deltas(deltas), cfg)
 
 
 def ties_merge(deltas, cfg: MergeConfig) -> np.ndarray:
     """Trim, elect signs, average the agreeing survivors.
 
     Per task the top ceil(k_density · n_entries) entries by |magnitude|
-    survive (magnitude ties keep the lower linear index).  Survivors are
-    found by per-task selection rather than a sort: every entry above the
-    k-th largest magnitude, then the lowest-index entries equal to it.
-    Each entry's sign is elected from the sign of the summed survivors
-    (an exact zero elects +); the output is alpha times the mean over
-    tasks whose surviving entry is nonzero and matches the elected sign.
+    survive (magnitude ties keep the lower linear index).  Each entry's
+    sign is elected from the sign of the summed survivors (an exact zero
+    elects +); the output is alpha times the mean over tasks whose
+    surviving entry is nonzero and matches the elected sign.
     """
-    stack = np.stack(_check_deltas(deltas), axis=0)
-    n_tasks = stack.shape[0]
-    flat = stack.reshape(n_tasks, -1)
-    n = flat.shape[1]
-    k = math.ceil(cfg.k_density * n)
-
-    # one row at a time: whole-matrix masks would raise peak memory;
-    # k = 0 only for empty deltas, which have nothing to select
-    trimmed = np.zeros_like(flat)
-    for row, out in zip(flat, trimmed) if k > 0 else ():
-        mag = np.abs(row)
-        thr = np.partition(mag, n - k)[n - k]  # k-th largest magnitude
-        keep = mag > thr
-        room = k - np.count_nonzero(keep)
-        keep[np.flatnonzero(mag == thr)[:room]] = True
-        out[keep] = row[keep]
-
-    elected = np.where(trimmed.sum(axis=0) >= 0.0, 1.0, -1.0)
-    agrees = (np.sign(trimmed) == elected) & (trimmed != 0.0)
-    counts = agrees.sum(axis=0)
-    total = np.where(agrees, trimmed, 0.0).sum(axis=0)
-    merged = np.where(counts > 0, total / np.maximum(counts, 1), 0.0)
-    return (cfg.alpha * merged).reshape(stack.shape[1:])
+    return _ties(_stack_deltas(deltas), cfg)
 
 
 def dare_transform(delta, cfg: MergeConfig, stream=()) -> np.ndarray:
@@ -160,37 +279,38 @@ def dare_transform(delta, cfg: MergeConfig, stream=()) -> np.ndarray:
     The mask is drawn from (cfg.seed, *stream); `stream` lets library-level
     merges give every (task, layer) its own reproducible mask.
     """
-    delta = np.asarray(delta, dtype=np.float64)
+    delta = np.array(delta, dtype=np.float64)
     if delta.ndim != 2:
         raise ShapeMismatchError(f"delta is not a matrix (ndim={delta.ndim})")
-    p = cfg.dare_p
-    if p == 0.0:
-        return delta.copy()
-    rng = np.random.default_rng([cfg.seed & _SEED_MASK, *(s & _SEED_MASK for s in stream)])
-    keep = rng.random(delta.shape) >= p
-    return np.where(keep, delta / (1.0 - p), 0.0)
+    _dare(delta, cfg, stream, np.empty(delta.shape))
+    return delta
 
 
 def tsv_merge(deltas, cfg: MergeConfig) -> np.ndarray:
     """alpha · Σ_i rank-k truncation of Δ_i, k = ceil(k_density · min dim)."""
-    deltas = _check_deltas(deltas)
-    k = math.ceil(cfg.k_density * min(deltas[0].shape))
-    return cfg.alpha * sum(truncated_approx(d, k) for d in deltas)
+    return _tsv(_stack_deltas(deltas), cfg)
 
 
 def layer_salt(layer_id: str) -> int:
     return zlib.crc32(str(layer_id).encode("utf-8"))
 
 
-# The dense methods; the DARE pair drops entries first (merge_deltas).
+# The dense methods; the DARE pair drops entries first (_merge_stack).
 _DENSE_OPS = {
-    "uniform": uniform_merge,
-    "task-arithmetic": task_arithmetic,
-    "ties": ties_merge,
-    "tsv": tsv_merge,
-    "dare-ties": ties_merge,
-    "dare-ta": task_arithmetic,
+    "uniform": _uniform,
+    "task-arithmetic": _task_arithmetic,
+    "ties": _ties,
+    "tsv": _tsv,
+    "dare-ties": _ties,
+    "dare-ta": _task_arithmetic,
 }
+
+
+def _merge_stack(stack, cfg, salt) -> np.ndarray:
+    """Merge one layer's (tasks, d_in, d_out) stack, which it overwrites."""
+    if cfg.method.startswith("dare-"):
+        _dare_stack(stack, cfg, salt)
+    return _DENSE_OPS[cfg.method](stack, cfg)
 
 
 def merge_deltas(deltas, cfg: MergeConfig, salt: int = 0) -> np.ndarray:
@@ -200,15 +320,9 @@ def merge_deltas(deltas, cfg: MergeConfig, salt: int = 0) -> np.ndarray:
     masks so no two layers reuse a stream.  The cp method fits the
     factored deltas of a library, so it runs through merge_library only.
     """
-    op = _DENSE_OPS.get(cfg.method)
-    if op is None:
+    if cfg.method not in _DENSE_OPS:
         raise ValueError(f"method {cfg.method!r} merges factored deltas: use merge_library")
-    if cfg.method.startswith("dare-"):
-        deltas = [
-            dare_transform(d, cfg, stream=(i, salt))
-            for i, d in enumerate(_check_deltas(deltas))
-        ]
-    return op(deltas, cfg)
+    return _merge_stack(_stack_deltas(deltas), cfg, salt)
 
 
 def merge_library(lib, cfg: MergeConfig) -> dict:
@@ -225,6 +339,6 @@ def merge_library(lib, cfg: MergeConfig) -> dict:
             f = cp_als_factored(layer, cfg.cp_rank, AlsOptions(seed=cfg.seed))
             merged[layer_id] = cfg.alpha * (cp_merge(f) / f.n_tasks if cfg.average else cp_merge(f))
         else:
-            ds = [d.materialize() for d in layer]
-            merged[layer_id] = merge_deltas(ds, cfg, salt=layer_salt(layer_id))
+            # the stack is freed when _merge_stack returns, before the next layer's
+            merged[layer_id] = _merge_stack(_fill_stack(layer), cfg, layer_salt(layer_id))
     return merged

@@ -1,10 +1,11 @@
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
 
-from adapterfuse import AdapterDelta, AdapterLibrary, cp_reconstruct_slice
+from adapterfuse import AdapterDelta, AdapterLibrary, cp_reconstruct_slice, truncated_approx
 
 
 def outer3(u, v, w):
@@ -15,6 +16,62 @@ def outer3(u, v, w):
 def cp_reconstruct(f):
     """A CPFactors' full model tensor, stacked from per-task slices (test oracle)."""
     return np.stack([cp_reconstruct_slice(f, i) for i in range(f.n_tasks)], axis=2)
+
+
+def ties_merge_oracle(deltas, cfg):
+    """TIES over a list of matrices, one whole-stack pass per step (test oracle).
+
+    Per task the k = ceil(k_density · n) largest magnitudes survive, ties
+    at the k-th keeping the lowest indices; signs are elected from the
+    survivors' sum and the agreeing survivors averaged.
+    """
+    stack = np.stack([np.asarray(d, dtype=np.float64) for d in deltas], axis=0)
+    n_tasks = stack.shape[0]
+    flat = stack.reshape(n_tasks, -1)
+    n = flat.shape[1]
+    k = math.ceil(cfg.k_density * n)
+    trimmed = np.zeros_like(flat)
+    for row, out in zip(flat, trimmed) if k > 0 else ():
+        mag = np.abs(row)
+        thr = np.partition(mag, n - k)[n - k]  # k-th largest magnitude
+        keep = mag > thr
+        room = k - np.count_nonzero(keep)
+        keep[np.flatnonzero(mag == thr)[:room]] = True
+        out[keep] = row[keep]
+    elected = np.where(trimmed.sum(axis=0) >= 0.0, 1.0, -1.0)
+    agrees = (np.sign(trimmed) == elected) & (trimmed != 0.0)
+    counts = agrees.sum(axis=0)
+    total = np.where(agrees, trimmed, 0.0).sum(axis=0)
+    merged = np.where(counts > 0, total / np.maximum(counts, 1), 0.0)
+    return (cfg.alpha * merged).reshape(stack.shape[1:])
+
+
+def dare_transform_oracle(delta, cfg, stream=()):
+    """DARE drop of one matrix into a new array (test oracle): the mask is
+    drawn from (seed, *stream), survivors are divided by 1 − dare_p."""
+    delta = np.asarray(delta, dtype=np.float64)
+    p = cfg.dare_p
+    if p == 0.0:
+        return delta.copy()
+    mask = (1 << 64) - 1
+    rng = np.random.default_rng([cfg.seed & mask, *(s & mask for s in stream)])
+    keep = rng.random(delta.shape) >= p
+    return np.where(keep, delta / (1.0 - p), 0.0)
+
+
+def dense_merge_oracle(deltas, cfg, salt=0):
+    """Any dense merge method over a list of matrices (test oracle)."""
+    deltas = [np.asarray(d, dtype=np.float64) for d in deltas]
+    if cfg.method.startswith("dare-"):
+        deltas = [dare_transform_oracle(d, cfg, stream=(i, salt)) for i, d in enumerate(deltas)]
+    if cfg.method == "uniform":
+        return cfg.alpha * sum(deltas) / len(deltas)
+    if cfg.method in ("task-arithmetic", "dare-ta"):
+        return cfg.alpha * sum(deltas)
+    if cfg.method in ("ties", "dare-ties"):
+        return ties_merge_oracle(deltas, cfg)
+    k = math.ceil(cfg.k_density * min(deltas[0].shape))
+    return cfg.alpha * sum(truncated_approx(d, k) for d in deltas)
 
 
 def max_principal_sine(u, v):

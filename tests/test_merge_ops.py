@@ -1,6 +1,7 @@
 """Merge operators against hand-written scalar references."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,15 +16,19 @@ from adapterfuse import (
     dare_transform,
     merge_deltas,
     merge_library,
+    save_library,
     task_arithmetic,
     ties_merge,
     tsv_merge,
     uniform_merge,
 )
+from adapterfuse.cli import main
 from adapterfuse.merge_ops import METHODS, layer_salt
 from adapterfuse.svd_kernel import truncated_approx
 
-from conftest import make_library
+from conftest import dare_transform_oracle, dense_merge_oracle, make_library, ties_merge_oracle
+
+DENSE_METHODS = tuple(m for m in METHODS if m != "cp")
 
 
 def one_layer_library(deltas, order=None):
@@ -297,6 +302,203 @@ class TestMergeLibrary:
         again = merge_library(lib, cfg)
         for layer in lib.layers:
             np.testing.assert_array_equal(out[layer], again[layer])
+
+
+def with_nonzeros(rng, shape, counts):
+    """One matrix per count, each with exactly that many nonzero entries."""
+    mats = []
+    for count in counts:
+        m = np.zeros(math.prod(shape))
+        m[rng.choice(m.size, size=count, replace=False)] = rng.standard_normal(count)
+        mats.append(m.reshape(shape))
+    return mats
+
+
+def signed_zero_grid(rng, n_tasks, shape):
+    """Small integers with magnitude ties everywhere; half the zeros are −0.0."""
+    mats = []
+    for _ in range(n_tasks):
+        m = rng.choice(np.arange(-3, 4), size=shape).astype(float)
+        m[(m == 0) & (rng.random(shape) < 0.5)] = -0.0
+        mats.append(m)
+    return mats
+
+
+def wide_range(rng, n_tasks, shape):
+    """Magnitudes over twelve decades, so any change in summation order shows."""
+    return [rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape)
+            for _ in range(n_tasks)]
+
+
+def oracle_cases():
+    """(id, matrices, MergeConfig fields) covering the byte-equality corners."""
+    rng = np.random.default_rng(77)
+    normal = [rng.standard_normal((12, 10)) for _ in range(4)]
+    return [
+        ("signed-zeros", signed_zero_grid(rng, 3, (16, 16)), dict(k_density=0.3, dare_p=0.5)),
+        ("dare-p0.5", normal, dict(k_density=0.2, dare_p=0.5, seed=3)),
+        ("dare-p0.9", normal, dict(k_density=0.2, dare_p=0.9, seed=4)),
+        # n = 20 entries, k = 5
+        ("below-k-nonzeros", with_nonzeros(rng, (4, 5), (3, 0, 4)), dict(k_density=0.25)),
+        ("exactly-k-nonzeros", with_nonzeros(rng, (4, 5), (5, 5, 5)), dict(k_density=0.25)),
+        ("full-density", normal, dict(k_density=1.0, alpha=-0.7, seed=5)),
+        ("p-zero", normal, dict(dare_p=0.0, alpha=1.3)),
+        ("one-task", normal[:1], dict(k_density=0.4, seed=6)),
+        # one column: numpy sums over many tasks pairwise there, not in
+        # task order; same-signed entries all agree, so every one is summed
+        ("tall-1x1", [np.abs(m) for m in wide_range(rng, 16, (1, 1))], dict(k_density=1.0)),
+        ("tall-1x2", [np.abs(m) for m in wide_range(rng, 16, (1, 2))], dict(k_density=1.0)),
+        # more entries than one elect block holds for 16 tasks
+        ("blocks", wide_range(rng, 16, (64, 65)), dict(k_density=0.6, dare_p=0.3)),
+    ]
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestByteOracles:
+    """Every dense method against the list-based oracles, bit for bit."""
+
+    @pytest.mark.parametrize("method", DENSE_METHODS)
+    @pytest.mark.parametrize("case", oracle_cases(), ids=lambda c: c[0])
+    def test_merge_deltas(self, case, method):
+        _, mats, fields = case
+        cfg = MergeConfig(method=method, **fields)
+        salt = layer_salt("07")
+        assert_same_bytes(merge_deltas(mats, cfg, salt=salt), dense_merge_oracle(mats, cfg, salt))
+
+    @pytest.mark.parametrize("method", DENSE_METHODS)
+    @pytest.mark.parametrize("case", oracle_cases()[:8], ids=lambda c: c[0])
+    @pytest.mark.parametrize("stored", ["dense", "factored"])
+    def test_merge_library(self, stored, case, method):
+        _, mats, fields = case
+        if stored == "dense":
+            lib = dense_library(mats)
+        else:
+            # B = 2I takes the matmul path and keeps the zeros and ties
+            lib = one_layer_library([AdapterDelta("00", m, 2.0 * np.eye(m.shape[1]), 1.5)
+                                     for m in mats])
+        cfg = MergeConfig(method=method, **fields)
+        want = dense_merge_oracle(
+            [lib.deltas[(t, "00")].materialize() for t in lib.tasks], cfg, layer_salt("00"))
+        assert_same_bytes(merge_library(lib, cfg)["00"], want)
+
+    @pytest.mark.parametrize("method", DENSE_METHODS)
+    def test_low_rank_library(self, method):
+        lib = make_library(n_tasks=4, n_layers=2, d_in=9, d_out=7, seed=11, scaling=2.0)
+        cfg = MergeConfig(method=method, k_density=0.3, dare_p=0.6, seed=8)
+        out = merge_library(lib, cfg)
+        for layer in lib.layers:
+            want = dense_merge_oracle(
+                [lib.deltas[(t, layer)].materialize() for t in lib.tasks], cfg, layer_salt(layer))
+            assert_same_bytes(out[layer], want)
+
+    @pytest.mark.parametrize("method", DENSE_METHODS)
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0)])
+    def test_empty_shapes(self, shape, method):
+        cfg = MergeConfig(method=method, dare_p=0.5)
+        mats = [np.zeros(shape)] * 3
+        lib = one_layer_library([AdapterDelta("00", np.zeros((shape[0], 1)),
+                                              np.zeros((shape[1], 1)))] * 3)
+        if method == "tsv":  # no singular value to keep
+            for merge in (lambda: merge_deltas(mats, cfg), lambda: merge_library(lib, cfg)):
+                with pytest.raises(ValueError):
+                    merge()
+            return
+        want = dense_merge_oracle(mats, cfg)
+        assert_same_bytes(merge_deltas(mats, cfg), want)
+        assert_same_bytes(merge_library(lib, cfg)["00"], want)
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 0.9])
+    def test_dare_transform(self, p):
+        rng = np.random.default_rng(3)
+        mats = signed_zero_grid(rng, 1, (9, 11)) + [np.asfortranarray(rng.standard_normal((6, 5)))]
+        cfg = MergeConfig(method="dare-ta", dare_p=p, seed=12)
+        for m in mats:
+            assert_same_bytes(dare_transform(m, cfg, stream=(2, 40)),
+                              dare_transform_oracle(m, cfg, stream=(2, 40)))
+
+    def test_ties_merge(self):
+        rng = np.random.default_rng(4)
+        for kd in (0.1, 0.3, 0.5):
+            mats = signed_zero_grid(rng, 5, (16, 16))
+            cfg = MergeConfig(method="ties", k_density=kd, alpha=0.9)
+            assert_same_bytes(ties_merge(mats, cfg), ties_merge_oracle(mats, cfg))
+
+    def test_public_operators_leave_inputs_unchanged(self):
+        rng = np.random.default_rng(5)
+        mats = signed_zero_grid(rng, 3, (6, 7))
+        before = [m.copy() for m in mats]
+        for method in DENSE_METHODS:
+            cfg = MergeConfig(method=method, dare_p=0.5, k_density=0.3)
+            merge_deltas(mats, cfg)
+        cfg = MergeConfig(method="ties", dare_p=0.5, k_density=0.3)
+        for op in (uniform_merge, task_arithmetic, ties_merge, tsv_merge):
+            op(mats, cfg)
+        dare_transform(mats[0], cfg)
+        for m, b in zip(mats, before):
+            assert_same_bytes(m, b)
+        lib = dense_library(mats)
+        factors = [(d.a.copy(), d.b.copy()) for d in lib.deltas.values()]
+        for method in DENSE_METHODS:
+            merge_library(lib, MergeConfig(method=method))
+        for d, (a, b) in zip(lib.deltas.values(), factors):
+            assert_same_bytes(d.a, a)
+            assert_same_bytes(d.b, b)
+
+
+class TestDenseMergeMemory:
+    @pytest.mark.parametrize("method", ["ties", "dare-ties"])
+    def test_peak_is_one_layer_stack_plus_scratch(self, method):
+        # two layers of 8 dense-stored 512×512 deltas: each layer's stack
+        # is 16 MiB, and the first must be freed before the second is filled
+        rng = np.random.default_rng(0)
+        eye = np.eye(512)
+        layers = ("00", "01")
+        lib = AdapterLibrary(
+            tasks=tuple(str(i) for i in range(8)), layers=layers,
+            deltas={(str(i), l): AdapterDelta(l, rng.standard_normal((512, 512)), eye)
+                    for i in range(8) for l in layers})
+        stack_bytes = 8 * 512 * 512 * 8
+        tracemalloc.start()
+        try:
+            merge_library(lib, MergeConfig(method=method))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * stack_bytes
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("method", DENSE_METHODS)
+    def test_overflowing_product_rejected(self, method):
+        fine = AdapterDelta("00", np.ones((4, 2)), np.ones((3, 2)))
+        huge = AdapterDelta("00", np.full((4, 2), 1e200), np.full((3, 2), 1e200))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="delta 1 has non-finite entries"):
+                merge_library(one_layer_library([fine, huge]), MergeConfig(method=method))
+
+    @pytest.mark.parametrize("method", DENSE_METHODS)
+    def test_overflowing_product_is_exit_2(self, method, tmp_path, capsys):
+        # float32 storage caps the factors, so the scaling overflows the product
+        path = tmp_path / "huge.alib"
+        save_library(one_layer_library([
+            AdapterDelta("00", np.full((4, 2), 1e30), np.full((3, 2), 1e30), 1e300)]), path)
+        with np.errstate(over="ignore"):
+            rc = main(["merge", "--library", str(path), "--method", method,
+                       "--out", str(tmp_path / "m.alib")])
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "m.alib").exists()
+
+    def test_overflowing_dare_rescale_rejected(self):
+        mats = [np.ones((2, 2)), np.full((2, 2), 1e308)]
+        for method in ("dare-ties", "dare-ta"):
+            with np.errstate(over="ignore"):
+                with pytest.raises(ValueError, match="delta 1 has non-finite entries"):
+                    merge_deltas(mats, MergeConfig(method=method, dare_p=0.9))
 
 
 class TestMergeConfig:
