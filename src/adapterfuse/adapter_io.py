@@ -11,7 +11,12 @@ A directory of ``task_<id>/layer_<id>.bin`` files (each a one-entry
 container in the same format) is accepted on load for interoperability
 with external export scripts.
 
-Factors live on disk as float32 and are widened to float64 in memory.
+Factors live on disk as float32 and stay float32 in memory: a loaded
+AdapterDelta holds read-only views of the CRC-checked payload, which
+starts on a 64-byte file offset so the views are aligned (a file
+written before that padding has its tensors copied once into aligned
+arrays).  Every consumer widens them to float64 once, into the buffer
+it computes in.
 """
 
 from __future__ import annotations
@@ -25,13 +30,25 @@ import numpy as np
 
 from .containers import read_alib, read_array, require_keys, write_alib
 from .errors import ContainerFormatError, SchemaError
+from .tensor_core import all_finite
 
 _DTYPE = "<f4"
 
 
+def _factor(x) -> np.ndarray:
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else np.asarray(x, dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class AdapterDelta:
-    """One layer's low-rank update Δ = s·A·Bᵀ (A: d_in×r, B: d_out×r)."""
+    """One layer's low-rank update Δ = s·A·Bᵀ (A: d_in×r, B: d_out×r).
+
+    Factors are kept as float32 when given as float32 (load_library
+    gives read-only float32 views of the file's payload) and as float64
+    otherwise; materialize and every other consumer widen them to
+    float64 before any arithmetic, so both give the same bytes.
+    """
 
     layer_id: str
     a: np.ndarray
@@ -39,8 +56,8 @@ class AdapterDelta:
     scaling_s: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=np.float64))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
+        object.__setattr__(self, "a", _factor(self.a))
+        object.__setattr__(self, "b", _factor(self.b))
         if self.a.ndim != 2 or self.b.ndim != 2:
             raise ValueError("factors a and b must be matrices")
         if self.a.shape[1] != self.b.shape[1]:
@@ -50,7 +67,7 @@ class AdapterDelta:
             )
         if self.a.shape[1] < 1:
             raise ValueError("factor rank must be ≥ 1")
-        if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b))):
+        if not (all_finite(self.a) and all_finite(self.b)):
             raise ValueError(f"delta {self.layer_id!r}: non-finite factor entries")
         if not 1.0 <= self.scaling_s < math.inf:
             raise ValueError(f"scaling_s must be finite and ≥ 1, got {self.scaling_s}")
@@ -77,10 +94,13 @@ class AdapterDelta:
         b = self.b
         n = b.shape[0]
         if b.shape[1] == n and np.count_nonzero(b) == n and np.all(b.diagonal() == 1.0):
-            np.multiply(self.scaling_s, self.a, out=out)
+            np.copyto(out, self.a)
+            if self.scaling_s != 1.0:
+                out *= self.scaling_s
             out += 0.0  # as A @ I would: −0.0 becomes +0.0
         else:
-            np.matmul(self.a, b.T, out=out)
+            wide_a, wide_b = (x.astype(np.float64, copy=False) for x in (self.a, b))
+            np.matmul(wide_a, wide_b.T, out=out)
             out *= self.scaling_s
         return out
 
@@ -243,7 +263,7 @@ def export_merged(merged: dict, path, meta: dict | None = None) -> None:
         if m.ndim != 2:
             raise ValueError(f"merged delta for layer {layer!r} is not a matrix")
         deltas[("merged", layer)] = AdapterDelta(
-            layer_id=layer, a=m, b=np.eye(m.shape[1]), scaling_s=1.0
+            layer_id=layer, a=m, b=np.eye(m.shape[1], dtype=np.float32), scaling_s=1.0
         )
     lib = AdapterLibrary(
         tasks=("merged",), layers=layers, deltas=deltas, meta=dict(meta or {})

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage or input error, 1 internal failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -237,6 +238,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: in-process callers run main many times
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="adapterfuse",

@@ -4,7 +4,9 @@ ALIB framing (`.alib`): magic ``ALIB``, little-endian u16 version, u32
 index length, the JSON index, then a payload whose length and CRC32 the
 index records.  JSON-header-line framing (`.cpf`, `.truth`, `.emb`): a
 JSON object tagged with its ``format``, a newline, then a payload.
-Headers carry sorted keys, so equal inputs give equal bytes.  A header
+Headers carry sorted keys, so equal inputs give equal bytes, and end
+in space padding (which JSON ignores) so the payload starts at a
+64-byte file offset and its arrays load as aligned views.  A header
 ``dtype`` must be the format's constant.  The format modules name their
 own keys (require_keys) and arrays (read_array).
 """
@@ -26,6 +28,7 @@ from .errors import ChecksumError, ContainerFormatError
 ALIB_MAGIC = b"ALIB"
 ALIB_VERSION = 1
 _ALIB_PREFIX = struct.Struct("<4sHI")  # magic, version, index length
+PAYLOAD_ALIGN = 64  # writers pad headers so payloads start at a multiple of this
 
 
 def atomic_write(path, chunks) -> None:
@@ -71,9 +74,13 @@ def require_keys(header, keys: dict, path) -> list:
 
 
 def read_array(payload, dtype: str, shape, offset, what: str, path) -> np.ndarray:
-    """A read-only view of the dtype array of this shape at a payload offset.
+    """A read-only, aligned array of this dtype and shape at a payload offset.
 
     The shape must be non-negative ints and the span must lie in payload.
+    It is a view of payload when that is aligned for the dtype, as in
+    every file written with padded headers (_padded); otherwise a copy,
+    since numpy runs slow unaligned loops on every use of an unaligned
+    view.
     """
     if not isinstance(shape, (list, tuple)) or not all(
         isinstance(n, int) and n >= 0 for n in shape
@@ -87,7 +94,11 @@ def read_array(payload, dtype: str, shape, offset, what: str, path) -> np.ndarra
             f"{path}: {what} at offset {offset} overruns the {len(payload)}-byte "
             "payload (truncated or bad offset)"
         )
-    return np.frombuffer(payload, dtype=dtype, count=count, offset=offset).reshape(shape)
+    arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset).reshape(shape)
+    if not arr.flags.aligned:  # written before headers were padded
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
 
 
 def require_end(payload, end: int, path) -> None:
@@ -113,14 +124,30 @@ def _parse_header(blob, path, fmt, dtype) -> dict:
     return header
 
 
+def _padded(blob: bytes, start: int, end: bytes = b"") -> bytes:
+    """blob + spaces + end, so that what follows it starts on a PAYLOAD_ALIGN boundary.
+
+    JSON ignores the spaces; the payload's arrays then load as aligned views.
+    """
+    pad = -(start + len(blob) + len(end)) % PAYLOAD_ALIGN
+    return blob + b" " * pad + end
+
+
 def write_alib(path, index: dict, chunks) -> None:
-    """Write an ALIB container whose payload is the concatenated chunks."""
-    payload = b"".join(chunks)
-    crc = zlib.crc32(payload)
-    index = {**index, "payload_bytes": len(payload), "payload_crc32": crc}
-    blob = json.dumps(index, sort_keys=True).encode("utf-8")
+    """Write an ALIB container whose payload is the concatenated chunks.
+
+    The chunks (bytes or C-contiguous arrays) are checksummed and written
+    one by one, never joined into one payload-sized copy.
+    """
+    chunks = list(chunks)
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    size = sum(memoryview(chunk).nbytes for chunk in chunks)
+    index = {**index, "payload_bytes": size, "payload_crc32": crc}
+    blob = _padded(json.dumps(index, sort_keys=True).encode("utf-8"), _ALIB_PREFIX.size)
     prefix = _ALIB_PREFIX.pack(ALIB_MAGIC, ALIB_VERSION, len(blob))
-    atomic_write(path, [prefix, blob, payload])
+    atomic_write(path, [prefix, blob, *chunks])
 
 
 def read_alib(path, dtype: str) -> tuple:
@@ -149,7 +176,8 @@ def read_alib(path, dtype: str) -> tuple:
 
 def write_framed(path, header: dict, chunks) -> None:
     """Write a JSON header line, then the chunks as the payload."""
-    atomic_write(path, [json.dumps(header, sort_keys=True).encode("utf-8") + b"\n", *chunks])
+    line = _padded(json.dumps(header, sort_keys=True).encode("utf-8"), 0, b"\n")
+    atomic_write(path, [line, *chunks])
 
 
 def read_framed(path, fmt: str, dtype: str) -> tuple:

@@ -321,8 +321,9 @@ def cp_als_factored(deltas, R: int, opts: AlsOptions | None = None) -> CPFactors
     shrink_a, shrink_b = (sum(ranks) < dim for dim in shape[:2])
     if not (shrink_a or shrink_b):
         return cp_als(stack_slices(d.materialize() for d in deltas), R, opts)
-    a = np.hstack([d.scaling_s * d.a for d in deltas])
-    b = np.hstack([d.b for d in deltas])
+    # float32 factors widen here: under NEP 50, s · float32 stays float32
+    a = np.hstack([np.multiply(d.scaling_s, d.a, dtype=np.float64) for d in deltas])
+    b = np.hstack([d.b for d in deltas], dtype=np.float64)
     qa, ra = np.linalg.qr(a) if shrink_a else (None, a)
     qb, rb = np.linalg.qr(b) if shrink_b else (None, b)
     ends = np.cumsum(ranks)

@@ -32,6 +32,7 @@ from . import kvconfig
 from .cp_decomposition import AlsOptions, cp_als_factored, cp_merge
 from .errors import ShapeMismatchError
 from .svd_kernel import truncated_approx
+from .tensor_core import all_finite
 
 METHODS = ("uniform", "task-arithmetic", "ties", "dare-ties", "dare-ta", "tsv", "cp")
 
@@ -103,9 +104,7 @@ class MergeConfig:
 
 
 def _require_finite(delta, i) -> None:
-    # a finite sum proves every entry finite; only an overflowing sum
-    # needs the entrywise test
-    if not (math.isfinite(delta.sum()) or np.all(np.isfinite(delta))):
+    if not all_finite(delta):
         raise ValueError(f"delta {i} has non-finite entries")
 
 
@@ -202,7 +201,11 @@ def _trim(row, k, mag, nonzero_mag, flags) -> None:
     nnz = np.count_nonzero(nonzero)
     if nnz <= k:
         return
-    top = np.compress(nonzero, mag, out=nonzero_mag[:nnz])
+    top = nonzero_mag[:nnz]
+    if nnz == len(mag):  # compress over an all-true mask is a slow copy
+        np.copyto(top, mag)
+    else:
+        np.compress(nonzero, mag, out=top)
     top.partition(nnz - k)
     thr = top[nnz - k]
     keep = np.greater_equal(mag, thr, out=flags)

@@ -285,6 +285,8 @@ def save_truth(layer_sums: dict, path) -> None:
 
 
 def load_truth(path) -> dict:
+    """{layer: exact planted sum} as read-only float64 arrays, views of the
+    payload unless the file predates header padding (read_array)."""
     header, payload = read_framed(path, "truth", _TRUTH_DTYPE)
     _, layers, shapes = require_keys(
         header, {"dtype": object, "layers": list, "shapes": list}, path
@@ -299,7 +301,7 @@ def load_truth(path) -> dict:
         if str(layer) in out:
             raise ContainerFormatError(f"{path}: header repeats layer {layer!r}")
         arr = read_array(payload, _TRUTH_DTYPE, shape, offset, f"layer {layer!r}", path)
-        out[str(layer)] = arr.astype(np.float64)
+        out[str(layer)] = arr
         offset += arr.nbytes
     require_end(payload, offset, path)
     return out

@@ -15,6 +15,8 @@ columns with the earlier mode varying fastest.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ShapeMismatchError
@@ -83,3 +85,12 @@ def frobenius_norm(t) -> float:
     """sqrt of the sum of squared entries of a matrix or tensor."""
     a = np.asarray(t, dtype=np.float64)
     return float(np.sqrt(np.sum(a * a)))
+
+
+def all_finite(x) -> bool:
+    """True when every entry of the array x is finite.
+
+    A finite sum proves it without an array of flags; only a sum that
+    overflows, or meets a nan or inf, needs the entrywise test.
+    """
+    return math.isfinite(x.sum()) or bool(np.all(np.isfinite(x)))

@@ -74,6 +74,11 @@ def dense_merge_oracle(deltas, cfg, salt=0):
     return cfg.alpha * sum(truncated_approx(d, k) for d in deltas)
 
 
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def max_principal_sine(u, v):
     """Sine of the largest principal angle between the column spaces of
     orthonormal u and v (test oracle): ‖v − u·uᵀ·v‖₂."""

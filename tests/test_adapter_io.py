@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -17,9 +18,14 @@ from adapterfuse import (
     load_library,
     save_library,
 )
-from adapterfuse.containers import ALIB_MAGIC, ALIB_VERSION, write_alib
+from adapterfuse.cli import main
+from adapterfuse.containers import ALIB_MAGIC, ALIB_VERSION, PAYLOAD_ALIGN, write_alib
+from adapterfuse.cp_decomposition import AlsOptions, cp_als_factored
+from adapterfuse.interference import layer_profile
+from adapterfuse.merge_ops import METHODS, MergeConfig, merge_library
+from adapterfuse.synth import PlantedSpec, gen_planted_library
 
-from conftest import edit_alib_index, make_library
+from conftest import assert_same_bytes, edit_alib_index, make_library
 
 
 class TestAdapterDelta:
@@ -97,7 +103,8 @@ class TestSingleFileContainer:
             bd = back.deltas[key]
             assert bd.scaling_s == 1.25  # repr round trip is exact
             np.testing.assert_array_equal(bd.a, d.a.astype(np.float32))
-            assert bd.a.dtype == np.float64
+            for f in (bd.a, bd.b):  # float32 as stored, a read-only view
+                assert f.dtype == np.float32 and not f.flags.writeable
 
     def test_scaling_repr_survives(self, tmp_path, rng):
         # 1.1 has no exact binary form; repr must still round trip the double
@@ -345,3 +352,118 @@ class TestExportMerged:
     def test_rejects_non_matrix(self, tmp_path):
         with pytest.raises(ValueError):
             export_merged({"00": np.zeros(3)}, tmp_path / "x.alib")
+
+
+def payload_start(path) -> int:
+    return 10 + struct.unpack_from("<I", path.read_bytes(), 6)[0]
+
+
+def widened(lib) -> AdapterLibrary:
+    """The library with every factor copied to float64."""
+    return AdapterLibrary(lib.tasks, lib.layers, {
+        key: AdapterDelta(d.layer_id, d.a.astype(np.float64), d.b.astype(np.float64),
+                          d.scaling_s)
+        for key, d in lib.deltas.items()})
+
+
+def resident_libraries(tmp_path):
+    """(id, loaded float32-resident library): factored with s ≠ 1, dense-stored
+    (B = I) with s = 1 and s ≠ 1."""
+    factored = make_library(n_tasks=3, n_layers=2, d_in=9, d_out=7, rank=2, seed=5,
+                            scaling=1.25)
+    noisy, _ = gen_planted_library(PlantedSpec(n_tasks=3, d_in=10, d_out=8, rank_shared=1,
+                                               rank_specific=1, noise_sigma=0.05, seed=2,
+                                               n_layers=2))
+    scaled = AdapterLibrary(noisy.tasks, noisy.layers, {
+        key: AdapterDelta(d.layer_id, d.a, d.b, 1.5) for key, d in noisy.deltas.items()})
+    out = []
+    for name, lib in (("factored", factored), ("dense", noisy), ("dense-scaled", scaled)):
+        p = tmp_path / f"{name}.alib"
+        save_library(lib, p)
+        out.append((name, load_library(p)))
+    return out
+
+
+class TestFloat32Factors:
+    """Loaded factors stay float32; every consumer widens them to the same bytes."""
+
+    def test_payload_aligned_and_factors_are_readonly_float32(self, tmp_path):
+        for _, lib in resident_libraries(tmp_path):
+            for d in lib.deltas.values():
+                for f in (d.a, d.b):
+                    assert f.dtype == np.float32
+                    assert f.flags.aligned and not f.flags.writeable
+        for p in tmp_path.glob("*.alib"):
+            assert payload_start(p) % PAYLOAD_ALIGN == 0
+
+    def test_legacy_unpadded_file_loads_aligned_copies(self, tmp_path):
+        p = tmp_path / "lib.alib"
+        save_library(make_library(seed=2, scaling=1.5), p)
+        want = load_library(p)
+        # rewrite the index unpadded, one byte longer each time, until the
+        # payload sits off every float32 boundary
+        pad = ""
+        while payload_start(p) % 4 == 0:
+            pad += " "
+            edit_alib_index(p, lambda index: {**index, "meta": {"pad": pad}})
+        back = load_library(p)
+        for key, d in want.deltas.items():
+            for got, exp in ((back.deltas[key].a, d.a), (back.deltas[key].b, d.b)):
+                assert_same_bytes(got, exp)
+                assert got.flags.aligned and not got.flags.writeable
+
+    def test_materialize(self, tmp_path):
+        for _, lib in resident_libraries(tmp_path):
+            for key, d in widened(lib).deltas.items():
+                assert_same_bytes(lib.deltas[key].materialize(), d.materialize())
+                out = np.empty((d.d_in, d.d_out))
+                assert_same_bytes(lib.deltas[key].materialize(out=out), d.materialize())
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_merge_library(self, method, tmp_path):
+        cfg = MergeConfig(method=method, cp_rank=2, k_density=0.3, dare_p=0.4, seed=3)
+        for _, lib in resident_libraries(tmp_path):
+            got, want = merge_library(lib, cfg), merge_library(widened(lib), cfg)
+            for layer in lib.layers:
+                assert_same_bytes(got[layer], want[layer])
+
+    def test_layer_profile(self, tmp_path):
+        for _, lib in resident_libraries(tmp_path):
+            assert layer_profile(lib, k=1, R=2) == layer_profile(widened(lib), k=1, R=2)
+
+    def test_cp_fit(self, tmp_path):
+        for _, lib in resident_libraries(tmp_path):
+            wide = widened(lib)
+            for layer in lib.layers:
+                got, want = (cp_als_factored([x.deltas[(t, layer)] for t in x.tasks], 2,
+                                             AlsOptions(seed=1)) for x in (lib, wide))
+                for name in ("lam", "a_task", "b_row", "c_col"):
+                    assert_same_bytes(getattr(got, name), getattr(want, name))
+
+    def test_compress_command(self, tmp_path, monkeypatch, capsys):
+        for name, lib in resident_libraries(tmp_path):
+            outputs = []
+            for side in (lib, widened(lib)):
+                monkeypatch.setattr("adapterfuse.cli.load_library", lambda path, side=side: side)
+                out = tmp_path / f"{name}-{len(outputs)}"
+                assert main(["compress", "--library", "unused", "--cp-rank", "2",
+                             "--task", "1", "--out", str(out)]) == 0
+                text = capsys.readouterr().out.replace(str(out), "OUT")
+                files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+                outputs.append((text, files))
+            assert outputs[0] == outputs[1]
+
+    def test_save_writes_the_views_without_a_payload_copy(self, tmp_path):
+        lib = make_library(n_tasks=2, n_layers=2, d_in=256, d_out=256, rank=64, seed=1)
+        p, q = tmp_path / "a.alib", tmp_path / "b.alib"
+        save_library(lib, p)
+        loaded = load_library(p)
+        payload = len(p.read_bytes()) - payload_start(p)
+        tracemalloc.start()
+        try:
+            save_library(loaded, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q.read_bytes() == p.read_bytes()
+        assert peak < payload // 4

@@ -19,7 +19,7 @@ from adapterfuse import (
     save_library,
 )
 from adapterfuse.clustering import load_manifest, save_manifest
-from adapterfuse.cli import main
+from adapterfuse.cli import build_parser, main
 
 from conftest import blob_points, drop_header_key, edit_alib_index, edit_header, make_library
 
@@ -401,6 +401,24 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["merge", "--library", "x", "--method", "blend", "--out", "y"])
         assert exc.value.code == 2
+
+    def test_parser_built_once_and_reused(self, tmp_path, lib_path, capsys):
+        assert build_parser() is build_parser()
+        out = tmp_path / "m.alib"
+        assert main(["merge", "--library", str(lib_path), "--method", "uniform",
+                     "--out", str(out)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["merge", "--library", str(lib_path), "--method", "blend", "--out", "y"])
+        assert exc.value.code == 2
+        assert main(["interfere", "--library", str(lib_path), "--k", "1",
+                     "--cp-rank", "2"]) == 0
+        # no option of the earlier calls leaks into this one
+        assert main(["merge", "--library", str(lib_path), "--method", "ties",
+                     "--out", str(out)]) == 0
+        assert load_library(out).meta["method"] == "ties"
+        assert main(["interfere", "--library", str(lib_path), "--k", "0",
+                     "--cp-rank", "2"]) == 2
+        assert "--k must be" in capsys.readouterr().err
 
     def test_console_script_help(self):
         proc = subprocess.run(

@@ -14,6 +14,7 @@ from adapterfuse import (
     MergeConfig,
     ShapeMismatchError,
     dare_transform,
+    load_library,
     merge_deltas,
     merge_library,
     save_library,
@@ -26,7 +27,13 @@ from adapterfuse.cli import main
 from adapterfuse.merge_ops import METHODS, layer_salt
 from adapterfuse.svd_kernel import truncated_approx
 
-from conftest import dare_transform_oracle, dense_merge_oracle, make_library, ties_merge_oracle
+from conftest import (
+    assert_same_bytes,
+    dare_transform_oracle,
+    dense_merge_oracle,
+    make_library,
+    ties_merge_oracle,
+)
 
 DENSE_METHODS = tuple(m for m in METHODS if m != "cp")
 
@@ -350,12 +357,11 @@ def oracle_cases():
         ("tall-1x2", [np.abs(m) for m in wide_range(rng, 16, (1, 2))], dict(k_density=1.0)),
         # more entries than one elect block holds for 16 tasks
         ("blocks", wide_range(rng, 16, (64, 65)), dict(k_density=0.6, dare_p=0.3)),
+        # rows with no zeros (the trim skips compress), ~85 entries of
+        # magnitude 3 per row against k = 77: ties at the threshold
+        ("zero-free-ties", [m + np.sign(m + 0.5) * (m == 0) for m in
+                            signed_zero_grid(rng, 4, (16, 16))], dict(k_density=0.3)),
     ]
-
-
-def assert_same_bytes(got, want):
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
 
 
 class TestByteOracles:
@@ -469,6 +475,27 @@ class TestDenseMergeMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * stack_bytes
+
+    def test_load_and_merge_peak_is_payload_plus_two_stacks(self, tmp_path):
+        # the loaded factors are views of the 32 MiB payload: no float64
+        # copy of the library is alive beside the layer stack
+        rng = np.random.default_rng(1)
+        eye = np.eye(512)
+        layers = ("00", "01")
+        path = tmp_path / "dense.alib"
+        save_library(AdapterLibrary(
+            tasks=tuple(str(i) for i in range(8)), layers=layers,
+            deltas={(str(i), l): AdapterDelta(l, rng.standard_normal((512, 512)), eye)
+                    for i in range(8) for l in layers}), path)
+        payload_bytes = 2 * 8 * 2 * 512 * 512 * 4
+        stack_bytes = 8 * 512 * 512 * 8
+        tracemalloc.start()
+        try:
+            merge_library(load_library(path), MergeConfig(method="dare-ties"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < payload_bytes + 2 * stack_bytes
 
 
 class TestOverflow:

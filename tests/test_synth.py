@@ -187,6 +187,24 @@ class TestTruthContainer:
             # float64 payload: bit exact
             np.testing.assert_array_equal(back[layer], m)
 
+    def test_layers_are_aligned_readonly_views(self, tmp_path, rng):
+        sums = {"00": rng.standard_normal((4, 5)), "01": rng.standard_normal((3, 2))}
+        p = tmp_path / "x.truth"
+        save_truth(sums, p)
+        assert p.read_bytes().index(b"\n") % 64 == 63  # the payload starts on 64
+        for legacy in (False, True):
+            # a file written without header padding, its payload off every
+            # float64 boundary, loads aligned copies
+            pad = ""
+            while legacy and (p.read_bytes().index(b"\n") + 1) % 8 == 0:
+                pad += "x"
+                edit_header(p, lambda h: h.update(pad=pad))
+            back = load_truth(p)
+            for layer, m in sums.items():
+                assert back[layer].dtype == np.float64
+                assert back[layer].tobytes() == m.tobytes()
+                assert back[layer].flags.aligned and not back[layer].flags.writeable
+
     def test_bad_header(self, tmp_path):
         p = tmp_path / "x.truth"
         p.write_bytes(b"nope\n")
