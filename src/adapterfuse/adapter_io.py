@@ -84,24 +84,33 @@ class AdapterDelta:
     def rank(self) -> int:
         return self.a.shape[1]
 
+    @property
+    def dense_stored(self) -> bool:
+        """B is the identity, so Δ = s·A needs no matmul."""
+        b = self.b
+        n = b.shape[0]
+        return b.shape[1] == n and np.count_nonzero(b) == n and bool(np.all(b.diagonal() == 1.0))
+
     def materialize(self, out=None) -> np.ndarray:
         """s·A·Bᵀ, written into `out` (a d_in×d_out float64 array) when given.
 
-        A dense-stored delta (B the identity) skips the matmul.
+        A dense-stored delta skips the matmul.
         """
         if out is None:
             out = np.empty((self.d_in, self.d_out))
-        b = self.b
-        n = b.shape[0]
-        if b.shape[1] == n and np.count_nonzero(b) == n and np.all(b.diagonal() == 1.0):
-            np.copyto(out, self.a)
-            if self.scaling_s != 1.0:
-                out *= self.scaling_s
-            out += 0.0  # as A @ I would: −0.0 becomes +0.0
-        else:
-            wide_a, wide_b = (x.astype(np.float64, copy=False) for x in (self.a, b))
-            np.matmul(wide_a, wide_b.T, out=out)
+        if self.dense_stored:
+            return self.copy_dense(out)
+        wide_a, wide_b = (x.astype(np.float64, copy=False) for x in (self.a, self.b))
+        np.matmul(wide_a, wide_b.T, out=out)
+        out *= self.scaling_s
+        return out
+
+    def copy_dense(self, out) -> np.ndarray:
+        """s·A written into `out`: Δ of a delta already known to be dense-stored."""
+        np.copyto(out, self.a)
+        if self.scaling_s != 1.0:
             out *= self.scaling_s
+        out += 0.0  # as A @ I would: −0.0 becomes +0.0
         return out
 
 
@@ -158,7 +167,13 @@ def save_library(lib: AdapterLibrary, path) -> None:
             d = lib.deltas[(task, layer)]
             rec = {"task": task, "layer": layer, "s": repr(float(d.scaling_s))}
             for name in ("a", "b"):
-                arr = np.ascontiguousarray(getattr(d, name), dtype=_DTYPE)
+                with np.errstate(over="ignore"):
+                    arr = np.ascontiguousarray(getattr(d, name), dtype=_DTYPE)
+                    fits = all_finite(arr)  # the factors are finite: else the cast overflowed
+                if not fits:
+                    raise ValueError(
+                        f"delta ({task}, {layer}): factor {name} exceeds the float32 range"
+                    )
                 rec[name] = {"shape": list(arr.shape), "offset": offset}
                 chunks.append(arr)
                 offset += arr.nbytes

@@ -7,16 +7,25 @@ layer salt), so a layer's merge does not depend on which layers were
 merged before it.
 
 The dense methods run on one float64 stack of shape (N, d_in, d_out)
-per layer.  merge_library materializes each task's s·A·Bᵀ straight into
-its slice (merge_deltas and the list operators copy their inputs into a
-new stack, so callers' arrays are never written), checks each slice is
-finite, and frees the stack before the next layer's is filled.  DARE
-drops and rescales each slice in place, reusing one noise buffer per
-layer.  The TIES trim zeroes each task's row in place; its threshold is
-the k-th largest nonzero magnitude, and a row with at most k nonzeros
-is left as it is.  Sign election and the agreeing mean run over column
-blocks small enough for a core's cache instead of whole-stack
-temporaries.  Every method returns the same bytes as the list-based
+per layer, on every core through blas.task_map.  One job per task fills
+its slice (merge_library copies a dense-stored delta there and makes a
+product in the calling thread beforehand; merge_deltas and the list
+operators copy their inputs, so callers' arrays are never written),
+checks it is finite, then drops (DARE) and trims (TIES) it in place.
+No job writes another task's slice.  DARE draws its noise in blocks of
+_BLOCK entries from the (seed, task, layer) stream, which reproduces
+one draw over the slice.  The TIES trim's threshold is the k-th largest
+nonzero magnitude, selected in one float64 row of scratch (which also
+holds the noise block), and a row with at most k nonzeros is left as it
+is.  The reductions over tasks (sign election with the agreeing mean,
+and the task sum) then run one job per column block, adding in task
+order within each column.  Each stage uses as many workers as the
+scratch of the serial code fits (_workers_within): 17 bytes per layer
+entry for TIES (two float64 rows and a bool row), 8 for DARE's noise
+row, so more cores never raise the peak memory.  A stack below _BLOCK
+entries is merged in the calling thread, and the stack is freed before
+the next layer's is filled.  Every method returns the same bytes
+whatever the number of workers, and the same as the list-based
 operators it replaced (tests/conftest.py keeps those as oracles).
 """
 
@@ -29,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kvconfig
+from .blas import task_map
 from .cp_decomposition import AlsOptions, cp_als_factored, cp_merge
 from .errors import ShapeMismatchError
 from .svd_kernel import truncated_approx
@@ -108,8 +118,8 @@ def _require_finite(delta, i) -> None:
         raise ValueError(f"delta {i} has non-finite entries")
 
 
-def _stack_deltas(deltas) -> np.ndarray:
-    """Validate a list of same-shape finite matrices and copy them into one stack."""
+def _as_matrices(deltas) -> list:
+    """A list of same-shape matrices as float64 arrays, shapes checked."""
     deltas = [np.asarray(d, dtype=np.float64) for d in deltas]
     if not deltas:
         raise ValueError("need at least one delta")
@@ -121,71 +131,45 @@ def _stack_deltas(deltas) -> np.ndarray:
             raise ShapeMismatchError(
                 f"delta {i} has shape {d.shape}, expected {shape}"
             )
-        _require_finite(d, i)
-    return np.stack(deltas)
+    return deltas
 
 
-def _fill_stack(layer) -> np.ndarray:
-    """One layer's factored deltas materialized straight into a new stack."""
-    stack = np.empty((len(layer), layer[0].d_in, layer[0].d_out))
-    for i, d in enumerate(layer):
-        _require_finite(d.materialize(out=stack[i]), i)  # s·A·Bᵀ can overflow
-    return stack
+# Elements per block of DARE's noise and of the trim's passes: a block
+# and its temporaries stay in a core's L2 cache.  A stack below one block
+# is merged inline.
+_BLOCK = 1 << 15
+# Stack elements per column block of the reductions over tasks.  Larger:
+# each block costs a dozen numpy calls, and two workers wait on each
+# other for the GIL between calls.
+_COLUMN_BLOCK = 1 << 17
 
 
-def _task_sum(stack) -> np.ndarray:
-    """Σ over tasks, added in task order into a new array."""
-    total = stack[0] + 0.0  # as sum() starts from 0: −0.0 becomes +0.0
-    for delta in stack[1:]:
-        total += delta
-    return total
+def _dare(row, cfg, stream, noise) -> None:
+    """DARE on one flattened matrix in place; `noise` is float64 scratch.
 
-
-def _task_arithmetic(stack, cfg):
-    total = _task_sum(stack)
-    total *= cfg.alpha
-    return total
-
-
-def _uniform(stack, cfg):
-    total = _task_arithmetic(stack, cfg)
-    total /= len(stack)
-    return total
-
-
-def _tsv(stack, cfg):
-    k = math.ceil(cfg.k_density * min(stack.shape[1:]))
-    for delta in stack:
-        delta[...] = truncated_approx(delta, k)
-    return _task_arithmetic(stack, cfg)
-
-
-def _dare(delta, cfg, stream, noise) -> None:
-    """DARE on one matrix in place; `noise` is float64 scratch of its shape."""
+    The noise is drawn block by block into `noise`, which reproduces one
+    draw over the whole row.
+    """
     p = cfg.dare_p
     if p == 0.0:
         return
     rng = np.random.default_rng([cfg.seed & _SEED_MASK, *(s & _SEED_MASK for s in stream)])
-    rng.random(out=noise)
-    np.divide(delta, 1.0 - p, out=delta)
-    # AND with all-ones keeps a survivor's bits (−0.0 included) and AND
-    # with zero leaves +0.0, as np.where(keep, delta, 0.0) would, with no
-    # branch per entry; the noise is dead once compared, so it holds the mask
-    keep = noise >= p
-    mask = noise.view(np.int64)
-    np.negative(keep.view(np.int8), out=mask)
-    bits = delta.view(np.int64)
-    np.bitwise_and(bits, mask, out=bits)
+    for j0 in range(0, len(row), len(noise)):
+        part = row[j0 : j0 + len(noise)]
+        block = noise[: len(part)]
+        rng.random(out=block)
+        np.divide(part, 1.0 - p, out=part)
+        # AND with all-ones keeps a survivor's bits (−0.0 included) and AND
+        # with zero leaves +0.0, as np.where(keep, delta, 0.0) would, with no
+        # branch per entry; the noise is dead once compared, so it holds the mask
+        keep = block >= p
+        mask = block.view(np.int64)
+        np.negative(keep.view(np.int8), out=mask)
+        bits = part.view(np.int64)
+        np.bitwise_and(bits, mask, out=bits)
 
 
-def _dare_stack(stack, cfg, salt) -> None:
-    noise = np.empty(stack.shape[1:])
-    for i, delta in enumerate(stack):
-        _dare(delta, cfg, (i, salt), noise)
-        _require_finite(delta, i)  # dividing by 1 − p can overflow
-
-
-def _trim(row, k, mag, nonzero_mag, flags) -> None:
+def _trim(row, k, buf, flags) -> None:
     """TIES trim of one flattened delta in place: keep its k largest magnitudes.
 
     A row with at most k nonzeros keeps them all and its zeros are
@@ -193,75 +177,187 @@ def _trim(row, k, mag, nonzero_mag, flags) -> None:
     k-th largest magnitude, selected among the nonzero ones: selection
     over a row that DARE left half zeros degenerates on the run of equal
     zeros.  Magnitude ties at the threshold keep the lowest indices.
-    `mag`, `nonzero_mag` (float64) and `flags` (bool) are scratch of the
-    row's length.
+    `buf` is float64 scratch of the row's length, `flags` bool scratch
+    of min(length, _BLOCK); the row is read block by block, because
+    np.compress over the whole row allocates its index array, 8 bytes
+    per nonzero.
     """
-    np.abs(row, out=mag)
-    nonzero = np.not_equal(mag, 0.0, out=flags)
-    nnz = np.count_nonzero(nonzero)
+    n = len(row)
+    # (part, its flags, scratch for its magnitudes); a row of one block
+    # takes no slices, which cost as much as its numpy calls
+    blocks = ([(row, flags, buf)] if n <= _BLOCK else
+              [(row[j0 : j0 + _BLOCK], flags[: min(_BLOCK, n - j0)], buf[: min(_BLOCK, n - j0)])
+               for j0 in range(0, n, _BLOCK)])
+    nnz = 0
+    for part, part_flags, _ in blocks:
+        nnz += np.count_nonzero(np.not_equal(part, 0.0, out=part_flags))
     if nnz <= k:
         return
-    top = nonzero_mag[:nnz]
-    if nnz == len(mag):  # compress over an all-true mask is a slow copy
-        np.copyto(top, mag)
+    if nnz == n:  # compress over an all-true mask is a slow copy
+        top = np.abs(row, out=buf)
     else:
-        np.compress(nonzero, mag, out=top)
+        top = buf[:nnz]
+        at = 0
+        for part, part_flags, _ in blocks:
+            if len(blocks) > 1:  # else the flags still hold the one block's mask
+                np.not_equal(part, 0.0, out=part_flags)
+            nonzeros = part.compress(part_flags)
+            np.abs(nonzeros, out=top[at : at + len(nonzeros)])
+            at += len(nonzeros)
     top.partition(nnz - k)
     thr = top[nnz - k]
-    keep = np.greater_equal(mag, thr, out=flags)
-    surplus = np.count_nonzero(keep) - k
-    if surplus:
-        keep[np.flatnonzero(mag == thr)[-surplus:]] = False
-    # a dropped negative entry becomes −0.0: the sign of a zero never
-    # reaches the output (the election tests ≥ 0, agreement needs nonzero)
-    np.multiply(row, keep, out=row)
+    kept = 0
+    for part, part_flags, part_mag in blocks:
+        keep = np.greater_equal(np.abs(part, out=part_mag), thr, out=part_flags)
+        kept += np.count_nonzero(keep)
+        np.multiply(part, keep, out=part)
+    # the surplus of ties with thr is dropped at the highest indices; a
+    # zero's sign never reaches the output (the election tests ≥ 0, and
+    # agreement needs a nonzero)
+    surplus = kept - k
+    for part, _, part_mag in reversed(blocks):
+        if not surplus:
+            break
+        ties = np.flatnonzero(np.abs(part, out=part_mag) == thr)[-surplus:]
+        part[ties] = 0.0
+        surplus -= len(ties)
 
 
-# Elements of the stack elected per block: a block and its few same-size
-# temporaries stay in a core's L2 cache.
-_ELECT_BLOCK = 1 << 15
+def _column_blocks(n_tasks, n) -> tuple:
+    """(count, widest) of the column blocks of a (tasks, n) stack, about
+    _COLUMN_BLOCK elements each; block b is columns n·b // count up to
+    n·(b + 1) // count.
+
+    No block is a single column unless the stack is: numpy then reduces
+    over tasks in a different order, and the sums would round differently.
+    """
+    n_blocks = max(1, n // max(2, _COLUMN_BLOCK // n_tasks))
+    return n_blocks, -(-n // n_blocks)
 
 
-def _elect_mean(flat, alpha) -> np.ndarray:
+def _elect_mean(flat, alpha, most) -> np.ndarray:
     """alpha × the mean of each column's survivors that agree with its elected sign.
 
-    Runs over column blocks of the (tasks, entries) stack.  No block is a
-    single column unless the stack is: numpy then reduces over tasks in
-    a different order, and the sums would round differently.
+    most(bytes) is the number of workers that may hold that much scratch.
     """
-    n_tasks, n = flat.shape
-    n_blocks = max(1, n // max(2, _ELECT_BLOCK // n_tasks))
-    edges = [n * b // n_blocks for b in range(n_blocks + 1)]
+    n = flat.shape[1]
+    n_blocks, width = _column_blocks(*flat.shape)
     out = np.empty(n)
-    for j0, j1 in zip(edges, edges[1:]):
-        block = flat[:, j0:j1]
-        elected = np.where(block.sum(axis=0) >= 0.0, 1.0, -1.0)
-        agrees = block * elected > 0.0
+
+    def scratch():
+        return np.empty((len(flat), width)), np.empty((len(flat), width), dtype=bool)
+
+    def elect(b, prod, agrees):
+        j0, j1 = n * b // n_blocks, n * (b + 1) // n_blocks
+        block, prod, agrees = flat[:, j0:j1], prod[:, : j1 - j0], agrees[:, : j1 - j0]
+        elected = np.where(np.add.reduce(block, axis=0) >= 0.0, 1.0, -1.0)
+        np.greater(np.multiply(block, elected, out=prod), 0.0, out=agrees)
         counts = np.add.reduce(agrees, axis=0, dtype=np.float64)
-        # a disagreeing entry adds a zero, which leaves a nonzero sum as it is
-        total = (block * agrees).sum(axis=0)
-        out[j0:j1] = alpha * np.where(counts > 0, total / np.maximum(counts, 1.0), 0.0)
+        # a disagreeing entry adds a zero, which leaves a nonzero sum as it
+        # is; a column with no agreeing entry sums to ±0.0, and + 0.0 makes
+        # it the +0.0 of an empty mean
+        total = np.add.reduce(np.multiply(block, agrees, out=prod), axis=0)
+        total += 0.0
+        np.multiply(alpha, np.divide(total, np.maximum(counts, 1.0), out=total), out=out[j0:j1])
+
+    # prod and agrees, and about six float64 columns of temporaries
+    task_map(elect, n_blocks, scratch, most((9 * len(flat) + 48) * width))
     return out
 
 
-def _ties(stack, cfg):
-    flat = stack.reshape(len(stack), -1)
+def _scaled_sum(flat, alpha, divisor, most) -> np.ndarray:
+    """alpha · Σ over tasks (then ÷ divisor, if any), added in task order."""
     n = flat.shape[1]
-    k = math.ceil(cfg.k_density * n)
-    mag, nonzero_mag, flags = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
-    for row in flat:
-        _trim(row, k, mag, nonzero_mag, flags)
-    return _elect_mean(flat, cfg.alpha).reshape(stack.shape[1:])
+    n_blocks, _ = _column_blocks(*flat.shape)
+    out = np.empty(n)
+
+    def add(b):
+        cols = slice(n * b // n_blocks, n * (b + 1) // n_blocks)
+        total = out[cols]
+        np.add(flat[0, cols], 0.0, out=total)  # as sum() starts from 0: −0.0 becomes +0.0
+        for row in flat[1:, cols]:
+            total += row
+        total *= alpha
+        if divisor:
+            total /= divisor
+
+    task_map(add, n_blocks, most=most(0))
+    return out
+
+
+def _workers_within(budget, per_worker):
+    """Workers whose scratch of per_worker bytes fits in budget bytes
+    together (at least one); None, no limit, for jobs without scratch."""
+    return max(1, budget // per_worker) if per_worker else None
+
+
+def _merge_layer(method, cfg, salt, stack, fill) -> np.ndarray:
+    """Merge one layer's (tasks, d_in, d_out) stack, which it overwrites.
+
+    One job per task fills its slice (fill(i, slice)), checks it is
+    finite, then drops (DARE) and trims (TIES) it in place; the reduction
+    over tasks runs over column blocks.  Both go through task_map, inline
+    for a stack below one _BLOCK, and each stage's workers hold no more
+    scratch together than the serial code did: two float64 rows and a
+    bool row for TIES, a noise row for DARE.
+    """
+    n_tasks = len(stack)
+    flat = stack.reshape(n_tasks, -1)
+    n = flat.shape[1]
+    dare = method.startswith("dare-") and cfg.dare_p > 0.0
+    k = math.ceil(cfg.k_density * n) if method in ("ties", "dare-ties") else None
+    budget = n * (17 if k is not None else 8 if dare else 0)
+    block = max(1, min(n, _BLOCK))
+
+    def most(per_worker):
+        return 1 if stack.size < _BLOCK else _workers_within(budget, per_worker)
+
+    def stage(i, noise, buf, flags):
+        row = flat[i]
+        fill(i, stack[i])
+        _require_finite(row, i)  # s·A·Bᵀ can overflow
+        if dare:
+            _dare(row, cfg, (i, salt), noise)
+            _require_finite(row, i)  # dividing by 1 − p can overflow
+        if k is not None:
+            _trim(row, k, buf, flags)
+
+    def scratch():
+        if k is None:
+            return np.empty(block) if dare else None, None, None
+        buf = np.empty(max(1, n))  # DARE's noise is dead before the trim writes here
+        return buf[:block], buf, np.empty(min(n, _BLOCK), dtype=bool)
+
+    # the trim's row and bool block, or DARE's noise block and its keep mask
+    task_map(stage, n_tasks, scratch,
+             most(8 * n + block if k is not None else 9 * block if dare else 0))
+    if k is not None:
+        out = _elect_mean(flat, cfg.alpha, most)
+    else:
+        if method == "tsv":
+            # the truncations keep the caller's BLAS threads (blas.py)
+            rank = math.ceil(cfg.k_density * min(stack.shape[1:]))
+            for delta in stack:
+                delta[...] = truncated_approx(delta, rank)
+        out = _scaled_sum(flat, cfg.alpha, n_tasks if method == "uniform" else None, most)
+    return out.reshape(stack.shape[1:])
+
+
+def _merge_matrices(method, deltas, cfg, salt=0) -> np.ndarray:
+    """Merge a list of same-shape matrices, copied into a new stack."""
+    deltas = _as_matrices(deltas)
+    stack = np.empty((len(deltas), *deltas[0].shape))
+    return _merge_layer(method, cfg, salt, stack, lambda i, out: np.copyto(out, deltas[i]))
 
 
 def uniform_merge(deltas, cfg: MergeConfig) -> np.ndarray:
     """alpha · (Σ Δ_i) / N."""
-    return _uniform(_stack_deltas(deltas), cfg)
+    return _merge_matrices("uniform", deltas, cfg)
 
 
 def task_arithmetic(deltas, cfg: MergeConfig) -> np.ndarray:
     """alpha · Σ Δ_i, no averaging."""
-    return _task_arithmetic(_stack_deltas(deltas), cfg)
+    return _merge_matrices("task-arithmetic", deltas, cfg)
 
 
 def ties_merge(deltas, cfg: MergeConfig) -> np.ndarray:
@@ -273,7 +369,7 @@ def ties_merge(deltas, cfg: MergeConfig) -> np.ndarray:
     elects +); the output is alpha times the mean over tasks whose
     surviving entry is nonzero and matches the elected sign.
     """
-    return _ties(_stack_deltas(deltas), cfg)
+    return _merge_matrices("ties", deltas, cfg)
 
 
 def dare_transform(delta, cfg: MergeConfig, stream=()) -> np.ndarray:
@@ -282,38 +378,20 @@ def dare_transform(delta, cfg: MergeConfig, stream=()) -> np.ndarray:
     The mask is drawn from (cfg.seed, *stream); `stream` lets library-level
     merges give every (task, layer) its own reproducible mask.
     """
-    delta = np.array(delta, dtype=np.float64)
+    delta = np.array(delta, dtype=np.float64, order="C")
     if delta.ndim != 2:
         raise ShapeMismatchError(f"delta is not a matrix (ndim={delta.ndim})")
-    _dare(delta, cfg, stream, np.empty(delta.shape))
+    _dare(delta.reshape(-1), cfg, stream, np.empty(max(1, min(delta.size, _BLOCK))))
     return delta
 
 
 def tsv_merge(deltas, cfg: MergeConfig) -> np.ndarray:
     """alpha · Σ_i rank-k truncation of Δ_i, k = ceil(k_density · min dim)."""
-    return _tsv(_stack_deltas(deltas), cfg)
+    return _merge_matrices("tsv", deltas, cfg)
 
 
 def layer_salt(layer_id: str) -> int:
     return zlib.crc32(str(layer_id).encode("utf-8"))
-
-
-# The dense methods; the DARE pair drops entries first (_merge_stack).
-_DENSE_OPS = {
-    "uniform": _uniform,
-    "task-arithmetic": _task_arithmetic,
-    "ties": _ties,
-    "tsv": _tsv,
-    "dare-ties": _ties,
-    "dare-ta": _task_arithmetic,
-}
-
-
-def _merge_stack(stack, cfg, salt) -> np.ndarray:
-    """Merge one layer's (tasks, d_in, d_out) stack, which it overwrites."""
-    if cfg.method.startswith("dare-"):
-        _dare_stack(stack, cfg, salt)
-    return _DENSE_OPS[cfg.method](stack, cfg)
 
 
 def merge_deltas(deltas, cfg: MergeConfig, salt: int = 0) -> np.ndarray:
@@ -323,9 +401,31 @@ def merge_deltas(deltas, cfg: MergeConfig, salt: int = 0) -> np.ndarray:
     masks so no two layers reuse a stream.  The cp method fits the
     factored deltas of a library, so it runs through merge_library only.
     """
-    if cfg.method not in _DENSE_OPS:
+    if cfg.method == "cp":
         raise ValueError(f"method {cfg.method!r} merges factored deltas: use merge_library")
-    return _merge_stack(_stack_deltas(deltas), cfg, salt)
+    return _merge_matrices(cfg.method, deltas, cfg, salt)
+
+
+def _merge_library_layer(layer, cfg, salt) -> np.ndarray:
+    """Merge one layer's AdapterDeltas by a dense method.
+
+    The workers copy dense-stored deltas (B = I) into their slices.  The
+    products are filled here first: OpenBLAS already runs a matmul on
+    every core, and the last bits of a product depend on its thread
+    count (at d_out = 130 or 700, say), so on a one-thread worker they
+    would differ from a product made here.
+    """
+    stack = np.empty((len(layer), layer[0].d_in, layer[0].d_out))
+    copied = [d.dense_stored for d in layer]
+    for i, d in enumerate(layer):
+        if not copied[i]:
+            d.materialize(out=stack[i])
+
+    def fill(i, out):
+        if copied[i]:
+            layer[i].copy_dense(out)
+
+    return _merge_layer(cfg.method, cfg, salt, stack, fill)
 
 
 def merge_library(lib, cfg: MergeConfig) -> dict:
@@ -342,6 +442,6 @@ def merge_library(lib, cfg: MergeConfig) -> dict:
             f = cp_als_factored(layer, cfg.cp_rank, AlsOptions(seed=cfg.seed))
             merged[layer_id] = cfg.alpha * (cp_merge(f) / f.n_tasks if cfg.average else cp_merge(f))
         else:
-            # the stack is freed when _merge_stack returns, before the next layer's
-            merged[layer_id] = _merge_stack(_fill_stack(layer), cfg, layer_salt(layer_id))
+            # the stack is freed when this returns, before the next layer's is filled
+            merged[layer_id] = _merge_library_layer(layer, cfg, layer_salt(layer_id))
     return merged

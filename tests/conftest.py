@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from adapterfuse import AdapterDelta, AdapterLibrary, cp_reconstruct_slice, truncated_approx
+from adapterfuse import AdapterDelta, AdapterLibrary, blas, cp_reconstruct_slice, truncated_approx
 
 
 def outer3(u, v, w):
@@ -83,6 +83,16 @@ def max_principal_sine(u, v):
     """Sine of the largest principal angle between the column spaces of
     orthonormal u and v (test oracle): ‖v − u·uᵀ·v‖₂."""
     return float(np.linalg.norm(v - u @ (u.T @ v), 2))
+
+
+@pytest.fixture
+def eight_workers(monkeypatch):
+    """A fresh pool of eight worker threads, whatever the number of cores."""
+    monkeypatch.setattr(blas, "_workers", 8)
+    monkeypatch.setattr(blas, "_pool", None)
+    yield
+    if blas._pool is not None:
+        blas._pool.shutdown(wait=True)
 
 
 @pytest.fixture

@@ -353,6 +353,20 @@ class TestExportMerged:
         with pytest.raises(ValueError):
             export_merged({"00": np.zeros(3)}, tmp_path / "x.alib")
 
+    @pytest.mark.filterwarnings("error")
+    def test_beyond_float32_is_rejected_before_writing(self, tmp_path):
+        # a finite float64 factor that float32 cannot hold would load as inf
+        p = tmp_path / "x.alib"
+        with pytest.raises(ValueError, match=r"delta \(merged, 00\): factor a exceeds the float32"):
+            export_merged({"00": np.full((2, 2), 1e300)}, p)
+        assert not p.exists()
+        big = AdapterLibrary(tasks=("0", "1"), layers=("00",), deltas={
+            ("0", "00"): AdapterDelta("00", np.ones((3, 1)), np.ones((2, 1))),
+            ("1", "00"): AdapterDelta("00", np.ones((3, 1)), np.array([[-1e39], [1.0]]))})
+        with pytest.raises(ValueError, match=r"delta \(1, 00\): factor b exceeds"):
+            save_library(big, p)
+        assert not p.exists()
+
 
 def payload_start(path) -> int:
     return 10 + struct.unpack_from("<I", path.read_bytes(), 6)[0]

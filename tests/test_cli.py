@@ -96,6 +96,21 @@ class TestMergeCommand:
         assert len(merged.meta["config_sha256"]) == 64
         assert "alpha = 0.5" in merged.meta["config"]
 
+    def test_merged_delta_beyond_float32_is_exit_2(self, tmp_path, capsys):
+        # alpha = 1e300 leaves the merged float64 finite, but no float32 holds it
+        spec = tmp_path / "s.kv"
+        spec.write_text(PlantedSpec(n_tasks=2, d_in=6, d_out=5, rank_shared=1,
+                                    rank_specific=1, seed=2).to_kv())
+        lib, out = tmp_path / "p.alib", tmp_path / "m.alib"
+        assert main(["synth", "--spec", str(spec), "--out", str(lib)]) == 0
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):  # the printed norm is inf
+            rc = main(["merge", "--library", str(lib), "--method", "task-arithmetic",
+                       "--alpha", "1e300", "--out", str(out)])
+        assert rc == 2
+        assert "(merged, 00): factor a exceeds the float32 range" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["task-arithmetic", "ties", "dare-ties",
                                         "dare-ta", "tsv", "cp"])
     def test_each_method_runs(self, method, tmp_path, lib_path):

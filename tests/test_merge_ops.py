@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from adapterfuse import (
     tsv_merge,
     uniform_merge,
 )
+from adapterfuse import blas, merge_ops
 from adapterfuse.cli import main
 from adapterfuse.merge_ops import METHODS, layer_salt
 from adapterfuse.svd_kernel import truncated_approx
@@ -355,12 +357,19 @@ def oracle_cases():
         # task order; same-signed entries all agree, so every one is summed
         ("tall-1x1", [np.abs(m) for m in wide_range(rng, 16, (1, 1))], dict(k_density=1.0)),
         ("tall-1x2", [np.abs(m) for m in wide_range(rng, 16, (1, 2))], dict(k_density=1.0)),
-        # more entries than one elect block holds for 16 tasks
+        # a stack above the inline threshold: 16 tasks run on the workers
         ("blocks", wide_range(rng, 16, (64, 65)), dict(k_density=0.6, dare_p=0.3)),
+        # more columns than one reduction block holds for 16 tasks
+        ("column-blocks", wide_range(rng, 16, (96, 97)), dict(k_density=0.6, dare_p=0.3)),
         # rows with no zeros (the trim skips compress), ~85 entries of
         # magnitude 3 per row against k = 77: ties at the threshold
         ("zero-free-ties", [m + np.sign(m + 0.5) * (m == 0) for m in
                             signed_zero_grid(rng, 4, (16, 16))], dict(k_density=0.3)),
+        # rows longer than one trim block, a seventh of them zeros, ~11600
+        # entries of magnitude 3 against k = 8192: the ties at the threshold
+        # span blocks
+        ("ties-across-blocks", [rng.integers(-3, 4, (256, 160)).astype(float)
+                                for _ in range(3)], dict(k_density=0.2, dare_p=0.2)),
     ]
 
 
@@ -498,6 +507,26 @@ class TestDenseMergeMemory:
         assert peak < payload_bytes + 2 * stack_bytes
 
 
+@pytest.mark.usefixtures("eight_workers")
+class TestDenseMergeMemoryOnEightWorkers(TestDenseMergeMemory):
+    """The same bounds on eight workers: a stage uses as many as the serial
+    code's scratch holds, so more cores do not raise the peak."""
+
+
+@pytest.fixture
+def uncapped(monkeypatch):
+    """Every stage on as many workers as the pool has: the scratch cap
+    keeps the trim and the election of small layers on one worker."""
+    monkeypatch.setattr(merge_ops, "_workers_within", lambda budget, per_worker: None)
+
+
+@pytest.fixture
+def two_workers(monkeypatch, uncapped):
+    monkeypatch.setattr(blas, "_workers", 2)
+
+
+@pytest.mark.usefixtures("two_workers")
+@pytest.mark.filterwarnings("error")  # the caller's errstate must reach the workers
 class TestOverflow:
     @pytest.mark.parametrize("method", DENSE_METHODS)
     def test_overflowing_product_rejected(self, method):
@@ -526,6 +555,79 @@ class TestOverflow:
             with np.errstate(over="ignore"):
                 with pytest.raises(ValueError, match="delta 1 has non-finite entries"):
                     merge_deltas(mats, MergeConfig(method=method, dare_p=0.9))
+
+    @pytest.mark.parametrize("method", DENSE_METHODS)
+    def test_overflow_on_the_workers_rejected(self, method, tmp_path, capsys):
+        # two tasks of 128²: the stack runs on the workers; a dense-stored
+        # delta is scaled by s there, a product is made by the caller
+        eye = np.eye(128)
+        dense = [AdapterDelta("00", np.ones((128, 128)), eye),
+                 AdapterDelta("00", np.full((128, 128), 1e300), eye, 1e300)]
+        factored = [AdapterDelta("00", np.ones((128, 2)), np.ones((128, 2))),
+                    AdapterDelta("00", np.full((128, 2), 1e30), np.full((128, 2), 1e30), 1e300)]
+        path = tmp_path / "huge.alib"
+        save_library(one_layer_library(factored), path)
+        mats = [np.ones((128, 128)), np.full((128, 128), 1e308)]
+        with np.errstate(over="ignore"):
+            for layer in (dense, factored):
+                with pytest.raises(ValueError, match="delta 1 has non-finite entries"):
+                    merge_library(one_layer_library(layer), MergeConfig(method=method))
+            if method.startswith("dare-"):
+                with pytest.raises(ValueError, match="delta 1 has non-finite entries"):
+                    merge_deltas(mats, MergeConfig(method=method, dare_p=0.9))
+            rc = main(["merge", "--library", str(path), "--method", method,
+                       "--out", str(tmp_path / "m.alib")])
+        assert rc == 2
+        assert "delta 1 has non-finite entries" in capsys.readouterr().err
+        assert not (tmp_path / "m.alib").exists()
+
+    @pytest.mark.parametrize("method", DENSE_METHODS)
+    def test_the_lowest_failing_task_is_named(self, method):
+        # deltas 1 and 3 overflow; the workers may reach 3 first
+        eye = np.eye(128)
+        deltas = [AdapterDelta("00", np.full((128, 128), 1e300 if i in (1, 3) else 1.0), eye,
+                               1e300 if i in (1, 3) else 1.0) for i in range(6)]
+        mats = [np.full((128, 128), np.inf if i in (1, 3) else 1.0) for i in range(6)]
+        with np.errstate(over="ignore"):
+            for _ in range(5):
+                with pytest.raises(ValueError, match="delta 1 has non-finite entries"):
+                    merge_library(one_layer_library(deltas), MergeConfig(method=method))
+                with pytest.raises(ValueError, match="delta 1 has non-finite entries"):
+                    merge_deltas(mats, MergeConfig(method=method))
+
+
+def pooled_cases():
+    """(id, library) for the worker-count tests: stacks above the inline
+    threshold and wider than one reduction block."""
+    rng = np.random.default_rng(21)
+    mats = signed_zero_grid(rng, 8, (256, 160))
+    # d_out = 130: OpenBLAS's product differs in the last bits between one
+    # thread and two at this shape, and the products stay in the caller
+    factored = one_layer_library([
+        AdapterDelta("00", rng.standard_normal((128, 64)), rng.standard_normal((130, 64)), s)
+        for s in (1.0, 2.5, 1.0, 4.0) * 4])
+    return [("dense-stored-ties", dense_library(mats)), ("factored", factored)]
+
+
+class TestWorkerCount:
+    """The bytes do not depend on how many workers merge them."""
+
+    @pytest.mark.parametrize("method", DENSE_METHODS)
+    @pytest.mark.parametrize("case", pooled_cases(), ids=lambda c: c[0])
+    @pytest.mark.usefixtures("eight_workers", "uncapped")
+    def test_one_two_and_eight_workers_give_the_oracle_bytes(self, case, method, monkeypatch):
+        _, lib = case
+        mats = [lib.deltas[(t, "00")].materialize() for t in lib.tasks]
+        assert len(mats) * mats[0].size >= merge_ops._BLOCK
+        n_blocks, _ = merge_ops._column_blocks(len(mats), mats[0].size)
+        assert n_blocks > 1
+        cfg = MergeConfig(method=method, k_density=0.3, dare_p=0.5, seed=4, alpha=0.9)
+        salt = layer_salt("00")
+        want = dense_merge_oracle(mats, cfg, salt)
+        for workers in (1, 2, 8):
+            monkeypatch.setattr(blas, "_workers", workers)
+            assert_same_bytes(merge_library(lib, cfg)["00"], want)
+            assert_same_bytes(merge_deltas(mats, cfg, salt=salt), want)
 
 
 class TestMergeConfig:

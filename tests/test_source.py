@@ -40,3 +40,23 @@ def test_only_cp_decomposition_calls_cp_als():
         and "cp_als" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert found == []
+
+
+def test_only_blas_imports_threads():
+    # the thread policy (BLAS threads, the worker pool) lives in one module
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            return [node.module]
+        return []
+
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in parsed_sources()
+        if name != "blas.py"
+        for node in ast.walk(tree)
+        for module in imported(node)
+        if module.split(".")[0] in ("threading", "concurrent", "_thread")
+    ]
+    assert found == []
