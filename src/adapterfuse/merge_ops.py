@@ -215,12 +215,15 @@ def _trim(row, k, buf, flags) -> None:
     # zero's sign never reaches the output (the election tests ≥ 0, and
     # agreement needs a nonzero)
     surplus = kept - k
-    for part, _, part_mag in reversed(blocks):
-        if not surplus:
-            break
-        ties = np.flatnonzero(np.abs(part, out=part_mag) == thr)[-surplus:]
-        part[ties] = 0.0
-        surplus -= len(ties)
+    if surplus:
+        for part, _, part_mag in reversed(blocks):
+            if len(blocks) > 1:  # else part_mag still holds the one block's magnitudes
+                np.abs(part, out=part_mag)
+            ties = np.flatnonzero(part_mag == thr)[-surplus:]
+            part[ties] = 0.0
+            surplus -= len(ties)
+            if not surplus:
+                break
 
 
 def _column_blocks(n_tasks, n) -> tuple:
@@ -326,7 +329,7 @@ def _merge_layer(method, cfg, salt, stack, fill) -> np.ndarray:
         if k is None:
             return np.empty(block) if dare else None, None, None
         buf = np.empty(max(1, n))  # DARE's noise is dead before the trim writes here
-        return buf[:block], buf, np.empty(min(n, _BLOCK), dtype=bool)
+        return buf[:block] if dare else None, buf, np.empty(min(n, _BLOCK), dtype=bool)
 
     # the trim's row and bool block, or DARE's noise block and its keep mask
     task_map(stage, n_tasks, scratch,
