@@ -1,6 +1,7 @@
 """The thread policy: numpy's OpenBLAS held to one thread, and one worker pool.
 
-cp_als (on a compressed Σr_k × Σr_k × N core or a dense stack) and the
+cp_als (on a compressed Σr_k × Σr_k × N core or a dense stack: two
+slice products and three R×R solves, _ls_solve, per iteration) and the
 per-task SVDs of sti run inside single_threaded().  At those sizes
 OpenBLAS's thread hand-offs cost more than they save, its idle threads
 spin between calls, and each call waits for its slowest thread, so the

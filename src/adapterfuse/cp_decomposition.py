@@ -12,17 +12,19 @@ directly from this form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .blas import single_threaded
 from .containers import read_array, read_framed, require_end, require_keys, write_framed
-from .tensor_core import fold, frobenius_norm, khatri_rao, stack_slices, unfold
+from .tensor_core import all_finite, frobenius_norm, stack_slices
 from .svd_kernel import _largest_entry_signs, svd
 
 _COND_LIMIT = 1e12  # beyond this the normal equations get a ridge
 _PAIRING_DRAWS = 4  # random slice mixes tried by the "svd" init
+_CANCEL_LIMIT = 1e-4  # below this err², read from the Grams, loses digits to cancellation
 
 
 @dataclass(frozen=True)
@@ -168,16 +170,19 @@ def normalize_factors(lam, a_task, b_row, c_col):
     return lam[order], a[:, order], b[:, order], c[:, order]
 
 
-def _reconstruct_raw(lam, a, b, c, dims):
-    # mode-1 identity: unfold(T,1) = B·diag(lam)·KR(A,C)ᵀ
-    return fold((b * lam) @ khatri_rao(a, c).T, 1, dims)
-
-
 def _ls_solve(gram, mttkrp):
-    """Solve factor·gram = mttkrp; ridge kicks in when gram is near-singular."""
+    """Solve factor·gram = mttkrp; a ridge kicks in when gram is near-singular.
+
+    The condition number of the symmetric R×R gram is λmax/λmin of its
+    eigenvalues (infinite when λmin ≤ 0), which costs less than the SVD
+    of np.linalg.cond.  The solve stays LU: a solve through the
+    eigenvectors leaves normal-equation residuals several times larger,
+    and surplus-rank fits near an exact one then wander instead of
+    stopping.
+    """
     R = gram.shape[0]
-    c = np.linalg.cond(gram)
-    if not c < _COND_LIMIT:  # also catches inf/nan
+    w = np.linalg.eigvalsh(gram)
+    if not (w[0] > 0 and w[-1] / w[0] < _COND_LIMIT):  # also catches inf/nan
         tr = float(np.trace(gram))
         eps = 1e-10 * tr / R if tr > 0 else 1e-10
         gram = gram + eps * np.eye(R)
@@ -192,25 +197,28 @@ def _pad_columns(f, R, rng):
     return np.hstack([f, pad])
 
 
-def _leading_eigvecs(x, R):
-    """The leading min(R, *x.shape) left singular vectors of x, from eigh of x·xᵀ.
+def _leading_eigvecs(gram, count):
+    """The leading `count` eigenvectors of the symmetric gram = x·xᵀ.
 
-    eigh of the Gram spans the same subspace as svd(x).u (HOSVD "nvecs";
+    They span the leading left singular subspace of x (HOSVD "nvecs";
     Kolda & Bader 2009, §3.4) at the cost of a small symmetric
     eigenproblem.  Columns are ordered by descending eigenvalue and each
     is flipped so its largest-magnitude entry is positive, as in svd.
     """
-    _, q = np.linalg.eigh(x @ x.T)
-    q = q[:, ::-1][:, : min(R, *x.shape)]
+    _, q = np.linalg.eigh(gram)
+    q = q[:, ::-1][:, :count]
     return q * _largest_entry_signs(q)
 
 
-def _init_factors(t, x1, x2, R, opts, rng):
+def _init_factors(s, R, opts, rng):
     """Row and column factors to start from (the task factor is solved first).
 
-    "svd" spans the leading left singular subspaces of the mode-1 and
-    mode-2 unfoldings (HOSVD), taken as the leading eigenvectors of their
-    Grams x1·x1ᵀ and x2·x2ᵀ (_leading_eigvecs).  Within a subspace whose
+    s is the tensor slice-major, s[k] = T_k.  "svd" spans the leading
+    left singular subspaces of the mode-1 and mode-2 unfoldings X1 and
+    X2 (HOSVD), taken as the leading eigenvectors of their Grams
+    (_leading_eigvecs).  X2ᵀ is s itself, reshaped; X1ᵀ is s with each
+    slice transposed, a copy that lives only for its product, laid out
+    as unfold lays out X1 so the Gram keeps its bits.  Within a subspace whose
     singular values repeat, e.g. tasks of equal weight, the basis is
     arbitrary, and pairing row and column vectors from two independent
     eigendecompositions can leave ALS at a saddle.  Weighting each slice by its inner product with a
@@ -220,21 +228,33 @@ def _init_factors(t, x1, x2, R, opts, rng):
     Of _PAIRING_DRAWS such mixes the one whose singular values are best
     separated wins: near-equal values would mix components again.
     """
+    n, d_in, d_out = s.shape
     if opts.init == "random":
-        b, _ = _normalize_columns(rng.standard_normal((x1.shape[0], R)))
-        c, _ = _normalize_columns(rng.standard_normal((x2.shape[0], R)))
+        b, _ = _normalize_columns(rng.standard_normal((d_in, R)))
+        c, _ = _normalize_columns(rng.standard_normal((d_out, R)))
         return b, c
-    u = _leading_eigvecs(x1, R)
-    v = _leading_eigvecs(x2, R)
+    x1t = np.ascontiguousarray(s.transpose(0, 2, 1)).reshape(n * d_out, d_in)
+    u = _leading_eigvecs(x1t.T @ x1t, min(R, d_in, d_out * n))
+    del x1t
+    x2t = s.reshape(n * d_in, d_out)
+    v = _leading_eigvecs(x2t.T @ x2t, min(R, d_out, d_in * n))
     best_gap, pair = -1.0, None
     for _ in range(_PAIRING_DRAWS):
-        w = np.tensordot(rng.standard_normal(t.shape[:2]), t, axes=2)
-        cand = svd(u.T @ (t @ w) @ v)
-        s = cand.sigma
-        gap = np.min(s[:-1] - s[1:], initial=s[0]) / s[0] if s[0] > 0 else 0.0
+        w = np.tensordot(s, rng.standard_normal((d_in, d_out)), axes=2)
+        cand = svd(u.T @ np.tensordot(w, s, axes=1) @ v)
+        sv = cand.sigma
+        gap = np.min(sv[:-1] - sv[1:], initial=sv[0]) / sv[0] if sv[0] > 0 else 0.0
         if gap > best_gap:
             best_gap, pair = gap, cand
     return _pad_columns(u @ pair.u, R, rng), _pad_columns(v @ pair.v, R, rng)
+
+
+def _residual(s, lam, a, b, c, norm_t):
+    """‖T − M‖/‖T‖ from the dense reconstruction, built slice-major in one buffer."""
+    r = np.matmul(b * (lam * a)[:, np.newaxis, :], c.T)
+    np.subtract(s, r, out=r)
+    r /= norm_t
+    return math.sqrt(np.vdot(r, r))
 
 
 @single_threaded()  # a context manager doubles as a decorator: each call runs inside it
@@ -250,11 +270,22 @@ def cp_als(t, R: int, opts: AlsOptions | None = None) -> CPFactors:
     Stops when the fit change drops below opts.tol or after
     opts.max_iters iterations.  Deterministic for fixed (t, R, opts).
     The whole fit runs with BLAS held to one thread (blas).
+
+    The fit works on one slice-major copy S (N × d_in × d_out, S_k = T_k;
+    none when t is stored that way, as stack_slices stores it).  Each
+    iteration forms P = S·C, which gives the task MTTKRP Σ_i P[k,i,r]·B[i,r]
+    and, after the task update, the row MTTKRP Σ_k a[k,r]·P[k,:,r]
+    (Phan, Tichavský & Cichocki 2013).  Q = Sᵀ·B, after the row update,
+    gives the column MTTKRP M2 = Σ_k a[k,r]·Q[k,:,r].  The error is read from
+    the Grams, ‖T − M‖² = ‖T‖² − 2⟨T,M⟩ + ‖M‖² in units of ‖T‖², with
+    ⟨T,M⟩ = Σ_r lam_r·c_r·M2_r and ‖M‖² = lamᵀ(AᵀA∗BᵀB∗CᵀC)lam (Kolda &
+    Bader 2009, §3.4).  Below _CANCEL_LIMIT that difference cancels, and
+    the error is read from the dense residual instead.
     """
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 3:
         raise ValueError(f"expected a third-order tensor, got ndim={t.ndim}")
-    if not np.all(np.isfinite(t)):
+    if not all_finite(t):
         raise ValueError("cp_als: tensor has non-finite entries")
     if opts is None:
         opts = AlsOptions()
@@ -264,21 +295,35 @@ def cp_als(t, R: int, opts: AlsOptions | None = None) -> CPFactors:
     if norm_t == 0.0:
         return _zero_factors(R, t.shape)
 
-    x1, x2, x3 = unfold(t, 1), unfold(t, 2), unfold(t, 3)
+    s = np.ascontiguousarray(np.moveaxis(t, 2, 0))
+    n, d_in, d_out = s.shape
+    flat = s.reshape(n * d_in, d_out)
     rng = np.random.default_rng(opts.seed)
-    b, c = _init_factors(t, x1, x2, R, opts, rng)
+    b, c = _init_factors(s, R, opts, rng)
+    gram_b, gram_c = b.T @ b, c.T @ c
 
     trace: list = []
     prev_fit = None
     for _ in range(opts.max_iters):
-        a = _ls_solve((c.T @ c) * (b.T @ b), x3 @ khatri_rao(c, b))
+        p = (flat @ c).reshape(n, d_in, R)
+        a = _ls_solve(gram_c * gram_b, np.einsum("kir,ir->kr", p, b))
         a, _ = _normalize_columns(a)
-        b = _ls_solve((a.T @ a) * (c.T @ c), x1 @ khatri_rao(a, c))
+        gram_a = a.T @ a
+        b = _ls_solve(gram_a * gram_c, np.einsum("kir,kr->ir", p, a))
         b, _ = _normalize_columns(b)
-        c = _ls_solve((a.T @ a) * (b.T @ b), x2 @ khatri_rao(a, b))
+        gram_b = b.T @ b
+        m2 = np.einsum("kjr,kr->jr", np.matmul(s.transpose(0, 2, 1), b), a)
+        c = _ls_solve(gram_a * gram_b, m2)
         c, lam = _normalize_columns(c)
+        gram_c = c.T @ c
 
-        err = frobenius_norm(t - _reconstruct_raw(lam, a, b, c, t.shape)) / norm_t
+        unit = lam / norm_t
+        inner = unit @ (np.einsum("jr,jr->r", c, m2) / norm_t)
+        err2 = 1.0 - 2.0 * inner + unit @ (gram_a * gram_b * gram_c) @ unit
+        if err2 < _CANCEL_LIMIT:
+            err = _residual(s, lam, a, b, c, norm_t)
+        else:
+            err = math.sqrt(err2)
         trace.append(err)
         fit = 1.0 - err
         if prev_fit is not None and abs(fit - prev_fit) < opts.tol:

@@ -61,17 +61,20 @@ class InterferenceReport:
 
 
 def sti(deltas, k: int) -> float:
-    """Singular-subspace interference of ≥2 same-shaped task deltas."""
-    deltas = [np.asarray(d, dtype=np.float64) for d in deltas]
-    if len(deltas) < 2:
-        raise ValueError(f"sti needs at least 2 tasks, got {len(deltas)}")
+    """Singular-subspace interference of ≥2 same-shaped task deltas.
+
+    deltas may be any iterable, a generator included: each delta's SVD is
+    taken as it arrives, and only its top-k triples are kept.
+    """
     if k < 1:
         raise ValueError(f"k must be ≥ 1, got {k}")
-    shape = deltas[0].shape
     us, sigmas, vs = [], [], []
     with single_threaded():  # one small SVD per task: a second thread only adds hand-offs
         for i, d in enumerate(deltas):
-            if d.shape != shape:
+            d = np.asarray(d, dtype=np.float64)
+            if i == 0:
+                shape = d.shape
+            elif d.shape != shape:
                 raise ShapeMismatchError(f"delta {i} has shape {d.shape}, expected {shape}")
             res = svd(d)
             if k > res.rank:
@@ -79,6 +82,8 @@ def sti(deltas, k: int) -> float:
             us.append(res.u[:, :k])
             sigmas.append(res.sigma[:k])
             vs.append(res.v[:, :k])
+    if len(us) < 2:
+        raise ValueError(f"sti needs at least 2 tasks, got {len(us)}")
     u = np.hstack(us)
     v = np.hstack(vs)
     sigma = np.concatenate(sigmas)
@@ -114,5 +119,5 @@ def layer_profile(lib, k: int, R: int, opts: AlsOptions | None = None) -> Interf
     for layer_id in lib.layers:
         layer = [lib.deltas[(task, layer_id)] for task in lib.tasks]
         f = cp_als_factored(layer, R, opts)
-        rows.append((layer_id, sti([d.materialize() for d in layer], k), cp_sti(f)))
+        rows.append((layer_id, sti((d.materialize() for d in layer), k), cp_sti(f)))
     return InterferenceReport(per_layer=tuple(rows), k=k, R=R)

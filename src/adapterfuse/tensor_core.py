@@ -25,20 +25,25 @@ _MODE_AXES = {1: 0, 2: 1, 3: 2}
 
 
 def stack_slices(slices) -> np.ndarray:
-    """Stack matrices along the task mode; slice i of the result is input i."""
+    """Stack matrices along the task mode; slice i of the result is input i.
+
+    The result is stored slice-major (each t[:, :, i] is contiguous), the
+    layout cp_als works on, so cp_als takes it without a copy.
+    """
     slices = list(slices)
     if not slices:
         raise ValueError("stack_slices requires at least one slice")
-    mats = [np.asarray(s, dtype=np.float64) for s in slices]
-    shape = mats[0].shape
+    shape = np.shape(slices[0])
     if len(shape) != 2:
         raise ShapeMismatchError("stack_slices: slice 0 is not a matrix")
-    for i, m in enumerate(mats):
-        if m.shape != shape:
+    out = np.empty((len(slices), *shape))
+    for i, m in enumerate(slices):
+        if np.shape(m) != shape:
             raise ShapeMismatchError(
-                f"stack_slices: slice {i} has shape {m.shape}, expected {shape}"
+                f"stack_slices: slice {i} has shape {np.shape(m)}, expected {shape}"
             )
-    return np.stack(mats, axis=2)
+        out[i] = m
+    return np.moveaxis(out, 0, 2)
 
 
 def unfold(t, mode: int) -> np.ndarray:
@@ -82,9 +87,21 @@ def khatri_rao(x, y) -> np.ndarray:
 
 
 def frobenius_norm(t) -> float:
-    """sqrt of the sum of squared entries of a matrix or tensor."""
+    """sqrt of the sum of squared entries of a matrix or tensor.
+
+    Finite for finite input: only when the plain sum of squares overflows
+    are the entries scaled by their largest magnitude and summed again.
+    """
     a = np.asarray(t, dtype=np.float64)
-    return float(np.sqrt(np.sum(a * a)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(a * a)
+    if math.isfinite(total):
+        return float(np.sqrt(total))
+    peak = float(np.max(np.abs(a)))
+    if not math.isfinite(peak):  # an inf or nan entry
+        return float(np.sqrt(total))
+    scaled = a / peak
+    return peak * math.sqrt(np.sum(scaled * scaled))
 
 
 def all_finite(x) -> bool:
@@ -93,4 +110,6 @@ def all_finite(x) -> bool:
     A finite sum proves it without an array of flags; only a sum that
     overflows, or meets a nan or inf, needs the entrywise test.
     """
-    return math.isfinite(x.sum()) or bool(np.all(np.isfinite(x)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = x.sum()
+    return math.isfinite(total) or bool(np.all(np.isfinite(x)))

@@ -1,5 +1,7 @@
 """ALS solver: exact recovery, monotonicity, normalization, container I/O."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,12 @@ from adapterfuse import (
     CPFactors,
     PlantedSpec,
     cp_als,
+    cp_als_factored,
     cp_merge,
     cp_reconstruct_slice,
+    fold,
     gen_planted_library,
+    khatri_rao,
     load_factors,
     normalize_factors,
     save_factors,
@@ -19,7 +24,8 @@ from adapterfuse import (
     storage_bytes,
     unfold,
 )
-from adapterfuse.cp_decomposition import _init_factors
+from adapterfuse import cp_decomposition
+from adapterfuse.cp_decomposition import _init_factors, _normalize_columns
 
 from conftest import cp_reconstruct, drop_header_key, edit_header, max_principal_sine, outer3
 
@@ -219,13 +225,140 @@ class TestGramInit:
             x1, x2 = unfold(t, 1), unfold(t, 2)
             svds = [np.linalg.svd(x, full_matrices=False) for x in (x1, x2)]
             for R in ranks:
-                b, c = _init_factors(t, x1, x2, R, AlsOptions(), np.random.default_rng(0))
+                b, c = _init_factors(np.moveaxis(t, 2, 0), R, AlsOptions(),
+                                     np.random.default_rng(0))
                 for (u, s, _), f in zip(svds, (b, c)):
                     if (s[R - 1] - s[R]) / s[0] < self.CLEAR_GAP:
                         continue
                     assert max_principal_sine(u[:, :R], f) <= 1e-8
                     checked += 1
         assert checked >= len(lib.layers) * len(ranks)  # most gaps are clear
+
+
+def khatri_rao_als(t, R, opts):
+    """Error trace of the ALS loop as it ran before its slice-product form.
+
+    Khatri-Rao MTTKRPs on the three unfoldings, a cond check and an LU
+    solve per update, and the error from the dense residual, from the
+    same init and with the same stop rule: the reference for cp_als.
+    """
+    def solve(gram, mttkrp):
+        if not np.linalg.cond(gram) < 1e12:
+            tr = float(np.trace(gram))
+            gram = gram + (1e-10 * tr / R if tr > 0 else 1e-10) * np.eye(R)
+        return np.linalg.solve(gram, mttkrp.T).T
+
+    x1, x2, x3 = unfold(t, 1), unfold(t, 2), unfold(t, 3)
+    norm_t = np.linalg.norm(t)
+    b, c = _init_factors(np.moveaxis(t, 2, 0), R, opts, np.random.default_rng(opts.seed))
+    trace, prev_fit = [], None
+    for _ in range(opts.max_iters):
+        a, _ = _normalize_columns(solve((c.T @ c) * (b.T @ b), x3 @ khatri_rao(c, b)))
+        b, _ = _normalize_columns(solve((a.T @ a) * (c.T @ c), x1 @ khatri_rao(a, c)))
+        c, lam = _normalize_columns(solve((a.T @ a) * (b.T @ b), x2 @ khatri_rao(a, b)))
+        model = fold((b * lam) @ khatri_rao(a, c).T, 1, t.shape)
+        trace.append(np.linalg.norm(t - model) / norm_t)
+        fit = 1.0 - trace[-1]
+        if prev_fit is not None and abs(fit - prev_fit) < opts.tol:
+            break
+        prev_fit = fit
+    return trace
+
+
+def noisy_planted_layer():
+    """Criterion 6's library shape: 5 dense-stored 48×48 tasks, noise 0.05."""
+    spec = PlantedSpec(n_tasks=5, d_in=48, d_out=48, rank_shared=0, rank_specific=4,
+                       noise_sigma=0.05, seed=0, n_layers=1)
+    lib, _ = gen_planted_library(spec)
+    return stack_slices([lib.deltas[(task, lib.layers[0])].materialize() for task in lib.tasks])
+
+
+def near_exact_layer():
+    """A noiseless planted 30×26×4 layer of rank 12: a fit at R = 12 ends exact to round-off."""
+    spec = PlantedSpec(n_tasks=4, d_in=30, d_out=26, rank_shared=0, rank_specific=3,
+                       seed=2, n_layers=1)
+    lib, _ = gen_planted_library(spec)
+    return stack_slices([lib.deltas[(task, lib.layers[0])].materialize() for task in lib.tasks])
+
+
+ITERATION_CASES = {
+    "random-svd": (lambda: np.random.default_rng(1).standard_normal((9, 7, 5)), 3,
+                   AlsOptions(max_iters=60, tol=1e-12)),
+    "random-init": (lambda: np.random.default_rng(2).standard_normal((12, 5, 3)), 4,
+                    AlsOptions(max_iters=60, tol=1e-12, init="random", seed=2)),
+    "noisy-R4": (noisy_planted_layer, 4, AlsOptions()),
+    "noisy-R20": (noisy_planted_layer, 20, AlsOptions()),
+    "noisy-R30": (noisy_planted_layer, 30, AlsOptions(max_iters=80)),
+    "near-exact": (near_exact_layer, 12, AlsOptions()),
+    # from a random start: 0.098, 0.0014, 4e-10, 3e-16, through the cancellation limit
+    "converging": (near_exact_layer, 12, AlsOptions(init="random", seed=2)),
+}
+
+
+class TestAlsIteration:
+    """The slice-product loop with Gram errors runs the Khatri-Rao loop's iterations."""
+
+    @pytest.mark.parametrize("case", ITERATION_CASES)
+    def test_trace_and_iterations_match_the_khatri_rao_loop(self, case):
+        make, R, opts = ITERATION_CASES[case]
+        t = make()
+        got = cp_als(t, R, opts).error_trace
+        want = khatri_rao_als(t, R, opts)
+        assert len(got) == len(want)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["random-svd", "noisy-R20", "near-exact", "converging"])
+    def test_residual_is_formed_only_below_the_cancellation_limit(self, case, monkeypatch):
+        make, R, opts = ITERATION_CASES[case]
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return residual(*args)
+
+        residual = cp_decomposition._residual
+        monkeypatch.setattr(cp_decomposition, "_residual", counting)
+        trace = cp_als(make(), R, opts).error_trace
+        assert len(calls) == sum(err * err < 1e-4 for err in trace)
+        assert (len(calls) > 0) == (case in ("near-exact", "converging"))
+
+    @pytest.mark.parametrize("case", ["random-svd", "noisy-R20", "near-exact", "converging"])
+    def test_every_error_is_the_direct_residual(self, case):
+        make, R, opts = ITERATION_CASES[case]
+        t = make()
+        trace = cp_als(t, R, opts).error_trace
+        for i in range(0, len(trace), max(1, len(trace) // 8)):
+            f = cp_als(t, R, AlsOptions(max_iters=i + 1, tol=opts.tol, init=opts.init,
+                                        seed=opts.seed))
+            assert f.error_trace == trace[: i + 1]
+            direct = np.linalg.norm(t - cp_reconstruct(f)) / np.linalg.norm(t)
+            assert abs(trace[i] - direct) <= 1e-12, (i, trace[i], direct)
+
+    @pytest.mark.parametrize("case", ["random-svd", "noisy-R4", "near-exact"])
+    def test_scaled_tensor_gives_the_same_trace(self, case):
+        make, R, opts = ITERATION_CASES[case]
+        t = make()
+        f, g = cp_als(t, R, opts), cp_als(1e150 * t, R, opts)
+        assert len(f.error_trace) == len(g.error_trace)
+        assert np.max(np.abs(np.subtract(f.error_trace, g.error_trace))) <= 1e-12
+        np.testing.assert_allclose(g.lam, 1e150 * f.lam, rtol=1e-9)
+
+    def test_dense_layer_peak_is_the_stack_and_one_copy(self):
+        # 8 dense-stored 256² deltas at R = 16: the stack is 4 MiB and one
+        # 65536 × 16 Khatri-Rao product 8 MiB; only the init's transposed
+        # copy for the row Gram (_init_factors) joins the stack
+        spec = PlantedSpec(n_tasks=8, d_in=256, d_out=256, rank_shared=2, rank_specific=2,
+                           noise_sigma=0.05, seed=0, n_layers=1)
+        lib, _ = gen_planted_library(spec)
+        layer = [lib.deltas[(task, lib.layers[0])] for task in lib.tasks]
+        assert all(d.dense_stored for d in layer)
+        tracemalloc.start()
+        try:
+            cp_als_factored(layer, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, peak / 2**20
 
 
 def test_storage_bytes_formula():

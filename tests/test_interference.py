@@ -14,6 +14,7 @@ from adapterfuse import (
     layer_profile,
     sti,
 )
+from adapterfuse import interference
 
 from conftest import make_library
 
@@ -89,6 +90,21 @@ class TestSti:
         with pytest.raises(ValueError, match=r"k=3.*rank 1.*delta 1"):
             sti([full, rank1], 3)
 
+    def test_generator_input(self, rng):
+        deltas = [rng.standard_normal((7, 6)) for _ in range(3)]
+        assert sti((d for d in deltas), 2) == sti(deltas, 2)
+
+    def test_validation_of_generator_input(self, rng):
+        d = rng.standard_normal((4, 4))
+        rank1 = np.outer(rng.standard_normal(4), rng.standard_normal(4))
+        for few in ([], [d]):
+            with pytest.raises(ValueError, match="at least 2 tasks"):
+                sti((x for x in few), 1)
+        with pytest.raises(ShapeMismatchError, match="delta 1"):
+            sti((x for x in [d, rng.standard_normal((4, 5))]), 1)
+        with pytest.raises(ValueError, match=r"k=2.*rank 1.*delta 1"):
+            sti((x for x in [d, rank1]), 2)
+
 
 class TestCpSti:
     def make_factors(self, a, b, c, lam=None):
@@ -143,6 +159,19 @@ class TestLayerProfile:
             deltas = [lib.deltas[(t, layer_id)].materialize() for t in lib.tasks]
             assert s == pytest.approx(sti(deltas, 2), abs=1e-12)
             assert np.isfinite(_)
+
+    def test_sti_takes_the_deltas_one_at_a_time(self, monkeypatch):
+        lib = make_library(n_tasks=3, n_layers=2, seed=2)
+        inputs = []
+
+        def recording_sti(deltas, k):
+            inputs.append(deltas)
+            return sti(deltas, k)
+
+        monkeypatch.setattr(interference, "sti", recording_sti)
+        layer_profile(lib, k=1, R=2)
+        assert len(inputs) == 2
+        assert all(iter(x) is x for x in inputs)  # iterators, not lists of materialized deltas
 
     def test_deterministic(self):
         lib = make_library(seed=3)

@@ -1,11 +1,14 @@
 """Unfolding/folding and Khatri-Rao against index-arithmetic oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adapterfuse import (
+    AdapterDelta,
     ShapeMismatchError,
     fold,
     frobenius_norm,
@@ -13,6 +16,7 @@ from adapterfuse import (
     stack_slices,
     unfold,
 )
+from adapterfuse.tensor_core import all_finite
 
 from conftest import outer3
 
@@ -126,3 +130,30 @@ def test_frobenius_norm_matches_numpy(rng):
     t = rng.standard_normal((3, 4, 5))
     assert frobenius_norm(t) == pytest.approx(np.linalg.norm(t.ravel()), rel=1e-15)
     assert frobenius_norm(np.zeros((2, 2))) == 0.0
+
+
+def test_stack_slices_stores_each_slice_contiguously(rng):
+    t = stack_slices([rng.standard_normal((4, 3)) for _ in range(5)])
+    assert np.moveaxis(t, 2, 0).flags.c_contiguous
+
+
+@pytest.mark.filterwarnings("error")
+def test_frobenius_norm_is_finite_for_finite_input(rng):
+    for big in (1e155, 1e200, 1e300):
+        assert frobenius_norm(np.full((2, 2), big)) == pytest.approx(2 * big, rel=1e-15)
+    m = rng.standard_normal((5, 4))
+    assert frobenius_norm(1e250 * m) == pytest.approx(1e250 * np.linalg.norm(m), rel=1e-14)
+    assert frobenius_norm(np.array([1.0, np.inf])) == math.inf
+    assert math.isnan(frobenius_norm(np.array([1e300, 1e300, np.nan])))
+
+
+@pytest.mark.filterwarnings("error")
+def test_all_finite_is_warning_free():
+    big = np.array([[3e38], [3e38]], np.float32)  # the float32 sum overflows
+    assert all_finite(big)
+    AdapterDelta("x", big, np.ones((2, 1), np.float32))
+    for bad in (np.nan, np.inf, -np.inf):
+        assert not all_finite(np.array([[3e38], [bad]], np.float32))
+        with pytest.raises(ValueError, match="non-finite"):
+            AdapterDelta("x", np.array([[1.0], [bad]]), np.ones((2, 1)))
+    assert not all_finite(np.array([np.inf, -np.inf]))  # the sum is nan
