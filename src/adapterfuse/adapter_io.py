@@ -2,10 +2,14 @@
 
 Single-file format (`.alib`): the ALIB framing of containers.py (magic,
 version, JSON index, then a payload whose length and CRC32 the index
-records), written atomically.  The payload holds every factor back to
+records), written atomically.  The payload holds the factors back to
 back as little-endian float32; the index records tasks, the layer
 schema, per-tensor shapes and payload offsets, per-delta scaling and
-free-form metadata.
+free-form metadata.  A dense-stored delta (A = Δ, B = I) has no B of
+its own: the file holds one identity per size, written where the first
+dense-stored delta of that size needs it, and every such delta's `b`
+record points at it.  Readers must address tensors by offset; the
+loader makes one view per distinct span, so those deltas share one B.
 
 A directory of ``task_<id>/layer_<id>.bin`` files (each a one-entry
 container in the same format) is accepted on load for interoperability
@@ -157,26 +161,46 @@ class AdapterLibrary:
         return d.d_in, d.d_out
 
 
+def _float32(x, what) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        arr = np.ascontiguousarray(x, dtype=_DTYPE)
+        fits = all_finite(arr)  # the factors are finite: else the cast overflowed
+    if not fits:
+        raise ValueError(f"{what} exceeds the float32 range")
+    return arr
+
+
 def save_library(lib: AdapterLibrary, path) -> None:
+    """Write lib as one `.alib` file.
+
+    A dense-stored delta's `b` points at the file's one float32 identity
+    of its size, written in the place of the first such delta's B.
+    """
     lib.validate()
     entries = []
     chunks = []
     offset = 0
+
+    def put(arr) -> dict:
+        nonlocal offset
+        spec = {"shape": list(arr.shape), "offset": offset}
+        chunks.append(arr)
+        offset += arr.nbytes
+        return spec
+
+    identities = {}  # d_out -> the spec of that size's identity
     for task in lib.tasks:
         for layer in lib.layers:
             d = lib.deltas[(task, layer)]
-            rec = {"task": task, "layer": layer, "s": repr(float(d.scaling_s))}
-            for name in ("a", "b"):
-                with np.errstate(over="ignore"):
-                    arr = np.ascontiguousarray(getattr(d, name), dtype=_DTYPE)
-                    fits = all_finite(arr)  # the factors are finite: else the cast overflowed
-                if not fits:
-                    raise ValueError(
-                        f"delta ({task}, {layer}): factor {name} exceeds the float32 range"
-                    )
-                rec[name] = {"shape": list(arr.shape), "offset": offset}
-                chunks.append(arr)
-                offset += arr.nbytes
+            what = f"delta ({task}, {layer}): factor"
+            rec = {"task": task, "layer": layer, "s": repr(float(d.scaling_s)),
+                   "a": put(_float32(d.a, f"{what} a"))}
+            if not d.dense_stored:
+                rec["b"] = put(_float32(d.b, f"{what} b"))
+            elif d.d_out in identities:
+                rec["b"] = identities[d.d_out]
+            else:
+                rec["b"] = identities[d.d_out] = put(np.eye(d.d_out, dtype=_DTYPE))
             entries.append(rec)
     index = {
         "tasks": list(lib.tasks),
@@ -188,11 +212,6 @@ def save_library(lib: AdapterLibrary, path) -> None:
     write_alib(path, index, chunks)
 
 
-def _tensor(payload, spec, what, path):
-    shape, offset = require_keys(spec, {"shape": object, "offset": object}, path)
-    return read_array(payload, _DTYPE, shape, offset, what, path)
-
-
 def _load_file(path) -> AdapterLibrary:
     index, payload = read_alib(path, _DTYPE)
     entries, tasks, layers, meta = require_keys(
@@ -200,6 +219,15 @@ def _load_file(path) -> AdapterLibrary:
         {"entries": list, "tasks": list, "layers": list, "meta": dict},
         path,
     )
+    views = {}  # one read-only view per distinct (shape, offset) span
+
+    def tensor(spec, what):
+        shape, offset = require_keys(spec, {"shape": object, "offset": object}, path)
+        span = repr((shape, offset))
+        if span not in views:
+            views[span] = read_array(payload, _DTYPE, shape, offset, what, path)
+        return views[span]
+
     deltas = {}
     for rec in entries:
         task, layer, s, a, b = require_keys(
@@ -207,11 +235,17 @@ def _load_file(path) -> AdapterLibrary:
         )
         if (task, layer) in deltas:
             raise ContainerFormatError(f"{path}: duplicate entry ({task}, {layer})")
+        try:
+            scaling = float(s)
+        except ValueError:
+            raise ContainerFormatError(
+                f"{path}: entry ({task}, {layer}) has a non-numeric scaling {s!r:.40}"
+            ) from None
         deltas[(task, layer)] = AdapterDelta(
             layer_id=layer,
-            a=_tensor(payload, a, f"tensor a of ({task}, {layer})", path),
-            b=_tensor(payload, b, f"tensor b of ({task}, {layer})", path),
-            scaling_s=float(s),
+            a=tensor(a, f"tensor a of ({task}, {layer})"),
+            b=tensor(b, f"tensor b of ({task}, {layer})"),
+            scaling_s=scaling,
         )
     return AdapterLibrary(
         tasks=tuple(tasks), layers=tuple(layers), deltas=deltas, meta=dict(meta)
@@ -269,17 +303,21 @@ def export_merged(merged: dict, path, meta: dict | None = None) -> None:
     """Write per-layer merged deltas as a single-task library.
 
     Dense matrices are stored exactly (modulo the float32 element width)
-    as A = Δ with B = I, so load_library round-trips them.
+    as A = Δ with B = I, so load_library round-trips them.  Layers of one
+    d_out share one read-only identity, and the file holds it once.
     """
     layers = tuple(str(l) for l in merged)
     deltas = {}
+    identities = {}  # d_out -> its identity
     for layer in layers:
         m = np.asarray(merged[layer], dtype=np.float64)
         if m.ndim != 2:
             raise ValueError(f"merged delta for layer {layer!r} is not a matrix")
-        deltas[("merged", layer)] = AdapterDelta(
-            layer_id=layer, a=m, b=np.eye(m.shape[1], dtype=np.float32), scaling_s=1.0
-        )
+        eye = identities.get(m.shape[1])
+        if eye is None:
+            eye = identities[m.shape[1]] = np.eye(m.shape[1], dtype=np.float32)
+            eye.flags.writeable = False
+        deltas[("merged", layer)] = AdapterDelta(layer_id=layer, a=m, b=eye, scaling_s=1.0)
     lib = AdapterLibrary(
         tasks=("merged",), layers=layers, deltas=deltas, meta=dict(meta or {})
     )

@@ -164,6 +164,9 @@ def gen_planted_library(spec: PlantedSpec):
             spec.lambda_specific
         )
 
+    if spec.noise_sigma > 0.0:
+        eye = np.eye(spec.d_out)  # the one B of every noisy delta
+        eye.flags.writeable = False
     deltas = {}
     layer_sums = {}
     planted = {}
@@ -189,7 +192,7 @@ def gen_planted_library(spec: PlantedSpec):
                 deltas[(task, layer)] = AdapterDelta(
                     layer_id=layer,
                     a=signal + scale * g,
-                    b=np.eye(spec.d_out),  # dense payload: noise is full-rank
+                    b=eye,  # dense payload: noise is full-rank
                 )
             else:
                 deltas[(task, layer)] = AdapterDelta(

@@ -1,6 +1,8 @@
 """Adapter container: round trips, corruption handling, directory layout."""
 
 import json
+import math
+import re
 import struct
 import tracemalloc
 import zlib
@@ -183,7 +185,10 @@ class TestCorruption:
         lambda index: {**index, "tasks": 5},
         lambda index: {**index, "meta": 5},
         lambda index: {**index, "entries": [{**index["entries"][0], "s": [1]}]},
-    ], ids=["dtype-nonsense", "dtype-i4", "tasks-int", "meta-int", "scaling-list"])
+        lambda index: {**index, "entries": [{**index["entries"][0], "s": "abc"},
+                                            *index["entries"][1:]]},
+    ], ids=["dtype-nonsense", "dtype-i4", "tasks-int", "meta-int", "scaling-list",
+            "scaling-not-a-number"])
     def test_bad_index_value_rejected(self, edit, tmp_path):
         p = self.saved(tmp_path)
         edit_alib_index(p, edit)
@@ -201,6 +206,13 @@ class TestCorruption:
         p = self.saved(tmp_path)
         edit_alib_index(p, edit)
         with pytest.raises(SchemaError, match=message):
+            load_library(p)
+
+    def test_non_numeric_scaling_names_file_and_entry(self, tmp_path):
+        p = self.saved(tmp_path)
+        edit_alib_index(p, lambda index: {**index, "entries": [
+            *index["entries"][:1], {**index["entries"][1], "s": "abc"}, *index["entries"][2:]]})
+        with pytest.raises(ContainerFormatError, match=re.escape(f"{p}: entry (0, 01)") + ".*'abc'"):
             load_library(p)
 
     def test_infinite_scaling_rejected(self, tmp_path):
@@ -481,3 +493,107 @@ class TestFloat32Factors:
             tracemalloc.stop()
         assert q.read_bytes() == p.read_bytes()
         assert peak < payload // 4
+
+
+def mixed_library() -> AdapterLibrary:
+    """Factored and dense-stored (B = I) deltas over two d_out sizes, s ≠ 1 on
+    some, each dense-stored B its own array, one of them with −0.0 off the
+    diagonal (which dense_stored counts as the identity)."""
+    rng = np.random.default_rng(4)
+    shapes = {"00": (6, 5), "01": (4, 7), "02": (3, 5)}
+    signed_zeros = np.where(np.eye(5) == 1, 1.0, -0.0)
+    deltas = {}
+    for layer, (d_in, d_out) in shapes.items():
+        deltas[("dense", layer)] = AdapterDelta(
+            layer, rng.standard_normal((d_in, d_out)), np.eye(d_out), 1.5)
+        deltas[("factored", layer)] = AdapterDelta(
+            layer, rng.standard_normal((d_in, 2)), rng.standard_normal((d_out, 2)), 1.25)
+        b = signed_zeros.copy() if layer == "00" else np.eye(d_out, dtype=np.float32)
+        deltas[("zeros", layer)] = AdapterDelta(layer, rng.standard_normal((d_in, d_out)), b)
+    return AdapterLibrary(("dense", "factored", "zeros"), tuple(shapes), deltas)
+
+
+def read_by_offset(path) -> dict:
+    """{(task, layer): s·A·Bᵀ} read with nothing but the index's shapes and offsets."""
+    blob = path.read_bytes()
+    start = payload_start(path)
+    index = json.loads(blob[10:start])
+
+    def tensor(spec):
+        count = math.prod(spec["shape"])
+        arr = np.frombuffer(blob, "<f4", count=count, offset=start + spec["offset"])
+        return arr.reshape(spec["shape"]).astype(np.float64)
+
+    return {(rec["task"], rec["layer"]): float(rec["s"]) * (tensor(rec["a"]) @ tensor(rec["b"]).T)
+            for rec in index["entries"]}
+
+
+def rounded(lib) -> AdapterLibrary:
+    """The library with every factor rounded to float32 and widened back."""
+    return AdapterLibrary(lib.tasks, lib.layers, {
+        key: AdapterDelta(d.layer_id, d.a.astype(np.float32).astype(np.float64),
+                          d.b.astype(np.float32).astype(np.float64), d.scaling_s)
+        for key, d in lib.deltas.items()})
+
+
+class TestSharedIdentity:
+    """A dense-stored delta's B is one identity per size, on disk and once loaded."""
+
+    def saved(self, tmp_path):
+        p = tmp_path / "mixed.alib"
+        save_library(mixed_library(), p)
+        return p
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        p, q = self.saved(tmp_path), tmp_path / "again.alib"
+        save_library(load_library(p), q)
+        assert q.read_bytes() == p.read_bytes()
+
+    def test_payload_is_the_a_tensors_and_one_identity_per_size(self, tmp_path):
+        lib = mixed_library()
+        p = self.saved(tmp_path)
+        index = json.loads(p.read_bytes()[10:payload_start(p)])
+        a_bytes = sum(d.a.size * 4 for d in lib.deltas.values())
+        factored_b = sum(lib.deltas[("factored", l)].b.size * 4 for l in lib.layers)
+        identities = (5 * 5 + 7 * 7) * 4
+        assert index["payload_bytes"] == a_bytes + factored_b + identities
+        assert len(p.read_bytes()) - payload_start(p) == index["payload_bytes"]
+
+    def test_loaded_identities_are_one_readonly_array_per_size(self, tmp_path):
+        lib = load_library(self.saved(tmp_path))
+        for d_out, layers in ((5, ("00", "02")), (7, ("01",))):
+            bs = [lib.deltas[(t, l)].b for t in ("dense", "zeros") for l in layers]
+            assert all(b is bs[0] for b in bs)
+            assert bs[0].shape == (d_out, d_out) and not bs[0].flags.writeable
+            assert_same_bytes(bs[0], np.eye(d_out, dtype=np.float32))
+        assert lib.deltas[("factored", "00")].b is not lib.deltas[("factored", "02")].b
+
+    def test_materialize_bytes_unchanged(self, tmp_path):
+        # the −0.0 B is stored as +0.0, but s·A·Bᵀ is the same to the bit
+        want = rounded(mixed_library())
+        lib = load_library(self.saved(tmp_path))
+        for key, d in want.deltas.items():
+            assert_same_bytes(lib.deltas[key].materialize(), d.materialize())
+            assert_same_bytes(d.materialize(), d.scaling_s * (d.a @ d.b.T))
+
+    def test_offset_only_reader_decodes_the_same_deltas(self, tmp_path):
+        want = rounded(mixed_library())
+        got = read_by_offset(self.saved(tmp_path))
+        assert set(got) == set(want.deltas)
+        for key, d in want.deltas.items():
+            np.testing.assert_array_equal(got[key], d.materialize())
+
+    def test_entries_sharing_a_span_load(self, tmp_path):
+        # a hand-built version-1 file: both entries' b is the same span
+        payload = np.array([1.0, 2.0, 3.0, 4.0, 0.5, -1.0], dtype="<f4").tobytes()
+        entries = [{"task": t, "layer": "00", "s": "1.0",
+                    "a": {"shape": [2, 1], "offset": 8 * i},
+                    "b": {"shape": [2, 1], "offset": 16}} for i, t in enumerate("xy")]
+        p = tmp_path / "shared.alib"
+        write_alib(p, {"tasks": ["x", "y"], "layers": ["00"], "dtype": "<f4",
+                       "entries": entries, "meta": {}}, [payload])
+        lib = load_library(p)
+        bx, by = (lib.deltas[(t, "00")].b for t in "xy")
+        assert bx is by
+        np.testing.assert_array_equal(lib.deltas[("y", "00")].materialize(),
+                                      [[1.5, -3.0], [2.0, -4.0]])

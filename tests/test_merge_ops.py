@@ -506,6 +506,27 @@ class TestDenseMergeMemory:
             tracemalloc.stop()
         assert peak < payload_bytes + 2 * stack_bytes
 
+    def test_load_and_merge_peak_is_a_tensors_one_identity_two_stacks(self, tmp_path):
+        # the file holds one 512×512 identity, and every loaded B is one view of it
+        rng = np.random.default_rng(1)
+        eye = np.eye(512)
+        layers = ("00", "01")
+        path = tmp_path / "dense.alib"
+        save_library(AdapterLibrary(
+            tasks=tuple(str(i) for i in range(8)), layers=layers,
+            deltas={(str(i), l): AdapterDelta(l, rng.standard_normal((512, 512)), eye.copy())
+                    for i in range(8) for l in layers}), path)
+        a_bytes = 2 * 8 * 512 * 512 * 4
+        identity_bytes = 512 * 512 * 4
+        stack_bytes = 8 * 512 * 512 * 8
+        tracemalloc.start()
+        try:
+            merge_library(load_library(path), MergeConfig(method="dare-ties"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a_bytes + identity_bytes + 2 * stack_bytes
+
 
 @pytest.mark.usefixtures("eight_workers")
 class TestDenseMergeMemoryOnEightWorkers(TestDenseMergeMemory):

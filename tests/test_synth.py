@@ -1,6 +1,7 @@
 """Planted-library generators, ground truth containers, kv config text."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,22 @@ class TestPlantedLibrary:
         m1 = lib.deltas[("1", "00")].materialize().ravel()
         cos = np.dot(m0, m1) / (np.linalg.norm(m0) * np.linalg.norm(m1))
         assert abs(cos) == pytest.approx(1.0, abs=1e-12)
+
+    def test_noisy_deltas_share_one_identity(self):
+        # the dense-merge benchmark's library: 16 noisy 512×512 deltas
+        spec = PlantedSpec(n_tasks=8, d_in=512, d_out=512, rank_shared=2, rank_specific=4,
+                           noise_sigma=0.05, n_layers=2)
+        tracemalloc.start()
+        try:
+            lib, _ = gen_planted_library(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bs = [d.b for d in lib.deltas.values()]
+        assert all(b is bs[0] for b in bs) and not bs[0].flags.writeable
+        # the A's and the layer sums, one identity and four matrices of scratch
+        matrix = 512 * 512 * 8
+        assert peak < (len(bs) + spec.n_layers + 1 + 4) * matrix
 
     def test_deterministic(self):
         lib1, t1 = gen_planted_library(self.spec)
