@@ -37,16 +37,7 @@ from .cp_decomposition import (
 )
 from .errors import ChecksumError, ContainerFormatError, SchemaError, ShapeMismatchError
 from .interference import InterferenceReport, cp_sti, layer_profile, sti
-from .merge_ops import (
-    MergeConfig,
-    dare_transform,
-    merge_deltas,
-    merge_library,
-    task_arithmetic,
-    ties_merge,
-    tsv_merge,
-    uniform_merge,
-)
+from .merge_ops import MergeConfig, dare_transform, merge_deltas, merge_library
 from .svd_kernel import SvdResult, svd, truncated_approx
 from .synth import (
     GroundTruth,
@@ -57,12 +48,6 @@ from .synth import (
     recovery_error,
     save_truth,
 )
-from .tensor_core import (
-    fold,
-    frobenius_norm,
-    khatri_rao,
-    stack_slices,
-    unfold,
-)
+from .tensor_core import frobenius_norm, stack_slices
 
 __version__ = "0.1.0"

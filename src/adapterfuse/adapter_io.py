@@ -156,10 +156,6 @@ class AdapterLibrary:
             if len(set(shapes.values())) > 1:
                 raise SchemaError(f"layer {layer!r} has inconsistent shapes: {shapes}")
 
-    def layer_shape(self, layer_id) -> tuple:
-        d = self.deltas[(self.tasks[0], str(layer_id))]
-        return d.d_in, d.d_out
-
 
 def _float32(x, what) -> np.ndarray:
     with np.errstate(over="ignore"):

@@ -133,31 +133,21 @@ def _read_sweep_rows(path):
 
 
 def cmd_sweep(args) -> int:
-    metric = args.metric
-    if metric is None:
-        metric = "recovery-error" if args.param == "cp-rank" else "inertia"
-    if metric == "recovery-error":
-        if args.param != "cp-rank":
-            raise ValueError("metric recovery-error requires --param cp-rank")
+    if args.param == "cp-rank":
+        metric = "recovery-error"
+        if not args.library:
+            raise ValueError("--param cp-rank requires --library")
         if not args.truth:
-            raise ValueError("metric recovery-error requires --truth")
-    if metric == "inertia":
-        if args.param != "k-clusters":
-            raise ValueError("metric inertia requires --param k-clusters")
+            raise ValueError("--param cp-rank requires --truth")
+        lib, truth = load_library(args.library), load_truth(args.truth)
+    else:
+        metric = "inertia"
         if not args.embeddings:
-            raise ValueError("metric inertia requires --embeddings")
+            raise ValueError("--param k-clusters requires --embeddings")
+        embeds = load_embeddings(args.embeddings)
 
     rows = _read_sweep_rows(args.out)
     done = {(p, v, m) for p, v, m, _ in rows}
-
-    lib = truth = embeds = None
-    if args.param == "cp-rank":
-        if not args.library:
-            raise ValueError("--param cp-rank requires --library")
-        lib = load_library(args.library)
-        truth = load_truth(args.truth)
-    else:
-        embeds = load_embeddings(args.embeddings)
 
     for value in args.values:
         key = (args.param, str(value), metric)
@@ -281,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--library", default=None)
     s.add_argument("--param", required=True, choices=("cp-rank", "k-clusters"))
     s.add_argument("--values", required=True, type=int, nargs="+")
-    s.add_argument("--metric", choices=("recovery-error", "inertia"), default=None)
     s.add_argument("--out", required=True)
     s.add_argument("--truth", default=None)
     s.add_argument("--embeddings", default=None)

@@ -159,22 +159,18 @@ def kmeans_fit(
 
 def assign(m: ClusterModel, vector) -> int:
     """Nearest centroid index; ties break toward the lowest index."""
-    v = np.asarray(vector, dtype=np.float64).ravel()
-    if v.size != m.centroids.shape[1]:
-        raise ValueError(
-            f"vector has dim {v.size}, model expects {m.centroids.shape[1]}"
-        )
-    x = _prepare(v[None, :], m.distance)
-    return int(np.argmin(_sq_dists(x, m.centroids)[0]))
+    return int(assign_many(m, np.ravel(vector)[None, :])[0])
 
 
 def assign_many(m: ClusterModel, vectors) -> np.ndarray:
-    x = _prepare(np.asarray(vectors, dtype=np.float64), m.distance)
+    x = np.asarray(vectors, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"vectors must be a 2-D array, got ndim={x.ndim}")
     if x.shape[1] != m.centroids.shape[1]:
         raise ValueError(
             f"vectors have dim {x.shape[1]}, model expects {m.centroids.shape[1]}"
         )
-    return np.argmin(_sq_dists(x, m.centroids), axis=1)
+    return np.argmin(_sq_dists(_prepare(x, m.distance), m.centroids), axis=1)
 
 
 def partition_manifest(manifest: dict, m: ClusterModel, e: EmbeddingSet) -> list:

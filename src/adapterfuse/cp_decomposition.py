@@ -218,7 +218,8 @@ def _init_factors(s, R, opts, rng):
     X2 (HOSVD), taken as the leading eigenvectors of their Grams
     (_leading_eigvecs).  X2ᵀ is s itself, reshaped; X1ᵀ is s with each
     slice transposed, a copy that lives only for its product, laid out
-    as unfold lays out X1 so the Gram keeps its bits.  Within a subspace whose
+    as the classical mode-1 unfolding (column j + d_out·k holds
+    T_k[:, j]) so the Gram keeps its bits.  Within a subspace whose
     singular values repeat, e.g. tasks of equal weight, the basis is
     arbitrary, and pairing row and column vectors from two independent
     eigendecompositions can leave ALS at a saddle.  Weighting each slice by its inner product with a

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 
 def loads(text: str) -> dict:
     """Parse into an ordered str→str dict. '#' lines and blanks are skipped."""
@@ -41,3 +43,29 @@ def as_floats(value: str) -> list:
     if not value:
         return []
     return [float(part) for part in value.split(",")]
+
+
+def build(cls, text: str, parsers: dict, what: str):
+    """The dataclass cls from `key = value` text, each value through parsers[key].
+
+    A key with no parser, a field of cls with no default left out, or a
+    value its parser rejects raises a ValueError naming the key.
+    """
+    raw = loads(text)
+    unknown = set(raw) - set(parsers)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [
+        f.name for f in dataclasses.fields(cls)
+        if f.name not in raw
+        and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise ValueError(f"{what} is missing {', '.join(map(repr, missing))}")
+    values = {}
+    for key, value in raw.items():
+        try:
+            values[key] = parsers[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{what} key {key!r}: {exc}") from None
+    return cls(**values)

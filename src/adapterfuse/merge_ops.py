@@ -1,6 +1,6 @@
 """Layer-wise merge operators over task delta matrices.
 
-Every operator takes the full list of per-task deltas for one layer plus
+Every merge takes the full list of per-task deltas for one layer plus
 a MergeConfig and returns a single merged delta.  Stochastic operators
 (the DARE family) draw from a stream derived from (seed, task index,
 layer salt), so a layer's merge does not depend on which layers were
@@ -9,9 +9,9 @@ merged before it.
 The dense methods run on one float64 stack of shape (N, d_in, d_out)
 per layer, on every core through blas.task_map.  One job per task fills
 its slice (merge_library copies a dense-stored delta there and makes a
-product in the calling thread beforehand; merge_deltas and the list
-operators copy their inputs, so callers' arrays are never written),
-checks it is finite, then drops (DARE) and trims (TIES) it in place.
+product in the calling thread beforehand; merge_deltas copies its
+inputs, so callers' arrays are never written), checks it is finite,
+then drops (DARE) and trims (TIES) it in place.
 No job writes another task's slice.  DARE draws its noise in blocks of
 _BLOCK entries from the (seed, task, layer) stream, which reproduces
 one draw over the slice.  The TIES trim's threshold is the k-th largest
@@ -27,6 +27,8 @@ entries is merged in the calling thread, and the stack is freed before
 the next layer's is filled.  Every method returns the same bytes
 whatever the number of workers, and the same as the list-based
 operators it replaced (tests/conftest.py keeps those as oracles).
+merge_deltas (a list of matrices) and merge_library (an AdapterLibrary)
+are the two entries; each runs the method that cfg.method names.
 """
 
 from __future__ import annotations
@@ -95,8 +97,7 @@ class MergeConfig:
 
     @classmethod
     def from_kv(cls, text: str) -> "MergeConfig":
-        raw = kvconfig.loads(text)
-        known = {
+        parsers = {
             "method": str,
             "alpha": float,
             "average": kvconfig.as_bool,
@@ -105,12 +106,7 @@ class MergeConfig:
             "cp_rank": int,
             "seed": int,
         }
-        unknown = set(raw) - set(known)
-        if unknown:
-            raise ValueError(f"unknown merge config keys: {sorted(unknown)}")
-        if "method" not in raw:
-            raise ValueError("merge config is missing 'method'")
-        return cls(**{k: known[k](v) for k, v in raw.items()})
+        return kvconfig.build(cls, text, parsers, "merge config")
 
 
 def _require_finite(delta, i) -> None:
@@ -346,35 +342,6 @@ def _merge_layer(method, cfg, salt, stack, fill) -> np.ndarray:
     return out.reshape(stack.shape[1:])
 
 
-def _merge_matrices(method, deltas, cfg, salt=0) -> np.ndarray:
-    """Merge a list of same-shape matrices, copied into a new stack."""
-    deltas = _as_matrices(deltas)
-    stack = np.empty((len(deltas), *deltas[0].shape))
-    return _merge_layer(method, cfg, salt, stack, lambda i, out: np.copyto(out, deltas[i]))
-
-
-def uniform_merge(deltas, cfg: MergeConfig) -> np.ndarray:
-    """alpha · (Σ Δ_i) / N."""
-    return _merge_matrices("uniform", deltas, cfg)
-
-
-def task_arithmetic(deltas, cfg: MergeConfig) -> np.ndarray:
-    """alpha · Σ Δ_i, no averaging."""
-    return _merge_matrices("task-arithmetic", deltas, cfg)
-
-
-def ties_merge(deltas, cfg: MergeConfig) -> np.ndarray:
-    """Trim, elect signs, average the agreeing survivors.
-
-    Per task the top ceil(k_density · n_entries) entries by |magnitude|
-    survive (magnitude ties keep the lower linear index).  Each entry's
-    sign is elected from the sign of the summed survivors (an exact zero
-    elects +); the output is alpha times the mean over tasks whose
-    surviving entry is nonzero and matches the elected sign.
-    """
-    return _merge_matrices("ties", deltas, cfg)
-
-
 def dare_transform(delta, cfg: MergeConfig, stream=()) -> np.ndarray:
     """Zero each entry with probability dare_p, rescale survivors by 1/(1-p).
 
@@ -388,25 +355,33 @@ def dare_transform(delta, cfg: MergeConfig, stream=()) -> np.ndarray:
     return delta
 
 
-def tsv_merge(deltas, cfg: MergeConfig) -> np.ndarray:
-    """alpha · Σ_i rank-k truncation of Δ_i, k = ceil(k_density · min dim)."""
-    return _merge_matrices("tsv", deltas, cfg)
-
-
 def layer_salt(layer_id: str) -> int:
     return zlib.crc32(str(layer_id).encode("utf-8"))
 
 
 def merge_deltas(deltas, cfg: MergeConfig, salt: int = 0) -> np.ndarray:
-    """Merge one layer's dense deltas with the configured operator.
+    """Merge one layer's dense deltas, same-shape matrices, by cfg.method.
 
-    `salt` (derived from the layer id by merge_library) keys the DARE
-    masks so no two layers reuse a stream.  The cp method fits the
-    factored deltas of a library, so it runs through merge_library only.
+    uniform is alpha · (Σ Δ_i) / N, task-arithmetic alpha · Σ Δ_i, and
+    tsv alpha · Σ_i the rank-k truncation of Δ_i, k = ceil(k_density ·
+    min dim).  ties trims, elects signs and averages the agreeing
+    survivors: per task the top ceil(k_density · n_entries) entries by
+    |magnitude| survive (magnitude ties keep the lower linear index),
+    each entry's sign is elected from the sign of the summed survivors
+    (an exact zero elects +), and the output is alpha times the mean over
+    tasks whose surviving entry is nonzero and matches the elected sign.
+    dare-ta and dare-ties first drop each Δ_i as dare_transform does, on
+    the stream (i, salt); `salt` (derived from the layer id by
+    merge_library) keys the masks so no two layers reuse a stream.  The
+    inputs are copied into a new stack, never written.  The cp method
+    fits the factored deltas of a library, so it runs through
+    merge_library only.
     """
     if cfg.method == "cp":
         raise ValueError(f"method {cfg.method!r} merges factored deltas: use merge_library")
-    return _merge_matrices(cfg.method, deltas, cfg, salt)
+    deltas = _as_matrices(deltas)
+    stack = np.empty((len(deltas), *deltas[0].shape))
+    return _merge_layer(cfg.method, cfg, salt, stack, lambda i, out: np.copyto(out, deltas[i]))
 
 
 def _merge_library_layer(layer, cfg, salt) -> np.ndarray:

@@ -31,9 +31,6 @@ class SvdResult:
     def rank(self) -> int:
         return int(np.count_nonzero(self.sigma))
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.T
-
 
 def _largest_entry_signs(f):
     """Per column: −1.0 where its largest-magnitude entry is negative, else 1.0."""

@@ -99,8 +99,7 @@ class PlantedSpec:
 
     @classmethod
     def from_kv(cls, text: str) -> "PlantedSpec":
-        raw = kvconfig.loads(text)
-        known = {
+        parsers = {
             "n_tasks": int,
             "d_in": int,
             "d_out": int,
@@ -112,10 +111,7 @@ class PlantedSpec:
             "seed": int,
             "n_layers": int,
         }
-        unknown = set(raw) - set(known)
-        if unknown:
-            raise ValueError(f"unknown planted spec keys: {sorted(unknown)}")
-        return cls(**{k: known[k](v) for k, v in raw.items()})
+        return kvconfig.build(cls, text, parsers, "planted spec")
 
 
 @dataclass(frozen=True)

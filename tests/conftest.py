@@ -13,6 +13,26 @@ def outer3(u, v, w):
     return np.einsum("i,j,k->ijk", u, v, w)
 
 
+def unfold(t, mode):
+    """Mode-n matricization (test oracle): the row index is the mode-n
+    index, and the other modes run through the columns, the earlier one
+    fastest."""
+    axis = mode - 1
+    return np.reshape(np.moveaxis(t, axis, 0), (t.shape[axis], -1), order="F")
+
+
+def fold(m, mode, dims):
+    """Inverse of unfold: fold(unfold(t, mode), mode, t.shape) == t (test oracle)."""
+    axis = mode - 1
+    rest = [d for a, d in enumerate(dims) if a != axis]
+    return np.moveaxis(np.reshape(m, (dims[axis], *rest), order="F"), 0, axis)
+
+
+def khatri_rao(x, y):
+    """Column-wise Kronecker product: column r is kron(x[:, r], y[:, r]) (test oracle)."""
+    return np.einsum("ir,jr->ijr", x, y).reshape(-1, x.shape[1])
+
+
 def cp_reconstruct(f):
     """A CPFactors' full model tensor, stacked from per-task slices (test oracle)."""
     return np.stack([cp_reconstruct_slice(f, i) for i in range(f.n_tasks)], axis=2)

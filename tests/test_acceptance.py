@@ -29,14 +29,12 @@ from adapterfuse import (
     kmeans_fit,
     layer_profile,
     load_library,
+    merge_deltas,
     partition_manifest,
     recovery_error,
     stack_slices,
     storage_bytes,
     sti,
-    task_arithmetic,
-    ties_merge,
-    tsv_merge,
 )
 from adapterfuse.clustering import assign_many
 from adapterfuse.cli import main
@@ -121,8 +119,8 @@ def test_criterion_4_baseline_merges():
         rng = np.random.default_rng(11)
         for _ in range(5):
             mats = [rng.standard_normal((7, 5)) for _ in range(4)]
-            ta = task_arithmetic(mats, MergeConfig(method="task-arithmetic"))
-            full = tsv_merge(mats, MergeConfig(method="tsv", k_density=1.0))
+            ta = merge_deltas(mats, MergeConfig(method="task-arithmetic"))
+            full = merge_deltas(mats, MergeConfig(method="tsv", k_density=1.0))
             np.testing.assert_allclose(full, ta, atol=1e-9)
 
         # ties vs brute force over every ordered pair of 2x2 integer patterns
@@ -142,7 +140,7 @@ def test_criterion_4_baseline_merges():
                     agree = [v for v in (v1, v2)
                              if v != 0.0 and (1.0 if v > 0 else -1.0) == elected]
                     want.append(sum(agree) / len(agree) if agree else 0.0)
-                got = ties_merge([m1, m2], cfg)
+                got = merge_deltas([m1, m2], cfg)
                 assert got[0, 0] == want[0] and got[0, 1] == want[1] \
                     and got[1, 0] == want[2] and got[1, 1] == want[3], (flats[i1], flats[i2])
 

@@ -73,7 +73,7 @@ class TestAdapterLibrary:
                          b=rng.standard_normal((3, 1)))
         lib = AdapterLibrary(tasks=(7,), layers=(0,), deltas={("7", "0"): d})
         assert lib.tasks == ("7",) and lib.layers == ("0",)
-        assert lib.layer_shape(0) == (3, 3)
+        assert lib.deltas[(lib.tasks[0], lib.layers[0])] is d
 
     def test_missing_pair_listed(self, rng):
         d = AdapterDelta(layer_id="00", a=rng.standard_normal((3, 1)),

@@ -67,12 +67,17 @@ class TestSynthCommand:
         assert (tmp_path / "a.alib.truth").read_bytes() == \
             (tmp_path / "b.alib.truth").read_bytes()
 
-    def test_bad_spec_is_exit_2(self, tmp_path, capsys):
-        p = tmp_path / "spec.kv"
-        p.write_text("n_tasks = 2\nbroken\n")
-        rc = main(["synth", "--spec", str(p), "--out", str(tmp_path / "x.alib")])
+    @pytest.mark.parametrize("edit,named", [
+        (lambda text: "n_tasks = 2\nbroken\n", "line 2"),
+        (lambda text: text.replace("n_tasks = 2\n", ""), "'n_tasks'"),
+        (lambda text: text.replace("n_tasks = 2\n", "n_tasks = 2.5\n"), "'n_tasks'"),
+    ], ids=["malformed-line", "missing-key", "bad-value"])
+    def test_bad_spec_is_exit_2(self, tmp_path, spec_path, capsys, edit, named):
+        spec_path.write_text(edit(spec_path.read_text()))
+        rc = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "x.alib")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
 
 
 class TestMergeCommand:
@@ -354,7 +359,8 @@ class TestCompressCommand:
             line = [l for l in stdout.splitlines() if l.startswith(f"{layer}:")][0]
             reported = float(line.split("= ", 1)[1].split(" ->")[0])
             assert reported == recovery_error(approx, target)
-        n_layers, (d_in, d_out) = len(lib.layers), lib.layer_shape("00")
+        d = lib.deltas[("0", "00")]
+        n_layers, d_in, d_out = len(lib.layers), d.d_in, d.d_out
         want = n_layers * 2 * (1 + 3 + d_in + d_out) * 4
         assert f"storage_bytes = {want}" in stdout
         assert "ratio = " in stdout

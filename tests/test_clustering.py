@@ -167,6 +167,13 @@ class TestAssign:
         with pytest.raises(ValueError, match="dim"):
             assign_many(model, np.zeros((4, 2)))
 
+    def test_assign_many_rejects_non_matrix(self):
+        model = ClusterModel(
+            K=1, centroids=np.zeros((1, 3)), inertia=0.0, iterations_run=1, seed=0)
+        for bad in (np.zeros(3), np.zeros((2, 2, 3))):
+            with pytest.raises(ValueError, match="2-D"):
+                assign_many(model, bad)
+
 
 class TestPartitionManifest:
     def test_disjoint_covering_ordered(self):

@@ -14,20 +14,26 @@ from adapterfuse import (
     cp_als_factored,
     cp_merge,
     cp_reconstruct_slice,
-    fold,
     gen_planted_library,
-    khatri_rao,
     load_factors,
     normalize_factors,
     save_factors,
     stack_slices,
     storage_bytes,
-    unfold,
 )
 from adapterfuse import cp_decomposition
 from adapterfuse.cp_decomposition import _init_factors, _normalize_columns
 
-from conftest import cp_reconstruct, drop_header_key, edit_header, max_principal_sine, outer3
+from conftest import (
+    cp_reconstruct,
+    drop_header_key,
+    edit_header,
+    fold,
+    khatri_rao,
+    max_principal_sine,
+    outer3,
+    unfold,
+)
 
 
 def planted_tensor(rng, n_tasks=4, d_in=9, d_out=7, lam=(3.0, 2.0, 1.0)):

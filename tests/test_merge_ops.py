@@ -19,10 +19,6 @@ from adapterfuse import (
     merge_deltas,
     merge_library,
     save_library,
-    task_arithmetic,
-    ties_merge,
-    tsv_merge,
-    uniform_merge,
 )
 from adapterfuse import blas, merge_ops
 from adapterfuse.cli import main
@@ -76,24 +72,24 @@ class TestLinearMethods:
         mats = [rng.standard_normal((4, 5)) for _ in range(3)]
         cfg = MergeConfig(method="uniform", alpha=0.7)
         np.testing.assert_allclose(
-            uniform_merge(mats, cfg), 0.7 * sum(mats) / 3, atol=1e-15)
+            merge_deltas(mats, cfg), 0.7 * sum(mats) / 3, atol=1e-15)
 
     def test_task_arithmetic_is_scaled_sum(self, rng):
         mats = [rng.standard_normal((4, 5)) for _ in range(3)]
         cfg = MergeConfig(method="task-arithmetic", alpha=0.3)
         np.testing.assert_allclose(
-            task_arithmetic(mats, cfg), 0.3 * sum(mats), atol=1e-15)
+            merge_deltas(mats, cfg), 0.3 * sum(mats), atol=1e-15)
 
     def test_linearity(self, rng):
         mats = [rng.standard_normal((3, 3)) for _ in range(4)]
         cfg = MergeConfig(method="uniform")
         np.testing.assert_allclose(
-            uniform_merge([2.5 * m for m in mats], cfg),
-            2.5 * uniform_merge(mats, cfg), atol=1e-12)
+            merge_deltas([2.5 * m for m in mats], cfg),
+            2.5 * merge_deltas(mats, cfg), atol=1e-12)
         cfg = MergeConfig(method="task-arithmetic")
         np.testing.assert_allclose(
-            task_arithmetic([m + mats[0] for m in mats], cfg),
-            task_arithmetic(mats, cfg) + 4 * mats[0], atol=1e-12)
+            merge_deltas([m + mats[0] for m in mats], cfg),
+            merge_deltas(mats, cfg) + 4 * mats[0], atol=1e-12)
 
 
 class TestTies:
@@ -103,7 +99,7 @@ class TestTies:
             kd = rng.uniform(0.1, 1.0)
             cfg = MergeConfig(method="ties", k_density=kd, alpha=1.3)
             np.testing.assert_allclose(
-                ties_merge(mats, cfg), ties_reference(mats, kd, 1.3), atol=1e-12)
+                merge_deltas(mats, cfg), ties_reference(mats, kd, 1.3), atol=1e-12)
 
     def test_integer_grid_with_ties_in_magnitude(self):
         # repeated magnitudes exercise the lowest-index tie rule; on the
@@ -121,20 +117,20 @@ class TestTies:
                         assert mags[k - 1] == mags[k]
                 cfg = MergeConfig(method="ties", k_density=kd)
                 np.testing.assert_array_equal(
-                    ties_merge(mats, cfg), ties_reference(mats, kd, 1.0))
+                    merge_deltas(mats, cfg), ties_reference(mats, kd, 1.0))
 
     def test_sign_tie_elects_positive(self):
         mats = [np.array([[1.0]]), np.array([[-1.0]])]
         cfg = MergeConfig(method="ties", k_density=1.0)
         # elected sign is + on an exact tie, so only the +1 entry is averaged
-        assert ties_merge(mats, cfg)[0, 0] == 1.0
+        assert merge_deltas(mats, cfg)[0, 0] == 1.0
 
     def test_full_density_entry_values(self, rng):
         # with no trimming each output entry is 0 or the mean of the
         # same-signed inputs, times alpha
         mats = [rng.standard_normal((5, 5)) for _ in range(4)]
         cfg = MergeConfig(method="ties", k_density=1.0, alpha=2.0)
-        out = ties_merge(mats, cfg)
+        out = merge_deltas(mats, cfg)
         stack = np.stack(mats)
         for idx in np.ndindex(5, 5):
             vals = stack[(slice(None),) + idx]
@@ -147,7 +143,7 @@ class TestTies:
         cfg = MergeConfig(method="ties", k_density=0.5)
         # empty deltas select nothing and keep their shape
         for shape in ((2, 2), (0, 4), (3, 0)):
-            out = ties_merge([np.zeros(shape)] * 3, cfg)
+            out = merge_deltas([np.zeros(shape)] * 3, cfg)
             assert out.shape == shape
             np.testing.assert_array_equal(out, np.zeros(shape))
 
@@ -192,15 +188,15 @@ class TestTsv:
     def test_full_density_equals_task_arithmetic(self, rng):
         mats = [rng.standard_normal((6, 4)) for _ in range(3)]
         cfg = MergeConfig(method="tsv", k_density=1.0, alpha=0.8)
-        ta = task_arithmetic(mats, MergeConfig(method="task-arithmetic", alpha=0.8))
-        np.testing.assert_allclose(tsv_merge(mats, cfg), ta, atol=1e-9)
+        ta = merge_deltas(mats, MergeConfig(method="task-arithmetic", alpha=0.8))
+        np.testing.assert_allclose(merge_deltas(mats, cfg), ta, atol=1e-9)
 
     def test_partial_density_truncates_each_task(self, rng):
         mats = [rng.standard_normal((8, 6)) for _ in range(3)]
         cfg = MergeConfig(method="tsv", k_density=0.34, alpha=1.5)
         # k = ceil(0.34 * 6) = 3 leading directions per task, then summed
         want = 1.5 * sum(truncated_approx(m, 3) for m in mats)
-        np.testing.assert_allclose(tsv_merge(mats, cfg), want, atol=1e-9)
+        np.testing.assert_allclose(merge_deltas(mats, cfg), want, atol=1e-9)
 
 
 class TestCpMergeLayer:
@@ -261,7 +257,7 @@ class TestDispatcher:
         cfg = MergeConfig(method="dare-ta", dare_p=0.4, seed=7, alpha=1.1)
         salt = layer_salt("00")
         dropped = [dare_transform(m, cfg, stream=(i, salt)) for i, m in enumerate(mats)]
-        want = task_arithmetic(dropped, MergeConfig(method="task-arithmetic", alpha=1.1))
+        want = merge_deltas(dropped, MergeConfig(method="task-arithmetic", alpha=1.1))
         np.testing.assert_allclose(merge_deltas(mats, cfg, salt=salt), want, atol=1e-12)
 
     def test_dare_ties_equals_manual_composition(self, rng):
@@ -269,7 +265,7 @@ class TestDispatcher:
         cfg = MergeConfig(method="dare-ties", dare_p=0.4, seed=7, k_density=0.6)
         salt = layer_salt("01")
         dropped = [dare_transform(m, cfg, stream=(i, salt)) for i, m in enumerate(mats)]
-        want = ties_merge(dropped, MergeConfig(method="ties", k_density=0.6))
+        want = merge_deltas(dropped, MergeConfig(method="ties", k_density=0.6))
         np.testing.assert_allclose(merge_deltas(mats, cfg, salt=salt), want, atol=1e-12)
         # k_density > 1 - dare_p keeps more entries than DARE left nonzero,
         # so the k-th largest magnitude is 0
@@ -440,7 +436,7 @@ class TestByteOracles:
         for kd in (0.1, 0.3, 0.5):
             mats = signed_zero_grid(rng, 5, (16, 16))
             cfg = MergeConfig(method="ties", k_density=kd, alpha=0.9)
-            assert_same_bytes(ties_merge(mats, cfg), ties_merge_oracle(mats, cfg))
+            assert_same_bytes(merge_deltas(mats, cfg), ties_merge_oracle(mats, cfg))
 
     def test_public_operators_leave_inputs_unchanged(self):
         rng = np.random.default_rng(5)
@@ -449,10 +445,7 @@ class TestByteOracles:
         for method in DENSE_METHODS:
             cfg = MergeConfig(method=method, dare_p=0.5, k_density=0.3)
             merge_deltas(mats, cfg)
-        cfg = MergeConfig(method="ties", dare_p=0.5, k_density=0.3)
-        for op in (uniform_merge, task_arithmetic, ties_merge, tsv_merge):
-            op(mats, cfg)
-        dare_transform(mats[0], cfg)
+        dare_transform(mats[0], MergeConfig(method="dare-ta", dare_p=0.5))
         for m, b in zip(mats, before):
             assert_same_bytes(m, b)
         lib = dense_library(mats)
@@ -685,8 +678,15 @@ class TestMergeConfig:
     def test_from_kv_rejects_unknown_and_missing(self):
         with pytest.raises(ValueError):
             MergeConfig.from_kv("method = uniform\nwat = 1\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="missing 'method'"):
             MergeConfig.from_kv("alpha = 1.0\n")
+
+    @pytest.mark.parametrize("key,value", [
+        ("alpha", "big"), ("average", "maybe"), ("cp_rank", "2.5"), ("seed", "x"),
+    ])
+    def test_from_kv_bad_value_names_its_key(self, key, value):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            MergeConfig.from_kv(f"method = cp\n{key} = {value}\n")
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.floats(0.05, 1.0))
@@ -696,4 +696,4 @@ def test_ties_reference_agreement_property(seed, n_mats, kd):
     mats = [np.round(rng.standard_normal((3, 3)), 1) for _ in range(n_mats)]
     cfg = MergeConfig(method="ties", k_density=kd)
     np.testing.assert_allclose(
-        ties_merge(mats, cfg), ties_reference(mats, kd, 1.0), atol=1e-12)
+        merge_deltas(mats, cfg), ties_reference(mats, kd, 1.0), atol=1e-12)

@@ -57,6 +57,18 @@ class TestPlantedSpec:
         with pytest.raises(ValueError):
             PlantedSpec.from_kv(spec.to_kv() + "bogus = 1\n")
 
+    def test_kv_missing_and_bad_values_name_their_key(self):
+        text = PlantedSpec(n_tasks=2, d_in=4, d_out=4, rank_shared=1, rank_specific=0).to_kv()
+        without = "".join(l for l in text.splitlines(True) if not l.startswith("n_tasks"))
+        with pytest.raises(ValueError, match="missing 'n_tasks'"):
+            PlantedSpec.from_kv(without)
+        for key, value in (("n_tasks", "2.5"), ("noise_sigma", "loud"),
+                           ("lambda_shared", "1, x")):
+            bad = "".join(f"{key} = {value}\n" if l.startswith(f"{key} ") else l
+                          for l in text.splitlines(True))
+            with pytest.raises(ValueError, match=f"'{key}'"):
+                PlantedSpec.from_kv(bad)
+
 
 class TestPlantedLibrary:
     spec = PlantedSpec(n_tasks=3, d_in=10, d_out=8, rank_shared=1,
