@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blas import single_threaded
 from .containers import read_alib, read_array, require_keys, write_alib
 from .errors import ContainerFormatError, SchemaError
 from .tensor_core import all_finite
@@ -95,6 +96,7 @@ class AdapterDelta:
         n = b.shape[0]
         return b.shape[1] == n and np.count_nonzero(b) == n and bool(np.all(b.diagonal() == 1.0))
 
+    @single_threaded()  # the product's bits do not follow the core count (blas)
     def materialize(self, out=None) -> np.ndarray:
         """s·A·Bᵀ, written into `out` (a d_in×d_out float64 array) when given.
 
@@ -103,18 +105,14 @@ class AdapterDelta:
         if out is None:
             out = np.empty((self.d_in, self.d_out))
         if self.dense_stored:
-            return self.copy_dense(out)
+            np.copyto(out, self.a)
+            if self.scaling_s != 1.0:
+                out *= self.scaling_s
+            out += 0.0  # as A @ I would: −0.0 becomes +0.0
+            return out
         wide_a, wide_b = (x.astype(np.float64, copy=False) for x in (self.a, self.b))
         np.matmul(wide_a, wide_b.T, out=out)
         out *= self.scaling_s
-        return out
-
-    def copy_dense(self, out) -> np.ndarray:
-        """s·A written into `out`: Δ of a delta already known to be dense-stored."""
-        np.copyto(out, self.a)
-        if self.scaling_s != 1.0:
-            out *= self.scaling_s
-        out += 0.0  # as A @ I would: −0.0 becomes +0.0
         return out
 
 
@@ -166,46 +164,48 @@ def _float32(x, what) -> np.ndarray:
     return arr
 
 
-def save_library(lib: AdapterLibrary, path) -> None:
-    """Write lib as one `.alib` file.
-
-    A dense-stored delta's `b` points at the file's one float32 identity
-    of its size, written in the place of the first such delta's B.
-    """
-    lib.validate()
-    entries = []
-    chunks = []
-    offset = 0
-
-    def put(arr) -> dict:
-        nonlocal offset
-        spec = {"shape": list(arr.shape), "offset": offset}
-        chunks.append(arr)
-        offset += arr.nbytes
-        return spec
-
-    identities = {}  # d_out -> the spec of that size's identity
+def _stored_factors(lib: AdapterLibrary):
+    """(task, layer, delta, {name: factor}) in file order, naming the
+    factors an `.alib` stores for each delta: its A, and its B unless it
+    is dense-stored.  The dense-stored deltas of one size share one
+    identity, stored in the place of the first such delta's B."""
+    sizes = set()
     for task in lib.tasks:
         for layer in lib.layers:
             d = lib.deltas[(task, layer)]
-            what = f"delta ({task}, {layer}): factor"
-            rec = {"task": task, "layer": layer, "s": repr(float(d.scaling_s)),
-                   "a": put(_float32(d.a, f"{what} a"))}
+            factors = {"a": d.a}
             if not d.dense_stored:
-                rec["b"] = put(_float32(d.b, f"{what} b"))
-            elif d.d_out in identities:
-                rec["b"] = identities[d.d_out]
-            else:
-                rec["b"] = identities[d.d_out] = put(np.eye(d.d_out, dtype=_DTYPE))
-            entries.append(rec)
-    index = {
-        "tasks": list(lib.tasks),
-        "layers": list(lib.layers),
-        "dtype": _DTYPE,
-        "entries": entries,
-        "meta": lib.meta,
-    }
+                factors["b"] = d.b
+            elif d.d_out not in sizes:
+                factors["b"] = np.eye(d.d_out, dtype=_DTYPE)
+                sizes.add(d.d_out)
+            yield task, layer, d, factors
+
+
+def save_library(lib: AdapterLibrary, path) -> None:
+    """Write lib as one `.alib` file (layout: _stored_factors)."""
+    lib.validate()
+    entries, chunks, offset = [], [], 0
+    identities = {}  # d_out -> the spec of that size's identity
+    for task, layer, d, factors in _stored_factors(lib):
+        rec = {"task": task, "layer": layer, "s": repr(float(d.scaling_s))}
+        for name, arr in factors.items():
+            chunks.append(_float32(arr, f"delta ({task}, {layer}): factor {name}"))
+            rec[name] = {"shape": list(arr.shape), "offset": offset}
+            offset += chunks[-1].nbytes
+        if d.dense_stored:
+            rec["b"] = identities.setdefault(d.d_out, rec.get("b"))
+        entries.append(rec)
+    index = {"tasks": list(lib.tasks), "layers": list(lib.layers), "dtype": _DTYPE,
+             "entries": entries, "meta": lib.meta}
     write_alib(path, index, chunks)
+
+
+def stored_bytes(lib: AdapterLibrary) -> int:
+    """Payload bytes save_library writes for lib."""
+    itemsize = np.dtype(_DTYPE).itemsize
+    return sum(itemsize * arr.size for *_, factors in _stored_factors(lib)
+               for arr in factors.values())
 
 
 def _load_file(path) -> AdapterLibrary:

@@ -1,36 +1,37 @@
 """The thread policy: numpy's OpenBLAS held to one thread, and one worker pool.
 
-cp_als (on a compressed Σr_k × Σr_k × N core or a dense stack: two
-slice products and three R×R solves, _ls_solve, per iteration) and the
-per-task SVDs of sti run inside single_threaded().  At those sizes
-OpenBLAS's thread hand-offs cost more than they save, its idle threads
-spin between calls, and each call waits for its slowest thread, so the
-speed follows other load on the machine.  On a 2-core Xeon VM, SVDs
-run back to back took 6.1 ms on two threads and 4.0 ms on one at
-96×256, and 4.2 and 2.0 ms at 64×384; `interfere` on a library of
-96×64 deltas ran 18-19 ops/s on two threads and 25 on one.  Large
-factorizations do gain from the second thread: a 1024×1024 SVD took
-590-610 ms on two and 810-910 ms on one, so truncated_approx (TSV)
-keeps the caller's thread count.  single_threaded() does nothing
-without an OpenBLAS in numpy's wheel.
+OpenBLAS runs on one thread wherever the package calls it through the
+CLI, and all parallelism comes from task_map.  The last bits of a
+product, QR or SVD depend on OpenBLAS's thread count, which it takes
+from the cores it sees, so a second thread would make the output bytes
+follow the machine.  single_threaded() is held around each CLI
+subcommand, dense layer merge, CP fit (QRs and lift included), sti,
+AdapterDelta.materialize and truncated_approx, so a caller's own
+product has the bits a merge uses.  A library caller of another entry
+(kmeans_fit, svd, cp_merge, recovery_error) runs on its own thread
+count unless it holds single_threaded() itself.  At the sizes of the
+fits and of sti one thread is also faster: OpenBLAS's hand-offs cost
+more than they save, and its idle threads spin between calls.  On a 2-core Xeon VM, SVDs took 6.1 ms on two
+threads and 4.0 ms on one at 96×256; a 1024×1024 one took 590-610 ms
+on two and 810-910 ms on one.  single_threaded() does nothing without
+an OpenBLAS in numpy's wheel.
 
 task_map spreads independent jobs (the dense merges' per-task fill,
-DARE and TIES trim, and their column-block reductions) over one
+DARE, trim and truncation, and their column-block reductions) over one
 process-wide pool of worker threads, one per core this process may run
 on (os.sched_getaffinity), made on first use.  A call uses
 min(n, cores, most) workers; each makes its scratch once and then takes
 the lowest index not yet taken.  The caller picks `most` so that the
 scratch of all its workers stays within what the serial code used
-(merge_ops: `_workers_within`).  numpy's loops release the GIL, so on a
-2-core VM the per-task stage (fill, DARE and trim) of a dare-ties
-layer of 8 dense-stored 512² deltas took 28 ms on two workers against
-41 ms on one, and its election 10 ms against 17.  No job calls BLAS, so the workers leave
-OpenBLAS's thread count alone.  They run under the caller's
-np.geterr(), since np.errstate is per thread.  A job writes only its
-own slices and a reduction keeps its order within each column, so the
-bytes do not depend on the number of workers.  With one worker
-(most=1 runs small jobs inline) the jobs run in the calling thread,
-without a hand-off.
+(merge_ops: `_workers_within`).  numpy's loops, BLAS and LAPACK release
+the GIL, and a job's BLAS call runs on its worker under the caller's
+process-wide one-thread limit.  On a 2-core VM the per-task stage of a
+dare-ties layer of 8 dense-stored 512² deltas took 28 ms on two workers
+against 41 ms on one.  Workers run under the caller's np.geterr(),
+since np.errstate is per thread.  A job writes only its own slices and
+a reduction keeps its order within each column, so the bytes do not
+depend on the number of workers.  With one worker (most=1 runs small
+jobs inline) the jobs run in the calling thread, without a hand-off.
 """
 
 import ctypes

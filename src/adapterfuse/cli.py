@@ -2,8 +2,9 @@
 
 Subcommands wire the pipeline end to end: synth → merge → interfere,
 plus clustering, parameter sweeps, and per-task compression.  Every
-stochastic step is seeded through flags, so identical invocations
-produce byte-identical files and stdout.
+stochastic step is seeded through flags, and every subcommand runs with
+OpenBLAS on one thread (blas), so identical invocations produce
+byte-identical files and stdout whatever the core count.
 
 Exit codes: 0 success, 2 usage or input error, 1 internal failure.
 """
@@ -18,7 +19,8 @@ import sys
 
 import numpy as np
 
-from .adapter_io import export_merged, load_library, save_library
+from .adapter_io import export_merged, load_library, save_library, stored_bytes
+from .blas import single_threaded
 from .clustering import (
     kmeans_fit,
     load_embeddings,
@@ -133,6 +135,8 @@ def _read_sweep_rows(path):
 
 
 def cmd_sweep(args) -> int:
+    if args.seed < 0:  # as MergeConfig and kmeans_fit check it, also when every value is cached
+        raise ValueError(f"seed must be ≥ 0, got {args.seed}")
     if args.param == "cp-rank":
         metric = "recovery-error"
         if not args.library:
@@ -190,8 +194,8 @@ def cmd_compress(args) -> int:
             f"unknown task {args.task!r}; library tasks: {', '.join(lib.tasks)}"
         )
     task_idx = lib.tasks.index(args.task)
-    os.makedirs(args.out, exist_ok=True)
     opts = AlsOptions(seed=args.seed)
+    os.makedirs(args.out, exist_ok=True)
     compressed_bytes = 0
     dense_bytes = 0
     for layer_id in lib.layers:
@@ -207,9 +211,12 @@ def cmd_compress(args) -> int:
         compressed_bytes += storage_bytes(reloaded)
         dense_bytes += len(layer) * target.size * 4  # float32 accounting
         print(f"{layer_id}: error = {err!r} -> {path}")
+    library_bytes = stored_bytes(lib)
     print(f"storage_bytes = {compressed_bytes}")
     print(f"dense_bytes = {dense_bytes}")
     print(f"ratio = {compressed_bytes / dense_bytes!r}")
+    print(f"library_bytes = {library_bytes}")
+    print(f"library_ratio = {compressed_bytes / library_bytes!r}")
     return 0
 
 
@@ -298,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with single_threaded():  # output bytes that do not follow the core count (blas)
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

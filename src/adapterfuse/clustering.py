@@ -106,9 +106,11 @@ def kmeans_fit(
         raise ValueError(f"distance must be one of {DISTANCES}, got {distance!r}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be ≥ 1, got {max_iters}")
+    if seed < 0:
+        raise ValueError(f"seed must be ≥ 0, got {seed}")
 
     x_all = _prepare(e.vectors, distance)
-    rng = np.random.default_rng(seed & ((1 << 64) - 1))
+    rng = np.random.default_rng(seed)
     m = max(K, min(e.n, math.ceil(sample_fraction * e.n)))
     x = x_all[rng.choice(e.n, size=m, replace=False)]
 

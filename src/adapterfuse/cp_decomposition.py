@@ -48,6 +48,8 @@ class AlsOptions:
             raise ValueError(f"tol must be > 0, got {self.tol}")
         if self.init not in ("svd", "random"):
             raise ValueError(f"init must be 'svd' or 'random', got {self.init!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be ≥ 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -343,6 +345,7 @@ def cp_als(t, R: int, opts: AlsOptions | None = None) -> CPFactors:
     )
 
 
+@single_threaded()  # the stacking, QRs and lift too, not only cp_als (blas)
 def cp_als_factored(deltas, R: int, opts: AlsOptions | None = None) -> CPFactors:
     """cp_als on the stack of deltas Δ_k = s_k·A_k·B_kᵀ, fitted on a compressed core.
 

@@ -69,7 +69,7 @@ def sti(deltas, k: int) -> float:
     if k < 1:
         raise ValueError(f"k must be ≥ 1, got {k}")
     us, sigmas, vs = [], [], []
-    with single_threaded():  # one small SVD per task: a second thread only adds hand-offs
+    with single_threaded():  # one SVD per task (blas)
         for i, d in enumerate(deltas):
             d = np.asarray(d, dtype=np.float64)
             if i == 0:
@@ -93,11 +93,10 @@ def sti(deltas, k: int) -> float:
     return float(np.abs((gu * sigma) @ gv).sum())
 
 
-def cp_sti(f: CPFactors, weight_by_lambda: bool = False) -> float:
+def cp_sti(f: CPFactors) -> float:
     """Hadamard interference of a CP model's factor Grams.
 
-    Columns are unit-normalized per mode first (zero columns left alone);
-    weight_by_lambda additionally scales entry (r,s) by lam[r]·lam[s].
+    Columns are unit-normalized per mode first (zero columns left alone).
     """
     eye = np.eye(f.rank_R)
 
@@ -107,8 +106,6 @@ def cp_sti(f: CPFactors, weight_by_lambda: bool = False) -> float:
         return mn.T @ mn - eye
 
     h = gram_dev(f.a_task) * gram_dev(f.b_row) * gram_dev(f.c_col)
-    if weight_by_lambda:
-        h = h * np.outer(f.lam, f.lam)
     return float(np.abs(h).sum())
 
 

@@ -7,28 +7,26 @@ layer salt), so a layer's merge does not depend on which layers were
 merged before it.
 
 The dense methods run on one float64 stack of shape (N, d_in, d_out)
-per layer, on every core through blas.task_map.  One job per task fills
-its slice (merge_library copies a dense-stored delta there and makes a
-product in the calling thread beforehand; merge_deltas copies its
-inputs, so callers' arrays are never written), checks it is finite,
-then drops (DARE) and trims (TIES) it in place.
-No job writes another task's slice.  DARE draws its noise in blocks of
-_BLOCK entries from the (seed, task, layer) stream, which reproduces
-one draw over the slice.  The TIES trim's threshold is the k-th largest
-nonzero magnitude, selected in one float64 row of scratch (which also
-holds the noise block), and a row with at most k nonzeros is left as it
-is.  The reductions over tasks (sign election with the agreeing mean,
-and the task sum) then run one job per column block, adding in task
-order within each column.  Each stage uses as many workers as the
-scratch of the serial code fits (_workers_within): 17 bytes per layer
-entry for TIES (two float64 rows and a bool row), 8 for DARE's noise
-row, so more cores never raise the peak memory.  A stack below _BLOCK
-entries is merged in the calling thread, and the stack is freed before
-the next layer's is filled.  Every method returns the same bytes
-whatever the number of workers, and the same as the list-based
-operators it replaced (tests/conftest.py keeps those as oracles).
-merge_deltas (a list of matrices) and merge_library (an AdapterLibrary)
-are the two entries; each runs the method that cfg.method names.
+per layer, on every core through blas.task_map, with OpenBLAS held to
+one thread for the whole layer (blas).  One job per task fills its
+slice (merge_library materializes its delta there; merge_deltas copies
+its inputs, so callers' arrays are never written), checks it is
+finite, then drops (DARE), trims (TIES) or truncates (TSV) it in
+place; no job writes another task's slice.  DARE draws its noise in
+blocks of _BLOCK entries from the (seed, task, layer) stream, which
+reproduces one draw over the slice.  The TIES trim's threshold is the
+k-th largest nonzero magnitude, and a row with at most k nonzeros is
+left as it is.  The reductions over tasks (sign election with the
+agreeing mean, and the task sum) then run one job per column block,
+adding in task order within each column.  Each stage uses as many
+workers as the scratch of the serial code fits (_workers_within), so
+more cores never raise the peak memory; TSV, whose truncation's arrays
+are scratch too, runs on one.  Every method returns the same bytes
+whatever the number of workers or cores, and the same as the
+list-based operators it replaced (tests/conftest.py keeps those as
+oracles).  merge_deltas (a list of matrices) and merge_library (an
+AdapterLibrary) are the two entries; each runs the method that
+cfg.method names.
 """
 
 from __future__ import annotations
@@ -40,15 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kvconfig
-from .blas import task_map
+from .blas import single_threaded, task_map
 from .cp_decomposition import AlsOptions, cp_als_factored, cp_merge
 from .errors import ShapeMismatchError
 from .svd_kernel import truncated_approx
 from .tensor_core import all_finite
 
 METHODS = ("uniform", "task-arithmetic", "ties", "dare-ties", "dare-ta", "tsv", "cp")
-
-_SEED_MASK = (1 << 64) - 1  # SeedSequence wants non-negative entropy words
 
 
 @dataclass(frozen=True)
@@ -81,6 +77,8 @@ class MergeConfig:
             raise ValueError(f"dare_p must be in [0,1), got {self.dare_p}")
         if self.cp_rank < 1:
             raise ValueError(f"cp_rank must be ≥ 1, got {self.cp_rank}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be ≥ 0, got {self.seed}")
 
     def to_kv(self) -> str:
         return kvconfig.dumps(
@@ -149,7 +147,7 @@ def _dare(row, cfg, stream, noise) -> None:
     p = cfg.dare_p
     if p == 0.0:
         return
-    rng = np.random.default_rng([cfg.seed & _SEED_MASK, *(s & _SEED_MASK for s in stream)])
+    rng = np.random.default_rng([cfg.seed, *stream])
     for j0 in range(0, len(row), len(noise)):
         part = row[j0 : j0 + len(noise)]
         block = noise[: len(part)]
@@ -290,21 +288,23 @@ def _workers_within(budget, per_worker):
     return max(1, budget // per_worker) if per_worker else None
 
 
-def _merge_layer(method, cfg, salt, stack, fill) -> np.ndarray:
-    """Merge one layer's (tasks, d_in, d_out) stack, which it overwrites.
+@single_threaded()  # once per layer, so the workers' own guards leave the count as it is
+def _merge_layer(cfg, salt, shape, fill) -> np.ndarray:
+    """Merge one layer by cfg.method on a new stack of `shape` (tasks, d_in, d_out).
 
     One job per task fills its slice (fill(i, slice)), checks it is
-    finite, then drops (DARE) and trims (TIES) it in place; the reduction
+    finite, then drops, trims or truncates it in place; the reduction
     over tasks runs over column blocks.  Both go through task_map, inline
     for a stack below one _BLOCK, and each stage's workers hold no more
-    scratch together than the serial code did: two float64 rows and a
-    bool row for TIES, a noise row for DARE.
+    scratch together than the serial code did.
     """
+    stack = np.empty(shape)
     n_tasks = len(stack)
     flat = stack.reshape(n_tasks, -1)
     n = flat.shape[1]
-    dare = method.startswith("dare-") and cfg.dare_p > 0.0
-    k = math.ceil(cfg.k_density * n) if method in ("ties", "dare-ties") else None
+    dare = cfg.method.startswith("dare-") and cfg.dare_p > 0.0
+    k = math.ceil(cfg.k_density * n) if cfg.method in ("ties", "dare-ties") else None
+    rank = math.ceil(cfg.k_density * min(shape[1:])) if cfg.method == "tsv" else None
     budget = n * (17 if k is not None else 8 if dare else 0)
     block = max(1, min(n, _BLOCK))
 
@@ -320,6 +320,8 @@ def _merge_layer(method, cfg, salt, stack, fill) -> np.ndarray:
             _require_finite(row, i)  # dividing by 1 − p can overflow
         if k is not None:
             _trim(row, k, buf, flags)
+        if rank is not None:
+            stack[i] = truncated_approx(stack[i], rank)
 
     def scratch():
         if k is None:
@@ -327,27 +329,26 @@ def _merge_layer(method, cfg, salt, stack, fill) -> np.ndarray:
         buf = np.empty(max(1, n))  # DARE's noise is dead before the trim writes here
         return buf[:block] if dare else None, buf, np.empty(min(n, _BLOCK), dtype=bool)
 
-    # the trim's row and bool block, or DARE's noise block and its keep mask
-    task_map(stage, n_tasks, scratch,
-             most(8 * n + block if k is not None else 9 * block if dare else 0))
+    # the trim's two float64 rows and bool block, DARE's noise block and its
+    # keep mask, or the truncation's SVD factors, their copies and product
+    task_map(stage, n_tasks, scratch, most(8 * n + block if k is not None else 9 * block
+                                           if dare else 48 * n if rank is not None else 0))
     if k is not None:
         out = _elect_mean(flat, cfg.alpha, most)
     else:
-        if method == "tsv":
-            # the truncations keep the caller's BLAS threads (blas.py)
-            rank = math.ceil(cfg.k_density * min(stack.shape[1:]))
-            for delta in stack:
-                delta[...] = truncated_approx(delta, rank)
-        out = _scaled_sum(flat, cfg.alpha, n_tasks if method == "uniform" else None, most)
-    return out.reshape(stack.shape[1:])
+        out = _scaled_sum(flat, cfg.alpha, n_tasks if cfg.method == "uniform" else None, most)
+    return out.reshape(shape[1:])
 
 
 def dare_transform(delta, cfg: MergeConfig, stream=()) -> np.ndarray:
     """Zero each entry with probability dare_p, rescale survivors by 1/(1-p).
 
-    The mask is drawn from (cfg.seed, *stream); `stream` lets library-level
-    merges give every (task, layer) its own reproducible mask.
+    The mask is drawn from (cfg.seed, *stream); `stream` (non-negative
+    ints) lets library-level merges give every (task, layer) its own
+    reproducible mask.
     """
+    if any(word < 0 for word in stream):
+        raise ValueError(f"stream words must be ≥ 0, got {tuple(stream)}")
     delta = np.array(delta, dtype=np.float64, order="C")
     if delta.ndim != 2:
         raise ShapeMismatchError(f"delta is not a matrix (ndim={delta.ndim})")
@@ -371,7 +372,7 @@ def merge_deltas(deltas, cfg: MergeConfig, salt: int = 0) -> np.ndarray:
     (an exact zero elects +), and the output is alpha times the mean over
     tasks whose surviving entry is nonzero and matches the elected sign.
     dare-ta and dare-ties first drop each Δ_i as dare_transform does, on
-    the stream (i, salt); `salt` (derived from the layer id by
+    the stream (i, salt); `salt` (≥ 0, derived from the layer id by
     merge_library) keys the masks so no two layers reuse a stream.  The
     inputs are copied into a new stack, never written.  The cp method
     fits the factored deltas of a library, so it runs through
@@ -379,33 +380,14 @@ def merge_deltas(deltas, cfg: MergeConfig, salt: int = 0) -> np.ndarray:
     """
     if cfg.method == "cp":
         raise ValueError(f"method {cfg.method!r} merges factored deltas: use merge_library")
+    if salt < 0:
+        raise ValueError(f"salt must be ≥ 0, got {salt}")
     deltas = _as_matrices(deltas)
-    stack = np.empty((len(deltas), *deltas[0].shape))
-    return _merge_layer(cfg.method, cfg, salt, stack, lambda i, out: np.copyto(out, deltas[i]))
+    return _merge_layer(cfg, salt, (len(deltas), *deltas[0].shape),
+                        lambda i, out: np.copyto(out, deltas[i]))
 
 
-def _merge_library_layer(layer, cfg, salt) -> np.ndarray:
-    """Merge one layer's AdapterDeltas by a dense method.
-
-    The workers copy dense-stored deltas (B = I) into their slices.  The
-    products are filled here first: OpenBLAS already runs a matmul on
-    every core, and the last bits of a product depend on its thread
-    count (at d_out = 130 or 700, say), so on a one-thread worker they
-    would differ from a product made here.
-    """
-    stack = np.empty((len(layer), layer[0].d_in, layer[0].d_out))
-    copied = [d.dense_stored for d in layer]
-    for i, d in enumerate(layer):
-        if not copied[i]:
-            d.materialize(out=stack[i])
-
-    def fill(i, out):
-        if copied[i]:
-            layer[i].copy_dense(out)
-
-    return _merge_layer(cfg.method, cfg, salt, stack, fill)
-
-
+@single_threaded()  # cp_merge's product too (blas)
 def merge_library(lib, cfg: MergeConfig) -> dict:
     """Merge every layer of an adapter library independently.
 
@@ -421,5 +403,7 @@ def merge_library(lib, cfg: MergeConfig) -> dict:
             merged[layer_id] = cfg.alpha * (cp_merge(f) / f.n_tasks if cfg.average else cp_merge(f))
         else:
             # the stack is freed when this returns, before the next layer's is filled
-            merged[layer_id] = _merge_library_layer(layer, cfg, layer_salt(layer_id))
+            merged[layer_id] = _merge_layer(cfg, layer_salt(layer_id),
+                                            (len(layer), layer[0].d_in, layer[0].d_out),
+                                            lambda i, out: layer[i].materialize(out=out))
     return merged

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import single_threaded
+
 CLAMP_REL = 1e-12
 
 
@@ -55,6 +57,7 @@ def svd(m) -> SvdResult:
     return SvdResult(u=u * flip, sigma=sigma, v=vt.T * flip)
 
 
+@single_threaded()  # the SVD's bits do not follow the core count (blas)
 def truncated_approx(m, k: int) -> np.ndarray:
     """Best rank-k approximation: keep the top-k singular triples."""
     m = np.asarray(m, dtype=np.float64)

@@ -22,8 +22,6 @@ from .containers import read_array, read_framed, require_end, require_keys, writ
 from .errors import ContainerFormatError, ShapeMismatchError
 from .tensor_core import frobenius_norm
 
-_SEED_MASK = (1 << 64) - 1
-
 
 @dataclass(frozen=True)
 class PlantedSpec:
@@ -56,6 +54,8 @@ class PlantedSpec:
             raise ValueError("rank_shared and rank_specific cannot both be 0")
         if not self.noise_sigma >= 0.0:
             raise ValueError(f"noise_sigma must be ≥ 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be ≥ 0, got {self.seed}")
         for name, rank in (
             ("lambda_shared", self.rank_shared),
             ("lambda_specific", self.rank_specific),
@@ -147,7 +147,6 @@ def gen_planted_library(spec: PlantedSpec):
     the stacked layer tensor has exact CP rank ≤ spec.total_rank and the
     planted model is unique up to permutation and scaling.
     """
-    root = spec.seed & _SEED_MASK
     n, total = spec.n_tasks, spec.total_rank
     tasks = [str(i) for i in range(n)]
     layers = _layer_ids(spec.n_layers)
@@ -169,7 +168,7 @@ def gen_planted_library(spec: PlantedSpec):
     for li, layer in enumerate(layers):
         # frames and noise come from separate substreams so the planted
         # signal does not move when noise_sigma changes
-        rng = np.random.default_rng([root, li, 0])
+        rng = np.random.default_rng([spec.seed, li, 0])
         b = _ortho_frame(rng, spec.d_in, total)
         c = _ortho_frame(rng, spec.d_out, total)
         planted[layer] = PlantedLayer(b=b, c=c, loadings=loadings.copy())
@@ -178,7 +177,7 @@ def gen_planted_library(spec: PlantedSpec):
             active = np.flatnonzero(loadings[i])
             if spec.noise_sigma > 0.0:
                 signal = (b[:, active] * loadings[i, active]) @ c[:, active].T
-                g = np.random.default_rng([root, li, 1 + i]).standard_normal(
+                g = np.random.default_rng([spec.seed, li, 1 + i]).standard_normal(
                     (spec.d_in, spec.d_out)
                 )
                 gnorm = frobenius_norm(g)
@@ -228,7 +227,7 @@ def gen_overlap_library(
     """
     if n_layers < 2:
         raise ValueError(f"n_layers must be ≥ 2, got {n_layers}")
-    rng = np.random.default_rng(seed & _SEED_MASK)
+    rng = np.random.default_rng(seed)
     rho_b = np.linspace(rho_b_range[0], rho_b_range[1], n_layers)
     rho_c = np.linspace(rho_c_range[0], rho_c_range[1], n_layers)
     a_rows = np.array([[1.0, rho_a], [rho_a, 1.0]]) / math.sqrt(1.0 + rho_a**2)

@@ -73,8 +73,7 @@ def dare_transform_oracle(delta, cfg, stream=()):
     p = cfg.dare_p
     if p == 0.0:
         return delta.copy()
-    mask = (1 << 64) - 1
-    rng = np.random.default_rng([cfg.seed & mask, *(s & mask for s in stream)])
+    rng = np.random.default_rng([cfg.seed, *stream])
     keep = rng.random(delta.shape) >= p
     return np.where(keep, delta / (1.0 - p), 0.0)
 

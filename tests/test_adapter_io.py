@@ -20,6 +20,7 @@ from adapterfuse import (
     load_library,
     save_library,
 )
+from adapterfuse.adapter_io import stored_bytes
 from adapterfuse.cli import main
 from adapterfuse.containers import ALIB_MAGIC, ALIB_VERSION, PAYLOAD_ALIGN, write_alib
 from adapterfuse.cp_decomposition import AlsOptions, cp_als_factored
@@ -558,6 +559,9 @@ class TestSharedIdentity:
         identities = (5 * 5 + 7 * 7) * 4
         assert index["payload_bytes"] == a_bytes + factored_b + identities
         assert len(p.read_bytes()) - payload_start(p) == index["payload_bytes"]
+        # stored_bytes counts the same, in memory, float64 factors or loaded views
+        for side in (lib, load_library(p)):
+            assert stored_bytes(side) == index["payload_bytes"]
 
     def test_loaded_identities_are_one_readonly_array_per_size(self, tmp_path):
         lib = load_library(self.saved(tmp_path))

@@ -1,7 +1,10 @@
-"""single_threaded, the scoped OpenBLAS thread limit around cp_als and sti,
-and task_map, the worker pool of the dense merges."""
+"""The thread policy: single_threaded, the scoped OpenBLAS thread limit
+around every BLAS call of the package, and task_map, the worker pool
+that is its only parallelism; the output bytes do not depend on
+OPENBLAS_NUM_THREADS."""
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -12,9 +15,12 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from adapterfuse import AlsOptions, PlantedSpec, cp_als_factored, gen_planted_library, sti
-from adapterfuse import blas, cp_decomposition, interference
+from adapterfuse import AdapterDelta, AlsOptions, EmbeddingSet, PlantedSpec, cp_als_factored
+from adapterfuse import gen_planted_library, save_embeddings, sti, truncated_approx
+from adapterfuse import blas, cp_decomposition, interference, svd_kernel
 from adapterfuse.blas import _openblas, single_threaded, task_map
+from adapterfuse.clustering import save_manifest
+from adapterfuse.merge_ops import METHODS
 
 needs_openblas = pytest.mark.skipif(_openblas() is None, reason="numpy has no bundled OpenBLAS")
 
@@ -72,11 +78,11 @@ def test_cp_als_and_sti_run_on_one_thread(monkeypatch):
     before = get()
     seen = defaultdict(list)
 
-    def record(module, name):
+    def record(module, name, key=None):
         fn = getattr(module, name)
 
         def recording(*args, **kwargs):
-            seen[name].append(get())
+            seen[key or name].append(get())
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, recording)
@@ -84,6 +90,7 @@ def test_cp_als_and_sti_run_on_one_thread(monkeypatch):
     record(cp_decomposition, "_ls_solve")
     record(cp_decomposition, "normalize_factors")
     record(interference, "svd")
+    record(svd_kernel, "svd", "truncation")
     spec = PlantedSpec(n_tasks=4, d_in=40, d_out=40, rank_shared=1, rank_specific=2, seed=1)
     lib, _ = gen_planted_library(spec)
     layer = [lib.deltas[(task, lib.layers[0])] for task in lib.tasks]
@@ -92,13 +99,16 @@ def test_cp_als_and_sti_run_on_one_thread(monkeypatch):
 
     cp_als_factored(layer, spec.total_rank, AlsOptions(seed=1))  # Σr_k = 12 < 40: core fit
     assert set(seen["_ls_solve"]) == {1}
-    assert seen["normalize_factors"] == [1, before]  # the lift keeps the caller's count
+    assert seen["normalize_factors"] == [1, 1]  # the lift as well as the fit
     seen.clear()
     cp_als_factored(dense_stored, 13, AlsOptions(seed=1))  # B = I: the dense stack
     assert set(seen["_ls_solve"]) == {1}
     assert seen["normalize_factors"] == [1]
     sti([d.materialize() for d in layer], k=2)
     assert seen["svd"] == [1] * spec.n_tasks
+    seen.clear()
+    truncated_approx(layer[0].materialize(), 3)  # outside any merge
+    assert seen["truncation"] == [1]
     assert get() == before
 
 
@@ -211,3 +221,101 @@ def test_task_map_stress_more_workers_than_cores(eight_workers):
     finally:
         sys.setswitchinterval(interval)
     assert np.all(counts == 5)
+
+
+_CHILD = """
+import contextlib, io, json, sys
+from adapterfuse.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    print(json.dumps([rc, out.getvalue()]))
+"""
+
+# (spec, CP rank): a factored library whose products, QRs and SVDs differ
+# in their last bits between one OpenBLAS thread and two at d_out = 700,
+# and a dense-stored noisy one
+THREAD_LIBRARIES = {
+    "factored": (PlantedSpec(n_tasks=6, d_in=256, d_out=700, rank_shared=2,
+                             rank_specific=10, seed=3), 62),
+    "noisy": (PlantedSpec(n_tasks=4, d_in=96, d_out=130, rank_shared=1, rank_specific=3,
+                          noise_sigma=0.05, seed=4, n_layers=2), 8),
+}
+
+
+def every_command(name, rank):
+    lib, truth = f"{name}.alib", f"{name}.alib.truth"
+    yield ["synth", "--spec", f"{name}.kv", "--out", lib]
+    for method in METHODS:
+        yield ["merge", "--library", lib, "--method", method, "--cp-rank", str(rank),
+               "--truth", truth, "--out", f"{name}-{method}.alib"]
+    yield ["interfere", "--library", lib, "--k", "2", "--cp-rank", "4"]
+    yield ["compress", "--library", lib, "--cp-rank", str(rank), "--task", "1",
+           "--out", f"{name}-cpf"]
+    yield ["sweep", "--library", lib, "--param", "cp-rank", "--values", "2", str(rank),
+           "--truth", truth, "--out", f"{name}-sweep.csv"]
+
+
+def clustering_commands(cwd):
+    # k-means's Lloyd step is a points × centroids product
+    ids = [f"s{i}" for i in range(600)]
+    vectors = np.random.default_rng(5).standard_normal((600, 48))
+    save_embeddings(EmbeddingSet(ids=ids, vectors=vectors), cwd / "x.emb")
+    save_manifest({sid: {"id": sid} for sid in ids}, cwd / "m.jsonl")
+    yield ["cluster", "--embeddings", "x.emb", "--manifest", "m.jsonl", "--k", "4",
+           "--out-dir", "parts"]
+    yield ["sweep", "--embeddings", "x.emb", "--param", "k-clusters", "--values", "2", "4",
+           "--out", "k-sweep.csv"]
+
+
+@needs_openblas
+def test_output_bytes_do_not_depend_on_openblas_threads(tmp_path):
+    # one child process per thread count runs every command in turn
+    runs = []
+    for threads in (1, 2):
+        cwd = tmp_path / f"threads-{threads}"
+        cwd.mkdir()
+        commands = list(clustering_commands(cwd))
+        for name, (spec, rank) in THREAD_LIBRARIES.items():
+            (cwd / f"{name}.kv").write_text(spec.to_kv())
+            commands += every_command(name, rank)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(commands)], cwd=cwd,
+                             env=env, capture_output=True, text=True, check=True).stdout
+        stdout = dict(zip((" ".join(argv) for argv in commands),
+                          (json.loads(line) for line in out.splitlines())))
+        assert [rc for rc, _ in stdout.values()] == [0] * len(commands)
+        files = {str(p.relative_to(cwd)): p.read_bytes()
+                 for p in sorted(cwd.rglob("*")) if p.is_file()}
+        runs.append((stdout, files))
+    (stdout_1, files_1), (stdout_2, files_2) = runs
+    assert {k: v for k, v in stdout_1.items() if stdout_2[k] != v} == {}
+    assert files_1.keys() == files_2.keys()
+    assert [name for name in files_1 if files_1[name] != files_2[name]] == []
+
+
+def test_concurrent_factored_fits_equal_serial_fits():
+    # a fit on one Python thread does not change the bits of a fit on
+    # another; at d_in = 4096 and Σr_k = 256 the QR's bits follow the
+    # thread count
+    rng = np.random.default_rng(0)
+    layers = [[AdapterDelta("00", rng.standard_normal((4096, 16)), rng.standard_normal((128, 16)))
+               for _ in range(16)] for _ in range(2)]
+
+    def fit(layer):
+        return cp_als_factored(layer, 8, AlsOptions(seed=1, max_iters=20))
+
+    serial = [fit(layer) for layer in layers]
+    concurrent = [None] * len(layers)
+    threads = [threading.Thread(target=lambda i=i: concurrent.__setitem__(i, fit(layers[i])))
+               for i in range(len(layers))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(concurrent, serial):
+        for name in ("lam", "a_task", "b_row", "c_col"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour through main(argv)."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from adapterfuse import (
 )
 from adapterfuse.clustering import load_manifest, save_manifest
 from adapterfuse.cli import build_parser, main
+from adapterfuse.merge_ops import METHODS
 
 from conftest import blob_points, drop_header_key, edit_alib_index, edit_header, make_library
 
@@ -364,6 +366,21 @@ class TestCompressCommand:
         want = n_layers * 2 * (1 + 3 + d_in + d_out) * 4
         assert f"storage_bytes = {want}" in stdout
         assert "ratio = " in stdout
+        stored = len(lib.tasks) * n_layers * d.rank * (d_in + d_out) * 4
+        assert f"library_bytes = {stored}\n" in stdout
+        assert f"library_ratio = {want / stored!r}\n" in stdout
+
+    def test_library_bytes_count_a_shared_identity_once(self, tmp_path, spec_path, capsys):
+        # a noisy library stores every A and one identity per d_out
+        spec = PlantedSpec.from_kv(spec_path.read_text())
+        spec_path.write_text(dataclasses.replace(spec, noise_sigma=0.05).to_kv())
+        lib = tmp_path / "noisy.alib"
+        assert main(["synth", "--spec", str(spec_path), "--out", str(lib)]) == 0
+        assert main(["compress", "--library", str(lib), "--cp-rank", "2",
+                     "--task", "1", "--out", str(tmp_path / "c")]) == 0
+        stdout = capsys.readouterr().out
+        stored = (spec.n_tasks * spec.n_layers * spec.d_in * spec.d_out + spec.d_out ** 2) * 4
+        assert f"library_bytes = {stored}\n" in stdout
 
     def test_unknown_task_lists_tasks(self, tmp_path, lib_path, capsys):
         rc = main(["compress", "--library", str(lib_path), "--cp-rank", "1",
@@ -410,6 +427,54 @@ class TestClusterCommand:
         for j in (0, 1):
             assert (d1 / f"cluster_{j}.jsonl").read_bytes() == \
                 (d2 / f"cluster_{j}.jsonl").read_bytes()
+
+
+class TestNegativeSeed:
+    """Every --seed rejects a negative value by name, exit 2, before writing."""
+
+    def assert_rejected(self, argv, tmp_path, capsys):
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 2
+        assert "seed must be ≥ 0, got -1" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_merge(self, method, tmp_path, lib_path, capsys):
+        self.assert_rejected(["merge", "--library", str(lib_path), "--method", method,
+                              "--seed", "-1", "--out", str(tmp_path / "m.alib")],
+                             tmp_path, capsys)
+
+    def test_compress(self, tmp_path, lib_path, capsys):
+        self.assert_rejected(["compress", "--library", str(lib_path), "--cp-rank", "1",
+                              "--task", "0", "--seed", "-1", "--out", str(tmp_path / "c")],
+                             tmp_path, capsys)
+
+    def test_sweep_cp_rank(self, tmp_path, capsys):
+        spec = tmp_path / "s.kv"
+        spec.write_text(PlantedSpec(n_tasks=2, d_in=6, d_out=5, rank_shared=1,
+                                    rank_specific=1).to_kv())
+        lib = tmp_path / "p.alib"
+        assert main(["synth", "--spec", str(spec), "--out", str(lib)]) == 0
+        argv = ["sweep", "--library", str(lib), "--truth", f"{lib}.truth",
+                "--param", "cp-rank", "--values", "1", "--out", str(tmp_path / "s.csv")]
+        self.assert_rejected(argv + ["--seed", "-1"], tmp_path, capsys)
+        assert main(argv) == 0
+        self.assert_rejected(argv + ["--seed", "-1"], tmp_path, capsys)  # the value is cached
+
+    def test_sweep_k_clusters_and_cluster(self, tmp_path, capsys):
+        ep, mp = TestClusterCommand().make_inputs(tmp_path)
+        self.assert_rejected(["sweep", "--embeddings", str(ep), "--param", "k-clusters",
+                              "--values", "2", "--seed", "-1", "--out", str(tmp_path / "s.csv")],
+                             tmp_path, capsys)
+        self.assert_rejected(["cluster", "--embeddings", str(ep), "--manifest", str(mp),
+                              "--k", "2", "--seed", "-1", "--out-dir", str(tmp_path / "parts")],
+                             tmp_path, capsys)
+
+    def test_synth(self, tmp_path, spec_path, capsys):
+        spec_path.write_text(spec_path.read_text().replace("seed = 4", "seed = -1"))
+        assert "seed = -1" in spec_path.read_text()
+        self.assert_rejected(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "x.alib")],
+                             tmp_path, capsys)
 
 
 class TestParser:

@@ -134,6 +134,8 @@ class TestKmeansFit:
             kmeans_fit(e, K=2, distance="manhattan")
         with pytest.raises(ValueError):
             kmeans_fit(e, K=2, max_iters=0)
+        with pytest.raises(ValueError, match="seed"):
+            kmeans_fit(e, K=2, seed=-1)
 
     def test_subsample_never_below_k(self):
         # tiny fraction of 8 points still yields K=3 trainable centroids

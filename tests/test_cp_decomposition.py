@@ -469,6 +469,8 @@ class TestValidation:
             AlsOptions(tol=0.0)
         with pytest.raises(ValueError):
             AlsOptions(init="qr")
+        with pytest.raises(ValueError, match="seed"):
+            AlsOptions(seed=-1)
 
     def test_cp_factors_shape_checks(self):
         ok = dict(rank_R=2, lam=np.ones(2), a_task=np.ones((3, 2)),

@@ -140,14 +140,6 @@ class TestCpSti:
         scaled = cp_sti(self.make_factors(a * [2.0, 5.0], b, c * [0.1, 3.0]))
         assert scaled == pytest.approx(base, rel=1e-12)
 
-    def test_lambda_weighting(self):
-        f = self.make_factors(
-            correlated_pair(3, 0.5), correlated_pair(5, 0.2),
-            correlated_pair(4, 0.1), lam=[3.0, 2.0])
-        # each off-diagonal term picks up lam_i·lam_j = 6
-        assert cp_sti(f, weight_by_lambda=True) == pytest.approx(0.12, abs=1e-12)
-        assert cp_sti(f) == pytest.approx(0.02, abs=1e-12)
-
 
 class TestLayerProfile:
     def test_rows_match_direct_calls(self):

@@ -171,6 +171,23 @@ class TestDare:
         b = dare_transform(d, cfg, stream=(1,))
         assert np.any(a != b)
 
+    def test_negative_stream_or_salt_rejected_by_name(self, rng):
+        d = rng.standard_normal((3, 3))
+        cfg = MergeConfig(method="dare-ta", dare_p=0.5)
+        with pytest.raises(ValueError, match=r"stream words must be ≥ 0, got \(1, -1\)"):
+            dare_transform(d, cfg, stream=(1, -1))
+        for method in DENSE_METHODS:
+            with pytest.raises(ValueError, match="salt must be ≥ 0, got -1"):
+                merge_deltas([d, d], MergeConfig(method=method), salt=-1)
+
+    def test_large_stream_words_are_not_folded(self, rng):
+        # a word ≥ 2^64 is its own entropy, not its value mod 2^64
+        d = rng.standard_normal((6, 6))
+        cfg = MergeConfig(method="dare-ta", dare_p=0.5, seed=2)
+        big = dare_transform(d, cfg, stream=((1 << 64) + 3,))
+        assert np.any(big != dare_transform(d, cfg, stream=(3,)))
+        np.testing.assert_array_equal(big, dare_transform_oracle(d, cfg, stream=((1 << 64) + 3,)))
+
     def test_unbiased_in_expectation(self):
         # pooled mean over seeded draws approaches the raw delta; per-draw
         # std at p=0.9 is |d|·sqrt(p/(1-p)) = 9, so 3 SE of the pooled mean
@@ -478,6 +495,22 @@ class TestDenseMergeMemory:
             tracemalloc.stop()
         assert peak <= 2 * stack_bytes
 
+    def test_tsv_peak_is_the_stack_plus_one_truncation(self):
+        # a truncation's SVD factors, their sign-flipped copies and the
+        # product come to about six slices; TSV holds one on any core count
+        rng = np.random.default_rng(0)
+        eye = np.eye(512)
+        lib = one_layer_library([AdapterDelta("00", rng.standard_normal((512, 512)), eye)
+                                 for _ in range(8)])
+        slice_bytes = 512 * 512 * 8
+        tracemalloc.start()
+        try:
+            merge_library(lib, MergeConfig(method="tsv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * slice_bytes + 6 * slice_bytes
+
     def test_load_and_merge_peak_is_payload_plus_two_stacks(self, tmp_path):
         # the loaded factors are views of the 32 MiB payload: no float64
         # copy of the library is alive beside the layer stack
@@ -524,7 +557,8 @@ class TestDenseMergeMemory:
 @pytest.mark.usefixtures("eight_workers")
 class TestDenseMergeMemoryOnEightWorkers(TestDenseMergeMemory):
     """The same bounds on eight workers: a stage uses as many as the serial
-    code's scratch holds, so more cores do not raise the peak."""
+    code's scratch holds, so more cores do not raise the peak, TSV's
+    truncations included."""
 
 
 @pytest.fixture
@@ -572,8 +606,8 @@ class TestOverflow:
 
     @pytest.mark.parametrize("method", DENSE_METHODS)
     def test_overflow_on_the_workers_rejected(self, method, tmp_path, capsys):
-        # two tasks of 128²: the stack runs on the workers; a dense-stored
-        # delta is scaled by s there, a product is made by the caller
+        # two tasks of 128²: the stack runs on the workers, which scale a
+        # dense-stored delta by s and make a factored delta's product
         eye = np.eye(128)
         dense = [AdapterDelta("00", np.ones((128, 128)), eye),
                  AdapterDelta("00", np.full((128, 128), 1e300), eye, 1e300)]
@@ -616,7 +650,7 @@ def pooled_cases():
     rng = np.random.default_rng(21)
     mats = signed_zero_grid(rng, 8, (256, 160))
     # d_out = 130: OpenBLAS's product differs in the last bits between one
-    # thread and two at this shape, and the products stay in the caller
+    # thread and two at this shape; the workers make it on one
     factored = one_layer_library([
         AdapterDelta("00", rng.standard_normal((128, 64)), rng.standard_normal((130, 64)), s)
         for s in (1.0, 2.5, 1.0, 4.0) * 4])
@@ -663,6 +697,7 @@ class TestMergeConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("k_density", 0.0), ("k_density", float("nan")), ("dare_p", 1.0), ("cp_rank", 0),
+        ("seed", -1),
     ])
     @pytest.mark.parametrize("method", METHODS)
     def test_every_field_validated_whatever_the_method(self, method, field, value):

@@ -41,6 +41,8 @@ class TestPlantedSpec:
         with pytest.raises(ValueError):
             PlantedSpec(n_tasks=2, d_in=4, d_out=4, rank_shared=1,
                         rank_specific=0, lambda_shared=(1.0, 2.0))
+        with pytest.raises(ValueError, match="seed"):
+            PlantedSpec(n_tasks=2, d_in=4, d_out=4, rank_shared=1, rank_specific=0, seed=-1)
         with pytest.raises(ValueError):
             # 2 + 2·2 components exceed min(4, 5)
             PlantedSpec(n_tasks=2, d_in=4, d_out=5, rank_shared=2, rank_specific=2)
