@@ -45,6 +45,11 @@ def _factor(x) -> np.ndarray:
     return x if x.dtype == np.float32 else np.asarray(x, dtype=np.float64)
 
 
+def _is_identity(b) -> bool:
+    n = b.shape[0]
+    return b.shape[1] == n and np.count_nonzero(b) == n and bool(np.all(b.diagonal() == 1.0))
+
+
 @dataclass(frozen=True)
 class AdapterDelta:
     """One layer's low-rank update Δ = s·A·Bᵀ (A: d_in×r, B: d_out×r).
@@ -52,7 +57,9 @@ class AdapterDelta:
     Factors are kept as float32 when given as float32 (load_library
     gives read-only float32 views of the file's payload) and as float64
     otherwise; materialize and every other consumer widen them to
-    float64 before any arithmetic, so both give the same bytes.
+    float64 before any arithmetic, so both give the same bytes.  The
+    factors are finite-checked, and dense_stored decided, once, when
+    the delta is made.
     """
 
     layer_id: str
@@ -63,6 +70,23 @@ class AdapterDelta:
     def __post_init__(self):
         object.__setattr__(self, "a", _factor(self.a))
         object.__setattr__(self, "b", _factor(self.b))
+        self._check_shapes_and_scaling()
+        if not (all_finite(self.a) and all_finite(self.b)):
+            raise ValueError(f"delta {self.layer_id!r}: non-finite factor entries")
+        object.__setattr__(self, "_dense", _is_identity(self.b))
+
+    @classmethod
+    def _of_checked(cls, layer_id, a, b, scaling_s, dense_stored):
+        """A delta over factors already finite-checked (_load_file checks
+        each distinct view once, however many deltas share it)."""
+        d = cls.__new__(cls)
+        for name, value in (("layer_id", layer_id), ("a", a), ("b", b), ("scaling_s", scaling_s)):
+            object.__setattr__(d, name, value)
+        d._check_shapes_and_scaling()
+        object.__setattr__(d, "_dense", dense_stored)
+        return d
+
+    def _check_shapes_and_scaling(self):
         if self.a.ndim != 2 or self.b.ndim != 2:
             raise ValueError("factors a and b must be matrices")
         if self.a.shape[1] != self.b.shape[1]:
@@ -72,8 +96,6 @@ class AdapterDelta:
             )
         if self.a.shape[1] < 1:
             raise ValueError("factor rank must be ≥ 1")
-        if not (all_finite(self.a) and all_finite(self.b)):
-            raise ValueError(f"delta {self.layer_id!r}: non-finite factor entries")
         if not 1.0 <= self.scaling_s < math.inf:
             raise ValueError(f"scaling_s must be finite and ≥ 1, got {self.scaling_s}")
 
@@ -92,9 +114,7 @@ class AdapterDelta:
     @property
     def dense_stored(self) -> bool:
         """B is the identity, so Δ = s·A needs no matmul."""
-        b = self.b
-        n = b.shape[0]
-        return b.shape[1] == n and np.count_nonzero(b) == n and bool(np.all(b.diagonal() == 1.0))
+        return self._dense
 
     @single_threaded()  # the product's bits do not follow the core count (blas)
     def materialize(self, out=None) -> np.ndarray:
@@ -215,14 +235,24 @@ def _load_file(path) -> AdapterLibrary:
         {"entries": list, "tasks": list, "layers": list, "meta": dict},
         path,
     )
-    views = {}  # one read-only view per distinct (shape, offset) span
+    views = {}  # one read-only, finite-checked view per distinct (shape, offset) span
+    identities = {}  # span -> whether its view is an identity, decided once
 
     def tensor(spec, what):
         shape, offset = require_keys(spec, {"shape": object, "offset": object}, path)
         span = repr((shape, offset))
         if span not in views:
-            views[span] = read_array(payload, _DTYPE, shape, offset, what, path)
-        return views[span]
+            view = read_array(payload, _DTYPE, shape, offset, what, path)
+            if not all_finite(view):
+                raise ValueError(f"{path}: {what} has non-finite entries")
+            views[span] = view
+        return span, views[span]
+
+    def identity(span):
+        if span not in identities:
+            b = views[span]
+            identities[span] = b.ndim == 2 and _is_identity(b)
+        return identities[span]
 
     deltas = {}
     for rec in entries:
@@ -237,12 +267,9 @@ def _load_file(path) -> AdapterLibrary:
             raise ContainerFormatError(
                 f"{path}: entry ({task}, {layer}) has a non-numeric scaling {s!r:.40}"
             ) from None
-        deltas[(task, layer)] = AdapterDelta(
-            layer_id=layer,
-            a=tensor(a, f"tensor a of ({task}, {layer})"),
-            b=tensor(b, f"tensor b of ({task}, {layer})"),
-            scaling_s=scaling,
-        )
+        _, a = tensor(a, f"tensor a of ({task}, {layer})")
+        b_span, b = tensor(b, f"tensor b of ({task}, {layer})")
+        deltas[(task, layer)] = AdapterDelta._of_checked(layer, a, b, scaling, identity(b_span))
     return AdapterLibrary(
         tasks=tuple(tasks), layers=tuple(layers), deltas=deltas, meta=dict(meta)
     )

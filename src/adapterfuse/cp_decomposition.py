@@ -19,7 +19,7 @@ import numpy as np
 
 from .blas import single_threaded
 from .containers import read_array, read_framed, require_end, require_keys, write_framed
-from .tensor_core import all_finite, frobenius_norm, stack_slices
+from .tensor_core import all_finite
 from .svd_kernel import _largest_entry_signs, svd
 
 _COND_LIMIT = 1e12  # beyond this the normal equations get a ridge
@@ -218,10 +218,9 @@ def _init_factors(s, R, opts, rng):
     s is the tensor slice-major, s[k] = T_k.  "svd" spans the leading
     left singular subspaces of the mode-1 and mode-2 unfoldings X1 and
     X2 (HOSVD), taken as the leading eigenvectors of their Grams
-    (_leading_eigvecs).  X2ᵀ is s itself, reshaped; X1ᵀ is s with each
-    slice transposed, a copy that lives only for its product, laid out
-    as the classical mode-1 unfolding (column j + d_out·k holds
-    T_k[:, j]) so the Gram keeps its bits.  Within a subspace whose
+    (_leading_eigvecs).  X2ᵀ is s itself, reshaped, so X2·X2ᵀ is one
+    product; X1·X1ᵀ = Σ_k T_k·T_kᵀ is summed slice by slice into one
+    d_in × d_in buffer, so neither Gram copies s.  Within a subspace whose
     singular values repeat, e.g. tasks of equal weight, the basis is
     arbitrary, and pairing row and column vectors from two independent
     eigendecompositions can leave ALS at a saddle.  Weighting each slice by its inner product with a
@@ -236,9 +235,12 @@ def _init_factors(s, R, opts, rng):
         b, _ = _normalize_columns(rng.standard_normal((d_in, R)))
         c, _ = _normalize_columns(rng.standard_normal((d_out, R)))
         return b, c
-    x1t = np.ascontiguousarray(s.transpose(0, 2, 1)).reshape(n * d_out, d_in)
-    u = _leading_eigvecs(x1t.T @ x1t, min(R, d_in, d_out * n))
-    del x1t
+    gram, term = np.zeros((d_in, d_in)), np.empty((d_in, d_in))
+    for x in s:
+        gram += np.matmul(x, x.T, out=term)
+    del term
+    u = _leading_eigvecs(gram, min(R, d_in, d_out * n))
+    del gram
     x2t = s.reshape(n * d_in, d_out)
     v = _leading_eigvecs(x2t.T @ x2t, min(R, d_out, d_in * n))
     best_gap, pair = -1.0, None
@@ -253,11 +255,29 @@ def _init_factors(s, R, opts, rng):
 
 
 def _residual(s, lam, a, b, c, norm_t):
-    """‖T − M‖/‖T‖ from the dense reconstruction, built slice-major in one buffer."""
-    r = np.matmul(b * (lam * a)[:, np.newaxis, :], c.T)
-    np.subtract(s, r, out=r)
-    r /= norm_t
-    return math.sqrt(np.vdot(r, r))
+    """‖T − M‖/‖T‖ from the dense reconstruction, built one slice at a time in one buffer."""
+    r, scaled = np.empty(s.shape[1:]), np.empty_like(b)
+    total = 0.0
+    for x, ak in zip(s, a):
+        np.matmul(np.multiply(b, lam * ak, out=scaled), c.T, out=r)
+        np.subtract(x, r, out=r)
+        r /= norm_t
+        total += np.vdot(r, r)
+    return math.sqrt(total)
+
+
+def _stack_norm(s) -> float:
+    """‖s‖_F summed slice by slice, with no stack-sized temporary.
+
+    Overflow-safe as frobenius_norm is: only when the plain sum of
+    squares overflows are the slices scaled by the largest magnitude.
+    """
+    with np.errstate(over="ignore"):
+        total = sum(np.vdot(x, x) for x in s)
+    if math.isfinite(total):
+        return math.sqrt(total)
+    peak = max(float(np.max(np.abs(x))) for x in s)
+    return peak * math.sqrt(sum(np.vdot(y, y) for y in (x / peak for x in s)))
 
 
 @single_threaded()  # a context manager doubles as a decorator: each call runs inside it
@@ -275,7 +295,9 @@ def cp_als(t, R: int, opts: AlsOptions | None = None) -> CPFactors:
     The whole fit runs with BLAS held to one thread (blas).
 
     The fit works on one slice-major copy S (N × d_in × d_out, S_k = T_k;
-    none when t is stored that way, as stack_slices stores it).  Each
+    none when t is stored that way, as stack_slices stores it), and
+    forms no other array of its size: ‖T‖, the init's row Gram and the
+    dense residual are each summed slice by slice.  Each
     iteration forms P = S·C, which gives the task MTTKRP Σ_i P[k,i,r]·B[i,r]
     and, after the task update, the row MTTKRP Σ_k a[k,r]·P[k,:,r]
     (Phan, Tichavský & Cichocki 2013).  Q = Sᵀ·B, after the row update,
@@ -294,11 +316,11 @@ def cp_als(t, R: int, opts: AlsOptions | None = None) -> CPFactors:
         opts = AlsOptions()
     _check_rank(R, t.shape)
 
-    norm_t = frobenius_norm(t)
+    s = np.ascontiguousarray(np.moveaxis(t, 2, 0))
+    norm_t = _stack_norm(s)
     if norm_t == 0.0:
         return _zero_factors(R, t.shape)
 
-    s = np.ascontiguousarray(np.moveaxis(t, 2, 0))
     n, d_in, d_out = s.shape
     flat = s.reshape(n * d_in, d_out)
     rng = np.random.default_rng(opts.seed)
@@ -313,6 +335,7 @@ def cp_als(t, R: int, opts: AlsOptions | None = None) -> CPFactors:
         a, _ = _normalize_columns(a)
         gram_a = a.T @ a
         b = _ls_solve(gram_a * gram_c, np.einsum("kir,kr->ir", p, a))
+        del p
         b, _ = _normalize_columns(b)
         gram_b = b.T @ b
         m2 = np.einsum("kjr,kr->jr", np.matmul(s.transpose(0, 2, 1), b), a)
@@ -358,9 +381,9 @@ def cp_als_factored(deltas, R: int, opts: AlsOptions | None = None) -> CPFactors
     error_trace are those of the full stack.  A mode is compressed
     whenever Σr_k is below its dimension, whatever R is; with neither
     compressed (dense-stored deltas, B = I) this is cp_als on the
-    materialized stack.  R ranges up to the rank bound of the core
-    (_check_rank), the most components any layer of this form can need
-    (Kolda & Bader 2009, §3).
+    stack, each delta materialized straight into its slice.  R ranges up
+    to the rank bound of the core (_check_rank), the most components any
+    layer of this form can need (Kolda & Bader 2009, §3).
     """
     if not deltas:
         raise ValueError("need at least one delta")
@@ -369,14 +392,21 @@ def cp_als_factored(deltas, R: int, opts: AlsOptions | None = None) -> CPFactors
     _check_rank(R, shape, sum(ranks))
     shrink_a, shrink_b = (sum(ranks) < dim for dim in shape[:2])
     if not (shrink_a or shrink_b):
-        return cp_als(stack_slices(d.materialize() for d in deltas), R, opts)
+        s = np.empty((shape[2], *shape[:2]))
+        for d, out in zip(deltas, s):
+            d.materialize(out=out)
+        return cp_als(np.moveaxis(s, 0, 2), R, opts)
     # float32 factors widen here: under NEP 50, s · float32 stays float32
     a = np.hstack([np.multiply(d.scaling_s, d.a, dtype=np.float64) for d in deltas])
     b = np.hstack([d.b for d in deltas], dtype=np.float64)
     qa, ra = np.linalg.qr(a) if shrink_a else (None, a)
     qb, rb = np.linalg.qr(b) if shrink_b else (None, b)
+    del a, b
     ends = np.cumsum(ranks)
-    core = stack_slices(ra[:, i:j] @ rb[:, i:j].T for i, j in zip(ends - ranks, ends))
+    core = np.empty((shape[2], ra.shape[0], rb.shape[0]))
+    for out, i, j in zip(core, ends - ranks, ends):
+        np.matmul(ra[:, i:j], rb[:, i:j].T, out=out)
+    core = np.moveaxis(core, 0, 2)
     if not np.any(core):
         return _zero_factors(R, shape)
     f = cp_als(core, R, opts)

@@ -64,7 +64,9 @@ def sti(deltas, k: int) -> float:
     """Singular-subspace interference of ≥2 same-shaped task deltas.
 
     deltas may be any iterable, a generator included: each delta's SVD is
-    taken as it arrives, and only its top-k triples are kept.
+    taken as it arrives, and only copies of its top-k triples are kept,
+    so one delta and its SVD are alive at a time and the peak does not
+    grow with the number of tasks.
     """
     if k < 1:
         raise ValueError(f"k must be ≥ 1, got {k}")
@@ -79,9 +81,10 @@ def sti(deltas, k: int) -> float:
             res = svd(d)
             if k > res.rank:
                 raise ValueError(f"k={k} exceeds rank {res.rank} of delta {i}")
-            us.append(res.u[:, :k])
+            us.append(res.u[:, :k].copy())  # a view would keep all of u alive
             sigmas.append(res.sigma[:k])
-            vs.append(res.v[:, :k])
+            vs.append(res.v[:, :k].copy())
+            del d, res  # before the next delta is made and decomposed
     if len(us) < 2:
         raise ValueError(f"sti needs at least 2 tasks, got {len(us)}")
     u = np.hstack(us)

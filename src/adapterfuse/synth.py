@@ -227,6 +227,8 @@ def gen_overlap_library(
     """
     if n_layers < 2:
         raise ValueError(f"n_layers must be ≥ 2, got {n_layers}")
+    if seed < 0:
+        raise ValueError(f"seed must be ≥ 0, got {seed}")
     rng = np.random.default_rng(seed)
     rho_b = np.linspace(rho_b_range[0], rho_b_range[1], n_layers)
     rho_c = np.linspace(rho_c_range[0], rho_c_range[1], n_layers)

@@ -22,7 +22,12 @@ def stack_slices(slices) -> np.ndarray:
     """Stack matrices along the task mode; slice i of the result is input i.
 
     The result is stored slice-major (each t[:, :, i] is contiguous), the
-    layout cp_als works on, so cp_als takes it without a copy.
+    layout cp_als works on, so cp_als takes it without a copy.  The input
+    is listed first, since the result's size needs the count: a list of
+    arrays the caller holds costs only the result, but a generator's
+    slices are all alive beside it, two stacks in all.  To make slices on
+    the fly without that, fill a slice-major array in place, as
+    cp_als_factored does with AdapterDelta.materialize(out=...).
     """
     slices = list(slices)
     if not slices:

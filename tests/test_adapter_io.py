@@ -20,6 +20,7 @@ from adapterfuse import (
     load_library,
     save_library,
 )
+from adapterfuse import adapter_io
 from adapterfuse.adapter_io import stored_bytes
 from adapterfuse.cli import main
 from adapterfuse.containers import ALIB_MAGIC, ALIB_VERSION, PAYLOAD_ALIGN, write_alib
@@ -300,6 +301,13 @@ class TestCorruption:
         with pytest.raises(ContainerFormatError):
             load_library(p)
 
+    def test_non_finite_tensor_named(self, tmp_path):
+        payload = np.array([1.0, 2.0, 0.5, np.inf], dtype="<f4").tobytes()
+        p = self.write_index(tmp_path, self.crafted_index(payload, [self.valid_entry()]),
+                             payload)
+        with pytest.raises(ValueError, match=re.escape("tensor b of (t, 00) has non-finite")):
+            load_library(p)
+
     def test_duplicate_entry(self, tmp_path):
         payload = np.zeros(4, dtype="<f4").tobytes()
         rec = {"task": "t", "layer": "00", "s": "1.0",
@@ -571,6 +579,24 @@ class TestSharedIdentity:
             assert bs[0].shape == (d_out, d_out) and not bs[0].flags.writeable
             assert_same_bytes(bs[0], np.eye(d_out, dtype=np.float32))
         assert lib.deltas[("factored", "00")].b is not lib.deltas[("factored", "02")].b
+
+    def test_each_distinct_view_is_checked_once(self, tmp_path, monkeypatch):
+        # a shared identity is finite-checked and found dense-stored once,
+        # not once per delta, and materialize decides nothing again
+        p = self.saved(tmp_path)
+        checked, decided = [], []
+        finite, identity = adapter_io.all_finite, adapter_io._is_identity
+        monkeypatch.setattr(adapter_io, "all_finite", lambda x: checked.append(x) or finite(x))
+        monkeypatch.setattr(adapter_io, "_is_identity", lambda b: decided.append(b) or identity(b))
+        lib = load_library(p)
+        for d in lib.deltas.values():
+            d.materialize()
+        views = {id(x) for d in lib.deltas.values() for x in (d.a, d.b)}
+        assert len(views) == 9 + 3 + 2  # every A, the factored Bs, one identity per size
+        assert sorted(map(id, checked)) == sorted(views)
+        assert sorted(map(id, decided)) == sorted({id(d.b) for d in lib.deltas.values()})
+        assert {key: d.dense_stored for key, d in lib.deltas.items()} == {
+            key: d.dense_stored for key, d in mixed_library().deltas.items()}
 
     def test_materialize_bytes_unchanged(self, tmp_path):
         # the −0.0 B is stored as +0.0, but s·A·Bᵀ is the same to the bit

@@ -21,6 +21,7 @@ from adapterfuse import (
 )
 from adapterfuse.clustering import load_manifest, save_manifest
 from adapterfuse.cli import build_parser, main
+from adapterfuse.containers import read_alib, write_alib
 from adapterfuse.merge_ops import METHODS
 
 from conftest import blob_points, drop_header_key, edit_alib_index, edit_header, make_library
@@ -200,6 +201,16 @@ class TestMergeCommand:
                    "--out", str(tmp_path / "m.alib")])
         assert rc == 2
         assert "scaling_s" in capsys.readouterr().err
+
+    def test_non_finite_factor_is_exit_2(self, tmp_path, lib_path, capsys):
+        index, payload = read_alib(lib_path, "<f4")
+        values = np.frombuffer(payload, "<f4").copy()
+        values[index["entries"][0]["a"]["offset"] // 4] = np.nan
+        write_alib(lib_path, index, [values])  # a fresh checksum over the nan
+        rc = main(["merge", "--library", str(lib_path), "--method", "uniform",
+                   "--out", str(tmp_path / "m.alib")])
+        assert rc == 2
+        assert "has non-finite entries" in capsys.readouterr().err
 
     def test_missing_library_file(self, tmp_path, capsys):
         rc = main(["merge", "--library", str(tmp_path / "nope.alib"),

@@ -349,22 +349,45 @@ class TestAlsIteration:
         assert np.max(np.abs(np.subtract(f.error_trace, g.error_trace))) <= 1e-12
         np.testing.assert_allclose(g.lam, 1e150 * f.lam, rtol=1e-9)
 
-    def test_dense_layer_peak_is_the_stack_and_one_copy(self):
-        # 8 dense-stored 256² deltas at R = 16: the stack is 4 MiB and one
-        # 65536 × 16 Khatri-Rao product 8 MiB; only the init's transposed
-        # copy for the row Gram (_init_factors) joins the stack
-        spec = PlantedSpec(n_tasks=8, d_in=256, d_out=256, rank_shared=2, rank_specific=2,
+    @staticmethod
+    def dense_layer(d_in, d_out):
+        spec = PlantedSpec(n_tasks=8, d_in=d_in, d_out=d_out, rank_shared=2, rank_specific=2,
                            noise_sigma=0.05, seed=0, n_layers=1)
         lib, _ = gen_planted_library(spec)
         layer = [lib.deltas[(task, lib.layers[0])] for task in lib.tasks]
         assert all(d.dense_stored for d in layer)
+        return layer
+
+    @pytest.mark.parametrize("d_in,d_out", [(256, 256), (256, 128), (128, 256)])
+    def test_dense_layer_peak_is_the_stack_and_a_few_matrices(self, d_in, d_out):
+        # 8 dense-stored deltas at R = 16.  Besides the stack, the fit holds
+        # at most a Gram, its eigenvectors and the (N, d, R) slice products:
+        # measured 1.10-1.14 MiB over a 2-4 MiB stack here, which the bound
+        # below allows with 0.4-1.4 MiB to spare; a second stack does not fit
+        layer = self.dense_layer(d_in, d_out)
         tracemalloc.start()
         try:
             cp_als_factored(layer, 16)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 2**20, peak / 2**20
+        stack = 8 * d_in * d_out * 8
+        assert peak < stack + 8 * (2 * d_in**2 + 2 * d_out**2 + d_in * d_out), peak / 2**20
+
+    def test_dense_path_stacks_without_a_second_stack(self, monkeypatch):
+        # each delta is materialized straight into its slice: when cp_als is
+        # reached the peak is the stack and a few small arrays
+        layer = self.dense_layer(256, 256)
+        peaks = []
+        monkeypatch.setattr(cp_decomposition, "cp_als",
+                            lambda t, R, opts: peaks.append(tracemalloc.get_traced_memory()[1]))
+        tracemalloc.start()
+        try:
+            cp_als_factored(layer, 16)
+        finally:
+            tracemalloc.stop()
+        stack = 8 * 256 * 256 * 8
+        assert len(peaks) == 1 and peaks[0] < stack + 256 * 256 * 8 // 4, peaks[0] / stack
 
 
 def test_storage_bytes_formula():

@@ -1,6 +1,7 @@
 """Subspace interference scores vs hand-assembled formulas."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,27 @@ class TestSti:
     def test_generator_input(self, rng):
         deltas = [rng.standard_normal((7, 6)) for _ in range(3)]
         assert sti((d for d in deltas), 2) == sti(deltas, 2)
+
+    def test_peak_is_one_delta_and_its_svd(self):
+        # only the k kept columns of each task's SVD outlive it, and a task's
+        # delta and SVD are dropped before the next is made: one delta, U, V
+        # and their sign-flipped copies measure ~5.3 slices, and 8 tasks add
+        # 0.35 slice to 2 (all of U and V kept would add ~10 slices, the
+        # previous task's delta and SVD kept alive ~1.8); the deltas are
+        # made as sti takes them, so they count
+        slice_bytes = 128 * 96 * 8
+
+        def peak(n):
+            rng = np.random.default_rng(0)
+            tracemalloc.start()
+            try:
+                sti((rng.standard_normal((128, 96)) for _ in range(n)), 3)
+                return tracemalloc.get_traced_memory()[1] / slice_bytes
+            finally:
+                tracemalloc.stop()
+
+        two, eight = peak(2), peak(8)
+        assert eight < two + 2 and eight < 6.5, (two, eight)
 
     def test_validation_of_generator_input(self, rng):
         d = rng.standard_normal((4, 4))

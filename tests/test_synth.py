@@ -189,6 +189,10 @@ class TestOverlapLibrary:
         with pytest.raises(ValueError):
             gen_overlap_library(n_layers=1)
 
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match="seed must be ≥ 0, got -1"):
+            gen_overlap_library(seed=-1)
+
 
 class TestRecoveryError:
     def test_hand_value(self):
