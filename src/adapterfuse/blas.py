@@ -17,21 +17,22 @@ on two and 810-910 ms on one.  single_threaded() does nothing without
 an OpenBLAS in numpy's wheel.
 
 task_map spreads independent jobs (the dense merges' per-task fill,
-DARE, trim and truncation, and their column-block reductions) over one
-process-wide pool of worker threads, one per core this process may run
-on (os.sched_getaffinity), made on first use.  A call uses
-min(n, cores, most) workers; each makes its scratch once and then takes
-the lowest index not yet taken.  The caller picks `most` so that the
-scratch of all its workers stays within what the serial code used
-(merge_ops: `_workers_within`).  numpy's loops, BLAS and LAPACK release
-the GIL, and a job's BLAS call runs on its worker under the caller's
-process-wide one-thread limit.  On a 2-core VM the per-task stage of a
-dare-ties layer of 8 dense-stored 512² deltas took 28 ms on two workers
-against 41 ms on one.  Workers run under the caller's np.geterr(),
-since np.errstate is per thread.  A job writes only its own slices and
-a reduction keeps its order within each column, so the bytes do not
-depend on the number of workers.  With one worker (most=1 runs small
-jobs inline) the jobs run in the calling thread, without a hand-off.
+DARE, trim and truncation, and the column blocks of their running sums)
+over one process-wide pool of worker threads, one per core this process
+may run on (os.sched_getaffinity), made on first use.  A call uses
+worker_count(n, most) = min(n, cores, most) workers; each makes its
+scratch once and then takes the lowest index not yet taken.  The caller
+picks `most` so that its workers' scratch stays within the memory it
+means to hold (merge_ops: at most two tasks of a layer in flight).
+numpy's loops, BLAS and LAPACK release the GIL, and a job's BLAS call
+runs on its worker under the caller's process-wide one-thread limit.
+On a 2-core VM the per-task stage of a dare-ties layer of 8
+dense-stored 512² deltas took 21 ms on two workers against 24 ms on
+one.  Workers run under the caller's np.geterr(), since np.errstate is
+per thread.  A job writes only its own rows and a column block keeps
+the task order within each column, so the bytes do not depend on the
+number of workers.  With one worker (most=1 runs small jobs inline)
+the jobs run in the calling thread, without a hand-off.
 """
 
 import ctypes
@@ -124,16 +125,21 @@ def _executor():
         return _pool
 
 
+def worker_count(n: int, most: int | None = None) -> int:
+    """The number of workers task_map runs n jobs on: min(n, cores, most)."""
+    return min(n, _workers, n if most is None else most)
+
+
 def task_map(fn, n: int, scratch=tuple, most: int | None = None) -> None:
     """Call fn(i, *scratch()) for every i in range(n); see the module docstring.
 
-    Each of the min(n, cores, most) workers calls scratch() once.  When
+    Each of the worker_count(n, most) workers calls scratch() once.  When
     calls raise, workers take no new index, so every index below a
     failing one still runs, and the exception of the lowest failing
     index is raised, as a loop in index order would raise it.  `fn` must
     not call task_map itself.
     """
-    workers = min(n, _workers, n if most is None else most)
+    workers = worker_count(n, most)
     if workers <= 1:
         args = scratch()
         for i in range(n):

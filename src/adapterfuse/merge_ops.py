@@ -6,27 +6,31 @@ a MergeConfig and returns a single merged delta.  Stochastic operators
 layer salt), so a layer's merge does not depend on which layers were
 merged before it.
 
-The dense methods run on one float64 stack of shape (N, d_in, d_out)
-per layer, on every core through blas.task_map, with OpenBLAS held to
-one thread for the whole layer (blas).  One job per task fills its
-slice (merge_library materializes its delta there; merge_deltas copies
-its inputs, so callers' arrays are never written), checks it is
-finite, then drops (DARE), trims (TIES) or truncates (TSV) it in
-place; no job writes another task's slice.  DARE draws its noise in
-blocks of _BLOCK entries from the (seed, task, layer) stream, which
-reproduces one draw over the slice.  The TIES trim's threshold is the
-k-th largest nonzero magnitude, and a row with at most k nonzeros is
-left as it is.  The reductions over tasks (sign election with the
-agreeing mean, and the task sum) then run one job per column block,
-adding in task order within each column.  Each stage uses as many
-workers as the scratch of the serial code fits (_workers_within), so
-more cores never raise the peak memory; TSV, whose truncation's arrays
-are scratch too, runs on one.  Every method returns the same bytes
-whatever the number of workers or cores, and the same as the
-list-based operators it replaced (tests/conftest.py keeps those as
-oracles).  merge_deltas (a list of matrices) and merge_library (an
-AdapterLibrary) are the two entries; each runs the method that
-cfg.method names.
+The dense methods stream each layer's tasks into running sums of its
+entries: no (N, d_in, d_out) stack is made, and a layer's merge holds
+the sums and at most _IN_FLIGHT task rows, whatever N and the core
+count (a one-entry layer holds its N entries).  The tasks run in
+groups of up to _IN_FLIGHT, in task order, on the worker pool
+(blas.task_map), with OpenBLAS held to one thread for the whole layer
+(blas).  One job per task fills its float64 row
+(merge_library materializes its delta there; merge_deltas copies its
+inputs, so callers' arrays are never written), checks it is finite,
+then drops (DARE), trims (TIES) or truncates (TSV) it in place; no job
+writes another task's row.  DARE draws its noise in blocks of _BLOCK
+entries from the (seed, task, layer) stream, which reproduces one draw
+over the row.  The TIES trim's threshold is the k-th largest nonzero
+magnitude, and a row with at most k nonzeros is left as it is.  Then
+one job per column block adds the group's rows into the sums, in task
+order within each column: the total for every method, and for TIES
+also the sums and counts of the positive and of the negative
+survivors.  The last group's jobs turn their block into the output:
+alpha × the total (÷ N for uniform), or for TIES alpha × the mean of
+the survivors whose sign agrees with the total's.  Every method
+returns the same bytes whatever the number of workers or cores, and
+the same as the list-based operators it replaced (tests/conftest.py
+keeps those as oracles).  merge_deltas (a list of matrices) and
+merge_library (an AdapterLibrary) are the two entries; each runs the
+method that cfg.method names.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kvconfig
-from .blas import single_threaded, task_map
+from .blas import single_threaded, task_map, worker_count
 from .cp_decomposition import AlsOptions, cp_als_factored, cp_merge
 from .errors import ShapeMismatchError
 from .svd_kernel import truncated_approx
@@ -129,13 +133,21 @@ def _as_matrices(deltas) -> list:
 
 
 # Elements per block of DARE's noise and of the trim's passes: a block
-# and its temporaries stay in a core's L2 cache.  A stack below one block
-# is merged inline.
+# and its temporaries stay in a core's L2 cache.  A layer whose tasks
+# hold fewer entries than one block, all together, is merged inline.
 _BLOCK = 1 << 15
-# Stack elements per column block of the reductions over tasks.  Larger:
-# each block costs a dozen numpy calls, and two workers wait on each
-# other for the GIL between calls.
-_COLUMN_BLOCK = 1 << 17
+# Entries of the group's rows per column block of the running sums.
+# Wider blocks take fewer numpy calls (up to seven per row and block),
+# between which two workers wait on each other for the GIL; narrower ones
+# keep a block's sums in a core's L2 cache while the rows are added.
+# From 2^15 to 2^17 the sums of a dare-ties layer of 8 dense-stored 512²
+# deltas took 10-15 ms either way on a 2-core VM.
+_COLUMN_BLOCK = 1 << 16
+# Tasks in flight in one layer's merge, one per worker.  Each holds its
+# row and scratch, so every further one adds a row to the peak: two take
+# the per-task stage of that layer from 24 to 21 ms on the 2-core VM,
+# and the peak stops there whatever the core count.
+_IN_FLIGHT = 2
 
 
 def _dare(row, cfg, stream, noise) -> None:
@@ -163,24 +175,24 @@ def _dare(row, cfg, stream, noise) -> None:
         np.bitwise_and(bits, mask, out=bits)
 
 
-def _trim(row, k, buf, flags) -> None:
+def _trim(row, k, mags, flags) -> None:
     """TIES trim of one flattened delta in place: keep its k largest magnitudes.
 
     A row with at most k nonzeros keeps them all and its zeros are
     zeros already, so it is left alone.  Otherwise the threshold is the
-    k-th largest magnitude, selected among the nonzero ones: selection
-    over a row that DARE left half zeros degenerates on the run of equal
-    zeros.  Magnitude ties at the threshold keep the lowest indices.
-    `buf` is float64 scratch of the row's length, `flags` bool scratch
-    of min(length, _BLOCK); the row is read block by block, because
-    np.compress over the whole row allocates its index array, 8 bytes
-    per nonzero.
+    k-th largest magnitude, selected among the nonzero ones, in an array
+    of their count: selection over a row that DARE left half zeros
+    degenerates on the run of equal zeros.  Magnitude ties at the
+    threshold keep the lowest indices.  `mags` (float64) and `flags`
+    (bool) are scratch of at least min(length, _BLOCK); the row is read
+    block by block, because np.compress over the whole row allocates its
+    index array, 8 bytes per nonzero.
     """
     n = len(row)
-    # (part, its flags, scratch for its magnitudes); a row of one block
-    # takes no slices, which cost as much as its numpy calls
-    blocks = ([(row, flags, buf)] if n <= _BLOCK else
-              [(row[j0 : j0 + _BLOCK], flags[: min(_BLOCK, n - j0)], buf[: min(_BLOCK, n - j0)])
+    # (part, its flags, scratch for its magnitudes); a row of one block is
+    # not cut, since slices cost as much as its numpy calls
+    blocks = ([(row, flags[:n], mags[:n])] if n <= _BLOCK else
+              [(row[j0 : j0 + _BLOCK], flags[: min(_BLOCK, n - j0)], mags[: min(_BLOCK, n - j0)])
                for j0 in range(0, n, _BLOCK)])
     nnz = 0
     for part, part_flags, _ in blocks:
@@ -188,9 +200,9 @@ def _trim(row, k, buf, flags) -> None:
     if nnz <= k:
         return
     if nnz == n:  # compress over an all-true mask is a slow copy
-        top = np.abs(row, out=buf)
+        top = np.abs(row)
     else:
-        top = buf[:nnz]
+        top = np.empty(nnz)
         at = 0
         for part, part_flags, _ in blocks:
             if len(blocks) > 1:  # else the flags still hold the one block's mask
@@ -220,123 +232,138 @@ def _trim(row, k, buf, flags) -> None:
                 break
 
 
-def _column_blocks(n_tasks, n) -> tuple:
-    """(count, widest) of the column blocks of a (tasks, n) stack, about
-    _COLUMN_BLOCK elements each; block b is columns n·b // count up to
-    n·(b + 1) // count.
+def _column_blocks(n_rows, n) -> tuple:
+    """(count, widest) of the column blocks over which n_rows rows of n
+    entries are added into the sums, about _COLUMN_BLOCK entries of the
+    rows each; block b is columns n·b // count up to n·(b + 1) // count.
 
-    No block is a single column unless the stack is: numpy then reduces
-    over tasks in a different order, and the sums would round differently.
+    No block is a single column unless the layer is (_fold_ties).
     """
-    n_blocks = max(1, n // max(2, _COLUMN_BLOCK // n_tasks))
+    n_blocks = max(1, n // max(2, _COLUMN_BLOCK // n_rows))
     return n_blocks, -(-n // n_blocks)
 
 
-def _elect_mean(flat, alpha, most) -> np.ndarray:
-    """alpha × the mean of each column's survivors that agree with its elected sign.
+def _fold_ties(x, sums, flags, tmp, zeros) -> None:
+    """Add the task rows x (tasks, columns), in task order, into the TIES
+    sums of their columns: the total, the sums of the positive and of the
+    negative entries, and the counts of each.
 
-    most(bytes) is the number of workers that may hold that much scratch.
+    flags (bool), tmp and zeros (float64, all zero) are scratch of a
+    row's length; max and min against an array of zeros run twice as fast
+    as against the scalar.  They add a zero in place of the other sign's
+    entries, which leaves a nonzero sum as it is and a zero one +0.0.  A
+    one-column layer comes in one group, and is summed over its tasks
+    pairwise, the order in which numpy reduces one contiguous column.
     """
-    n = flat.shape[1]
-    n_blocks, width = _column_blocks(*flat.shape)
-    out = np.empty(n)
-
-    def scratch():
-        return np.empty((len(flat), width)), np.empty((len(flat), width), dtype=bool)
-
-    def elect(b, prod, agrees):
-        j0, j1 = n * b // n_blocks, n * (b + 1) // n_blocks
-        block, prod, agrees = flat[:, j0:j1], prod[:, : j1 - j0], agrees[:, : j1 - j0]
-        elected = np.where(np.add.reduce(block, axis=0) >= 0.0, 1.0, -1.0)
-        np.greater(np.multiply(block, elected, out=prod), 0.0, out=agrees)
-        counts = np.add.reduce(agrees, axis=0, dtype=np.float64)
-        # a disagreeing entry adds a zero, which leaves a nonzero sum as it
-        # is; a column with no agreeing entry sums to ±0.0, and + 0.0 makes
-        # it the +0.0 of an empty mean
-        total = np.add.reduce(np.multiply(block, agrees, out=prod), axis=0)
-        total += 0.0
-        np.multiply(alpha, np.divide(total, np.maximum(counts, 1.0), out=total), out=out[j0:j1])
-
-    # prod and agrees, and about six float64 columns of temporaries
-    task_map(elect, n_blocks, scratch, most((9 * len(flat) + 48) * width))
-    return out
+    total, pos, neg, n_pos, n_neg = sums
+    if x.shape[1] == 1:
+        col = x[:, 0]
+        total += np.add.reduce(col)
+        pos += np.add.reduce(np.maximum(col, 0.0))
+        neg += np.add.reduce(np.minimum(col, 0.0))
+        n_pos += int(np.count_nonzero(col > 0.0))
+        n_neg += int(np.count_nonzero(col < 0.0))
+        return
+    for row in x:
+        total += row
+        n_pos += np.greater(row, 0.0, out=flags).view(np.uint8)
+        n_neg += np.less(row, 0.0, out=flags).view(np.uint8)
+        pos += np.maximum(row, zeros, out=tmp)
+        neg += np.minimum(row, zeros, out=tmp)
 
 
-def _scaled_sum(flat, alpha, divisor, most) -> np.ndarray:
-    """alpha · Σ over tasks (then ÷ divisor, if any), added in task order."""
-    n = flat.shape[1]
-    n_blocks, _ = _column_blocks(*flat.shape)
-    out = np.empty(n)
-
-    def add(b):
-        cols = slice(n * b // n_blocks, n * (b + 1) // n_blocks)
-        total = out[cols]
-        np.add(flat[0, cols], 0.0, out=total)  # as sum() starts from 0: −0.0 becomes +0.0
-        for row in flat[1:, cols]:
-            total += row
-        total *= alpha
-        if divisor:
-            total /= divisor
-
-    task_map(add, n_blocks, most=most(0))
-    return out
-
-
-def _workers_within(budget, per_worker):
-    """Workers whose scratch of per_worker bytes fits in budget bytes
-    together (at least one); None, no limit, for jobs without scratch."""
-    return max(1, budget // per_worker) if per_worker else None
+def _elect(sums, alpha, flags) -> None:
+    """Write over the total alpha × the mean of the survivors whose sign
+    agrees with it: the positive ones where it is ≥ 0, the negative ones
+    elsewhere (alpha × +0.0 where there are none)."""
+    total, pos, neg, n_pos, n_neg = sums
+    for part, count in ((pos, n_pos), (neg, n_neg)):
+        np.divide(part, np.maximum(count, 1, out=count), out=part)
+        part *= alpha
+    # ANDs with all-ones or zero masks, as in _dare, pick the mean by its
+    # bits: a product by 0 would turn a mean that overflowed to inf into nan
+    np.greater_equal(total, 0.0, out=flags)
+    mask, pos, neg = (a.view(np.int64) for a in (total, pos, neg))
+    np.negative(flags.view(np.int8), out=mask)
+    pos &= mask
+    neg &= np.invert(mask, out=mask)
+    np.bitwise_or(pos, neg, out=mask)
 
 
 @single_threaded()  # once per layer, so the workers' own guards leave the count as it is
 def _merge_layer(cfg, salt, shape, fill) -> np.ndarray:
-    """Merge one layer by cfg.method on a new stack of `shape` (tasks, d_in, d_out).
+    """Merge one layer of `shape` (tasks, d_in, d_out) by cfg.method.
 
-    One job per task fills its slice (fill(i, slice)), checks it is
-    finite, then drops, trims or truncates it in place; the reduction
-    over tasks runs over column blocks.  Both go through task_map, inline
-    for a stack below one _BLOCK, and each stage's workers hold no more
-    scratch together than the serial code did.
+    The tasks run in groups of up to _IN_FLIGHT, one per worker.  One job
+    per task fills its row (fill(i, matrix)), checks it is finite, then
+    drops, trims or truncates it in place; then one job per column block
+    adds the group's rows into the sums, and the last group's jobs turn
+    the sums into the output.  A layer whose tasks hold fewer than _BLOCK
+    entries in all runs inline.
     """
-    stack = np.empty(shape)
-    n_tasks = len(stack)
-    flat = stack.reshape(n_tasks, -1)
-    n = flat.shape[1]
+    n_tasks = shape[0]
+    n = math.prod(shape[1:])
     dare = cfg.method.startswith("dare-") and cfg.dare_p > 0.0
     k = math.ceil(cfg.k_density * n) if cfg.method in ("ties", "dare-ties") else None
     rank = math.ceil(cfg.k_density * min(shape[1:])) if cfg.method == "tsv" else None
-    budget = n * (17 if k is not None else 8 if dare else 0)
     block = max(1, min(n, _BLOCK))
+    # a truncation holds about three slices of its own (the SVD's factors
+    # and their product), so TSV keeps one task in flight; a one-entry layer
+    # is summed over its tasks pairwise (_fold_ties), so it takes them all
+    group = n_tasks if n == 1 else worker_count(n_tasks, 1 if rank is not None else _IN_FLIGHT)
+    workers = 1 if n_tasks * n < _BLOCK else group
+    rows = np.empty((group, n))
+    # the total becomes the output; the counts take the narrowest type that holds N
+    out = np.zeros(n)
+    count_type = np.min_scalar_type(n_tasks)
+    sums = (out, np.zeros(n), np.zeros(n), np.zeros(n, count_type), np.zeros(n, count_type)) \
+        if k is not None else (out,)
+    n_blocks, width = _column_blocks(group, n)
+    first = last = 0
 
-    def most(per_worker):
-        return 1 if stack.size < _BLOCK else _workers_within(budget, per_worker)
-
-    def stage(i, noise, buf, flags):
-        row = flat[i]
-        fill(i, stack[i])
+    def stage(j, noise, flags):
+        i, row = first + j, rows[j]
+        matrix = row.reshape(shape[1:])
+        fill(i, matrix)
         _require_finite(row, i)  # s·A·Bᵀ can overflow
         if dare:
             _dare(row, cfg, (i, salt), noise)
             _require_finite(row, i)  # dividing by 1 − p can overflow
         if k is not None:
-            _trim(row, k, buf, flags)
+            _trim(row, k, noise, flags)  # DARE's noise is dead before the trim writes there
         if rank is not None:
-            stack[i] = truncated_approx(stack[i], rank)
+            np.copyto(matrix, truncated_approx(matrix, rank))
 
-    def scratch():
+    def stage_scratch():
+        return (np.empty(block) if dare or k is not None else None,
+                np.empty(block, dtype=bool) if k is not None else None)
+
+    def fold(b, flags, tmp, zeros):
+        cols = slice(n * b // n_blocks, n * (b + 1) // n_blocks)
+        x = rows[: last - first, cols]
+        if k is not None:
+            part, w = tuple(s[cols] for s in sums), x.shape[1]
+            _fold_ties(x, part, flags[:w], tmp[:w], zeros[:w])
+            if last == n_tasks:
+                _elect(part, cfg.alpha, flags[:w])
+            return
+        total = out[cols]
+        for row in x:  # from +0.0, as sum() starts: −0.0 becomes +0.0
+            total += row
+        if last == n_tasks:
+            total *= cfg.alpha
+            if cfg.method == "uniform":
+                total /= n_tasks
+
+    def fold_scratch():
         if k is None:
-            return np.empty(block) if dare else None, None, None
-        buf = np.empty(max(1, n))  # DARE's noise is dead before the trim writes here
-        return buf[:block] if dare else None, buf, np.empty(min(n, _BLOCK), dtype=bool)
+            return None, None, None
+        return np.empty(width, dtype=bool), np.empty(width), np.zeros(width)
 
-    # the trim's two float64 rows and bool block, DARE's noise block and its
-    # keep mask, or the truncation's SVD factors, their copies and product
-    task_map(stage, n_tasks, scratch, most(8 * n + block if k is not None else 9 * block
-                                           if dare else 48 * n if rank is not None else 0))
-    if k is not None:
-        out = _elect_mean(flat, cfg.alpha, most)
-    else:
-        out = _scaled_sum(flat, cfg.alpha, n_tasks if cfg.method == "uniform" else None, most)
+    while last < n_tasks:
+        first, last = last, min(last + group, n_tasks)
+        task_map(stage, last - first, stage_scratch, workers)
+        task_map(fold, n_blocks, fold_scratch, workers)
     return out.reshape(shape[1:])
 
 
@@ -374,7 +401,7 @@ def merge_deltas(deltas, cfg: MergeConfig, salt: int = 0) -> np.ndarray:
     dare-ta and dare-ties first drop each Δ_i as dare_transform does, on
     the stream (i, salt); `salt` (≥ 0, derived from the layer id by
     merge_library) keys the masks so no two layers reuse a stream.  The
-    inputs are copied into a new stack, never written.  The cp method
+    inputs are copied into task rows, never written.  The cp method
     fits the factored deltas of a library, so it runs through
     merge_library only.
     """
@@ -402,7 +429,7 @@ def merge_library(lib, cfg: MergeConfig) -> dict:
             f = cp_als_factored(layer, cfg.cp_rank, AlsOptions(seed=cfg.seed))
             merged[layer_id] = cfg.alpha * (cp_merge(f) / f.n_tasks if cfg.average else cp_merge(f))
         else:
-            # the stack is freed when this returns, before the next layer's is filled
+            # the rows and sums are freed when this returns, before the next layer's are made
             merged[layer_id] = _merge_layer(cfg, layer_salt(layer_id),
                                             (len(layer), layer[0].d_in, layer[0].d_out),
                                             lambda i, out: layer[i].materialize(out=out))

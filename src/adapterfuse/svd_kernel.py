@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blas import single_threaded
+from .tensor_core import all_finite
 
 CLAMP_REL = 1e-12
 
@@ -35,8 +36,17 @@ class SvdResult:
 
 
 def _largest_entry_signs(f):
-    """Per column: −1.0 where its largest-magnitude entry is negative, else 1.0."""
-    return np.where(f[np.argmax(np.abs(f), axis=0), np.arange(f.shape[1])] < 0, -1.0, 1.0)
+    """Per column: −1.0 where its largest-magnitude entry is negative, else 1.0.
+
+    Where a positive and a negative entry share the largest magnitude,
+    the first in the column counts, as argmax(|f|) would pick it; the
+    column maxima and minima take no copy of f.
+    """
+    top, low = f.max(axis=0), -f.min(axis=0)
+    negative = low > top
+    for j in np.flatnonzero(low == top):
+        negative[j] = np.argmax(f[:, j] == -low[j]) < np.argmax(f[:, j] == top[j])
+    return np.where(negative, -1.0, 1.0)
 
 
 def svd(m) -> SvdResult:
@@ -48,13 +58,17 @@ def svd(m) -> SvdResult:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"svd expects a non-empty matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not all_finite(m):
         raise ValueError("svd: input has non-finite entries")
 
     u, sigma, vt = np.linalg.svd(m, full_matrices=False)
     sigma = np.where(sigma > CLAMP_REL * sigma[0], sigma, 0.0)
     flip = _largest_entry_signs(u)
-    return SvdResult(u=u * flip, sigma=sigma, v=vt.T * flip)
+    # flipped in place: v is vt's transposed view, column-major, and the bits
+    # of a product that reads v depend on that layout
+    u *= flip
+    vt *= flip[:, None]
+    return SvdResult(u=u, sigma=sigma, v=vt.T)
 
 
 @single_threaded()  # the SVD's bits do not follow the core count (blas)

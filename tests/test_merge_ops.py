@@ -553,6 +553,30 @@ class TestDenseMergeMemory:
             tracemalloc.stop()
         assert peak < a_bytes + identity_bytes + 2 * stack_bytes
 
+    def test_load_and_merge_peak_is_payload_sums_and_two_tasks(self, tmp_path):
+        # beside the payload: the first layer's output, the second's running
+        # sums (26 bytes per entry for TIES), and two tasks in flight, each a
+        # row and its trim's magnitudes; 8.6 slices at most, where the stack
+        # took 16 on its own
+        rng = np.random.default_rng(1)
+        eye = np.eye(512)
+        layers = ("00", "01")
+        path = tmp_path / "dense.alib"
+        save_library(AdapterLibrary(
+            tasks=tuple(str(i) for i in range(8)), layers=layers,
+            deltas={(str(i), l): AdapterDelta(l, rng.standard_normal((512, 512)), eye)
+                    for i in range(8) for l in layers}), path)
+        payload_bytes = (2 * 8 + 1) * 512 * 512 * 4
+        slice_bytes = 512 * 512 * 8
+        for method in ("ties", "dare-ties"):
+            tracemalloc.start()
+            try:
+                merge_library(load_library(path), MergeConfig(method=method))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < payload_bytes + 9 * slice_bytes
+
 
 @pytest.mark.usefixtures("eight_workers")
 class TestDenseMergeMemoryOnEightWorkers(TestDenseMergeMemory):
@@ -561,11 +585,45 @@ class TestDenseMergeMemoryOnEightWorkers(TestDenseMergeMemory):
     truncations included."""
 
 
+@pytest.mark.usefixtures("eight_workers")
+class TestStreamedMemory:
+    """A layer's merge holds its running sums and at most two tasks, so its
+    peak does not grow with N, nor with the core count."""
+
+    @pytest.mark.parametrize("method", DENSE_METHODS)
+    def test_peak_does_not_depend_on_n_or_cores(self, method, monkeypatch):
+        rng = np.random.default_rng(0)
+        eye = np.eye(512, dtype=np.float32)
+        mats = [rng.standard_normal((512, 512)).astype(np.float32) for _ in range(16)]
+        libs = {n: one_layer_library([AdapterDelta("00", m, eye) for m in mats[:n]])
+                for n in (4, 16)}
+        cfg = MergeConfig(method=method)
+        slice_bytes = 512 * 512 * 8
+        peaks = {}
+        for workers in (1, 2, 8):
+            monkeypatch.setattr(blas, "_workers", workers)
+            for n_tasks, lib in libs.items():
+                # two workers' trims hold their magnitudes at once in some runs
+                # and not in others, so the peak of TIES is the largest of ten
+                runs = 10 if workers > 1 and method in ("ties", "dare-ties") else 1
+                tracemalloc.start()
+                try:
+                    for _ in range(runs):
+                        merge_library(lib, cfg)
+                    peaks[workers, n_tasks] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        for workers in (1, 2, 8):
+            assert abs(peaks[workers, 16] - peaks[workers, 4]) <= slice_bytes
+        for n_tasks in (4, 16):
+            assert abs(peaks[8, n_tasks] - peaks[2, n_tasks]) <= slice_bytes
+
+
 @pytest.fixture
 def uncapped(monkeypatch):
-    """Every stage on as many workers as the pool has: the scratch cap
-    keeps the trim and the election of small layers on one worker."""
-    monkeypatch.setattr(merge_ops, "_workers_within", lambda budget, per_worker: None)
+    """Every stage on as many workers as the pool has: the in-flight cap
+    holds a layer's merge to two tasks at once."""
+    monkeypatch.setattr(merge_ops, "_IN_FLIGHT", None)
 
 
 @pytest.fixture
@@ -676,6 +734,51 @@ class TestWorkerCount:
             monkeypatch.setattr(blas, "_workers", workers)
             assert_same_bytes(merge_library(lib, cfg)["00"], want)
             assert_same_bytes(merge_deltas(mats, cfg, salt=salt), want)
+
+
+class TestGroups:
+    """Groups of tasks that do not divide N, sums in blocks, counts past 255."""
+
+    @pytest.mark.parametrize("method", DENSE_METHODS)
+    @pytest.mark.parametrize("n_tasks", [5, 9])
+    @pytest.mark.parametrize("stored", ["dense", "factored"])
+    @pytest.mark.usefixtures("eight_workers", "uncapped")
+    def test_partial_groups_give_the_oracle_bytes(self, stored, n_tasks, method, monkeypatch):
+        # groups of 1, 2 and 8 tasks, each folded over several column blocks
+        monkeypatch.setattr(merge_ops, "_COLUMN_BLOCK", 1 << 12)
+        rng = np.random.default_rng(n_tasks)
+        shape = (120, 160)
+        if stored == "dense":
+            lib = dense_library(wide_range(rng, n_tasks, shape))
+        else:  # B ≠ I: each row is a product
+            lib = one_layer_library([
+                AdapterDelta("00", rng.standard_normal((shape[0], 6)),
+                             rng.standard_normal((shape[1], 6)), 1.0 + i) for i in range(n_tasks)])
+        mats = [lib.deltas[(t, "00")].materialize() for t in lib.tasks]
+        assert n_tasks * mats[0].size >= merge_ops._BLOCK
+        assert merge_ops._column_blocks(1, mats[0].size)[0] > 1
+        cfg = MergeConfig(method=method, k_density=0.3, dare_p=0.5, seed=2, alpha=0.8)
+        salt = layer_salt("00")
+        want = dense_merge_oracle(mats, cfg, salt)
+        for workers in (1, 2, 8):
+            monkeypatch.setattr(blas, "_workers", workers)
+            assert_same_bytes(merge_library(lib, cfg)["00"], want)
+            assert_same_bytes(merge_deltas(mats, cfg, salt=salt), want)
+
+    @pytest.mark.parametrize("method", ["ties", "dare-ties"])
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 5), (12, 10)], ids=str)
+    def test_counts_past_255_tasks(self, shape, method):
+        # 300 tasks, nearly all positive: a count in one byte would wrap and
+        # divide the sums by 44; (12, 10) runs on the workers, (4, 5) inline,
+        # and (1, 1) in one group, its single column summed pairwise
+        rng = np.random.default_rng(3)
+        mats = [np.abs(m) + 0.5 for m in wide_range(rng, 300, shape)]
+        mats[7][0, 0] = -1.0
+        cfg = MergeConfig(method=method, k_density=1.0, dare_p=0.1, seed=1)
+        salt = layer_salt("00")
+        want = dense_merge_oracle(mats, cfg, salt)
+        assert_same_bytes(merge_deltas(mats, cfg, salt=salt), want)
+        assert_same_bytes(merge_library(dense_library(mats), cfg)["00"], want)
 
 
 class TestMergeConfig:
