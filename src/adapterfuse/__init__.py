@@ -17,7 +17,6 @@ from .adapter_io import (
 from .clustering import (
     ClusterModel,
     EmbeddingSet,
-    assign,
     kmeans_fit,
     load_embeddings,
     partition_manifest,
@@ -37,7 +36,7 @@ from .cp_decomposition import (
 )
 from .errors import ChecksumError, ContainerFormatError, SchemaError, ShapeMismatchError
 from .interference import InterferenceReport, cp_sti, layer_profile, sti
-from .merge_ops import MergeConfig, dare_transform, merge_deltas, merge_library
+from .merge_ops import MergeConfig, merge_deltas, merge_library
 from .svd_kernel import SvdResult, svd, truncated_approx
 from .synth import (
     GroundTruth,

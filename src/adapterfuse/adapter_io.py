@@ -11,10 +11,6 @@ dense-stored delta of that size needs it, and every such delta's `b`
 record points at it.  Readers must address tensors by offset; the
 loader makes one view per distinct span, so those deltas share one B.
 
-A directory of ``task_<id>/layer_<id>.bin`` files (each a one-entry
-container in the same format) is accepted on load for interoperability
-with external export scripts.
-
 Factors live on disk as float32 and stay float32 in memory: a loaded
 AdapterDelta holds read-only views of the CRC-checked payload, which
 starts on a 64-byte file offset so the views are aligned (a file
@@ -26,14 +22,12 @@ it computes in.
 from __future__ import annotations
 
 import math
-import os
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .blas import single_threaded
-from .containers import read_alib, read_array, require_keys, write_alib
+from .containers import as_float32, read_alib, read_array, require_keys, write_alib
 from .errors import ContainerFormatError, SchemaError
 from .tensor_core import all_finite
 
@@ -77,7 +71,7 @@ class AdapterDelta:
 
     @classmethod
     def _of_checked(cls, layer_id, a, b, scaling_s, dense_stored):
-        """A delta over factors already finite-checked (_load_file checks
+        """A delta over factors already finite-checked (load_library checks
         each distinct view once, however many deltas share it)."""
         d = cls.__new__(cls)
         for name, value in (("layer_id", layer_id), ("a", a), ("b", b), ("scaling_s", scaling_s)):
@@ -175,15 +169,6 @@ class AdapterLibrary:
                 raise SchemaError(f"layer {layer!r} has inconsistent shapes: {shapes}")
 
 
-def _float32(x, what) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        arr = np.ascontiguousarray(x, dtype=_DTYPE)
-        fits = all_finite(arr)  # the factors are finite: else the cast overflowed
-    if not fits:
-        raise ValueError(f"{what} exceeds the float32 range")
-    return arr
-
-
 def _stored_factors(lib: AdapterLibrary):
     """(task, layer, delta, {name: factor}) in file order, naming the
     factors an `.alib` stores for each delta: its A, and its B unless it
@@ -210,7 +195,7 @@ def save_library(lib: AdapterLibrary, path) -> None:
     for task, layer, d, factors in _stored_factors(lib):
         rec = {"task": task, "layer": layer, "s": repr(float(d.scaling_s))}
         for name, arr in factors.items():
-            chunks.append(_float32(arr, f"delta ({task}, {layer}): factor {name}"))
+            chunks.append(as_float32(arr, f"delta ({task}, {layer}): factor {name}"))
             rec[name] = {"shape": list(arr.shape), "offset": offset}
             offset += chunks[-1].nbytes
         if d.dense_stored:
@@ -228,7 +213,8 @@ def stored_bytes(lib: AdapterLibrary) -> int:
                for arr in factors.values())
 
 
-def _load_file(path) -> AdapterLibrary:
+def load_library(path) -> AdapterLibrary:
+    """Load a `.alib` container (a directory is an OSError, as for open)."""
     index, payload = read_alib(path, _DTYPE)
     entries, tasks, layers, meta = require_keys(
         {"meta": {}, **index},  # meta is optional
@@ -273,53 +259,6 @@ def _load_file(path) -> AdapterLibrary:
     return AdapterLibrary(
         tasks=tuple(tasks), layers=tuple(layers), deltas=deltas, meta=dict(meta)
     )
-
-
-def _natural_key(s: str):
-    return [int(p) if p.isdigit() else p for p in re.split(r"(\d+)", s)]
-
-
-def _load_directory(path) -> AdapterLibrary:
-    task_dirs = sorted(
-        (d for d in os.listdir(path) if d.startswith("task_")), key=_natural_key
-    )
-    if not task_dirs:
-        raise ContainerFormatError(f"{path}: no task_<id> subdirectories")
-    deltas = {}
-    layer_sets = []
-    tasks = []
-    for dname in task_dirs:
-        task = dname[len("task_") :]
-        tasks.append(task)
-        tdir = os.path.join(path, dname)
-        layers = []
-        for fname in sorted(os.listdir(tdir), key=_natural_key):
-            match = re.fullmatch(r"layer_(.+)\.bin", fname)
-            if not match:
-                continue
-            sub = _load_file(os.path.join(tdir, fname))
-            if len(sub.tasks) != 1 or len(sub.layers) != 1:
-                raise ContainerFormatError(
-                    f"{tdir}/{fname}: per-file containers must hold exactly one delta"
-                )
-            layer = match.group(1)
-            deltas[(task, layer)] = sub.deltas[(sub.tasks[0], sub.layers[0])]
-            layers.append(layer)
-        layer_sets.append(layers)
-    schema = layer_sets[0]
-    for task, layers in zip(tasks, layer_sets):
-        if layers != schema:
-            raise SchemaError(
-                f"task {task!r} layers {layers} do not match schema {schema}"
-            )
-    return AdapterLibrary(tasks=tuple(tasks), layers=tuple(schema), deltas=deltas)
-
-
-def load_library(path) -> AdapterLibrary:
-    """Load a `.alib` container or a task_<id>/layer_<id>.bin directory."""
-    if os.path.isdir(path):
-        return _load_directory(path)
-    return _load_file(path)
 
 
 def export_merged(merged: dict, path, meta: dict | None = None) -> None:

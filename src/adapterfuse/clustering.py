@@ -2,7 +2,7 @@
 
 Training runs on a seeded subsample (default 20% of the points), then the
 fitted centroids label everything.  All randomness flows through one
-seeded generator, so fit → assign → partition is reproducible end to end.
+seeded generator, so fit → partition is reproducible end to end.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .containers import (
     require_keys,
     write_framed,
 )
+from .tensor_core import all_finite
 
 DISTANCES = ("euclidean", "cosine")
 
@@ -40,7 +41,7 @@ class EmbeddingSet:
             raise ValueError(f"{len(self.ids)} ids but {v.shape[0]} vectors")
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("embedding ids are not unique")
-        if not np.all(np.isfinite(v)):
+        if not all_finite(v):
             raise ValueError("embedding vectors have non-finite entries")
 
     @property
@@ -63,19 +64,21 @@ class ClusterModel:
 
 
 def _prepare(vectors, distance):
-    x = np.asarray(vectors, dtype=np.float64)
+    """The rows as a new float64 array, unit-normalized in place for cosine."""
+    x = np.array(vectors, dtype=np.float64)
     if distance == "cosine":
         norms = np.linalg.norm(x, axis=1, keepdims=True)
-        x = x / np.where(norms > 0, norms, 1.0)
+        x /= np.where(norms > 0, norms, 1.0)
     return x
 
 
 def _sq_dists(x, centroids):
     # n × K matrix of squared Euclidean distances; the expanded form can
-    # round below zero for near-coincident points, so clamp at 0
+    # round below zero for near-coincident points, so clamp at 0.  Doubling
+    # the n × K product, not x, is exact and takes no copy of x
     d2 = (
         np.einsum("ij,ij->i", x, x)[:, None]
-        - 2.0 * x @ centroids.T
+        - 2.0 * (x @ centroids.T)
         + np.einsum("ij,ij->i", centroids, centroids)[None, :]
     )
     return np.maximum(d2, 0.0)
@@ -109,10 +112,10 @@ def kmeans_fit(
     if seed < 0:
         raise ValueError(f"seed must be ≥ 0, got {seed}")
 
-    x_all = _prepare(e.vectors, distance)
     rng = np.random.default_rng(seed)
     m = max(K, min(e.n, math.ceil(sample_fraction * e.n)))
-    x = x_all[rng.choice(e.n, size=m, replace=False)]
+    # only the subsample is widened to float64
+    x = _prepare(e.vectors[rng.choice(e.n, size=m, replace=False)], distance)
 
     # k-means++ seeding
     centroids = np.empty((K, x.shape[1]))
@@ -159,13 +162,9 @@ def kmeans_fit(
     )
 
 
-def assign(m: ClusterModel, vector) -> int:
-    """Nearest centroid index; ties break toward the lowest index."""
-    return int(assign_many(m, np.ravel(vector)[None, :])[0])
-
-
 def assign_many(m: ClusterModel, vectors) -> np.ndarray:
-    x = np.asarray(vectors, dtype=np.float64)
+    """Nearest centroid index of each row; ties break toward the lowest index."""
+    x = np.asarray(vectors)
     if x.ndim != 2:
         raise ValueError(f"vectors must be a 2-D array, got ndim={x.ndim}")
     if x.shape[1] != m.centroids.shape[1]:
@@ -187,7 +186,7 @@ def partition_manifest(manifest: dict, m: ClusterModel, e: EmbeddingSet) -> list
         raise ValueError(f"no embedding for manifest id(s): {missing[:5]}")
     ids = list(manifest)
     rows = np.array([index[sid] for sid in ids], dtype=np.intp)
-    labels = assign_many(m, np.asarray(e.vectors, dtype=np.float64)[rows])
+    labels = assign_many(m, e.vectors[rows])  # float32 rows, widened once there
     parts: list = [{} for _ in range(m.K)]
     for sid, lab in zip(ids, labels):
         parts[int(lab)][sid] = manifest[sid]

@@ -24,6 +24,7 @@ import zlib
 import numpy as np
 
 from .errors import ChecksumError, ContainerFormatError
+from .tensor_core import all_finite
 
 ALIB_MAGIC = b"ALIB"
 ALIB_VERSION = 1
@@ -53,6 +54,20 @@ def atomic_write(path, chunks) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def as_float32(x, what: str) -> np.ndarray:
+    """Finite x as a C-contiguous little-endian float32 array, for a payload.
+
+    An entry beyond the float32 range raises a ValueError naming `what`,
+    before any byte is written.
+    """
+    with np.errstate(over="ignore"):
+        arr = np.ascontiguousarray(x, dtype="<f4")
+        fits = all_finite(arr)  # x is finite: else the cast overflowed
+    if not fits:
+        raise ValueError(f"{what} exceeds the float32 range")
+    return arr
 
 
 def require_keys(header, keys: dict, path) -> list:

@@ -18,13 +18,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blas import single_threaded
-from .containers import read_array, read_framed, require_end, require_keys, write_framed
+from .containers import (
+    as_float32,
+    read_array,
+    read_framed,
+    require_end,
+    require_keys,
+    write_framed,
+)
 from .tensor_core import all_finite
 from .svd_kernel import _largest_entry_signs, svd
 
 _COND_LIMIT = 1e12  # beyond this the normal equations get a ridge
 _PAIRING_DRAWS = 4  # random slice mixes tried by the "svd" init
 _CANCEL_LIMIT = 1e-4  # below this err², read from the Grams, loses digits to cancellation
+# a tensor whose largest magnitude lies outside this range is fitted scaled
+# by a power of two (exact), so that its Grams and ‖T‖² neither overflow nor
+# underflow
+_PEAK_RANGE = (2.0**-400, 2.0**400)
 
 
 @dataclass(frozen=True)
@@ -85,7 +96,7 @@ class CPFactors:
             if m.ndim != 2 or m.shape[1] != R:
                 raise ValueError(f"{name} must have {R} columns, got shape {m.shape}")
         for name in ("lam", "a_task", "b_row", "c_col"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not all_finite(getattr(self, name)):
                 raise ValueError(f"{name} has non-finite entries")
         object.__setattr__(self, "fit", float(self.fit))
         if not 0.0 <= self.fit <= 1.0:
@@ -266,20 +277,6 @@ def _residual(s, lam, a, b, c, norm_t):
     return math.sqrt(total)
 
 
-def _stack_norm(s) -> float:
-    """‖s‖_F summed slice by slice, with no stack-sized temporary.
-
-    Overflow-safe as frobenius_norm is: only when the plain sum of
-    squares overflows are the slices scaled by the largest magnitude.
-    """
-    with np.errstate(over="ignore"):
-        total = sum(np.vdot(x, x) for x in s)
-    if math.isfinite(total):
-        return math.sqrt(total)
-    peak = max(float(np.max(np.abs(x))) for x in s)
-    return peak * math.sqrt(sum(np.vdot(y, y) for y in (x / peak for x in s)))
-
-
 @single_threaded()  # a context manager doubles as a decorator: each call runs inside it
 def cp_als(t, R: int, opts: AlsOptions | None = None) -> CPFactors:
     """Rank-R CP fit by alternating least squares.
@@ -296,8 +293,11 @@ def cp_als(t, R: int, opts: AlsOptions | None = None) -> CPFactors:
 
     The fit works on one slice-major copy S (N × d_in × d_out, S_k = T_k;
     none when t is stored that way, as stack_slices stores it), and
-    forms no other array of its size: ‖T‖, the init's row Gram and the
-    dense residual are each summed slice by slice.  Each
+    forms no other array of its size: the peak magnitude is two
+    reductions over S, and ‖T‖, the init's row Gram and the dense
+    residual are each summed slice by slice.  A
+    tensor whose peak lies outside _PEAK_RANGE is fitted scaled by a power
+    of two, which only lam carries back, so any finite tensor fits.  Each
     iteration forms P = S·C, which gives the task MTTKRP Σ_i P[k,i,r]·B[i,r]
     and, after the task update, the row MTTKRP Σ_k a[k,r]·P[k,:,r]
     (Phan, Tichavský & Cichocki 2013).  Q = Sᵀ·B, after the row update,
@@ -317,9 +317,19 @@ def cp_als(t, R: int, opts: AlsOptions | None = None) -> CPFactors:
     _check_rank(R, t.shape)
 
     s = np.ascontiguousarray(np.moveaxis(t, 2, 0))
-    norm_t = _stack_norm(s)
-    if norm_t == 0.0:
+    peak = max(float(s.max()), -float(s.min()))  # two reductions, no temporaries
+    if peak == 0.0:
         return _zero_factors(R, t.shape)
+    if not _PEAK_RANGE[0] <= peak <= _PEAK_RANGE[1]:
+        # fit T·2⁻ᵉ, whose peak lies in [1/2, 1), and give lam back the 2ᵉ;
+        # a lam beyond the float64 range is then refused by CPFactors
+        e = math.frexp(peak)[1]
+        f = cp_als(np.moveaxis(np.ldexp(s, -e), 0, 2), R, opts)
+        with np.errstate(over="ignore"):
+            lam = np.ldexp(f.lam, e)
+        return CPFactors(R, lam, f.a_task, f.b_row, f.c_col, fit=f.fit,
+                         error_trace=f.error_trace)
+    norm_t = math.sqrt(sum(np.vdot(x, x) for x in s))
 
     n, d_in, d_out = s.shape
     flat = s.reshape(n * d_in, d_out)
@@ -449,7 +459,7 @@ _CPF_DTYPE = "<f4"  # float32 on disk, widened on load
 
 def save_factors(f: CPFactors, path) -> None:
     arrays = {
-        name: np.ascontiguousarray(getattr(f, name), dtype=_CPF_DTYPE)
+        name: as_float32(getattr(f, name), f"factor {name}")
         for name in ("lam", "a_task", "b_row", "c_col")
     }
     offsets = {}

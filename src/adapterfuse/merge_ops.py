@@ -367,22 +367,6 @@ def _merge_layer(cfg, salt, shape, fill) -> np.ndarray:
     return out.reshape(shape[1:])
 
 
-def dare_transform(delta, cfg: MergeConfig, stream=()) -> np.ndarray:
-    """Zero each entry with probability dare_p, rescale survivors by 1/(1-p).
-
-    The mask is drawn from (cfg.seed, *stream); `stream` (non-negative
-    ints) lets library-level merges give every (task, layer) its own
-    reproducible mask.
-    """
-    if any(word < 0 for word in stream):
-        raise ValueError(f"stream words must be ≥ 0, got {tuple(stream)}")
-    delta = np.array(delta, dtype=np.float64, order="C")
-    if delta.ndim != 2:
-        raise ShapeMismatchError(f"delta is not a matrix (ndim={delta.ndim})")
-    _dare(delta.reshape(-1), cfg, stream, np.empty(max(1, min(delta.size, _BLOCK))))
-    return delta
-
-
 def layer_salt(layer_id: str) -> int:
     return zlib.crc32(str(layer_id).encode("utf-8"))
 
@@ -398,8 +382,9 @@ def merge_deltas(deltas, cfg: MergeConfig, salt: int = 0) -> np.ndarray:
     each entry's sign is elected from the sign of the summed survivors
     (an exact zero elects +), and the output is alpha times the mean over
     tasks whose surviving entry is nonzero and matches the elected sign.
-    dare-ta and dare-ties first drop each Δ_i as dare_transform does, on
-    the stream (i, salt); `salt` (≥ 0, derived from the layer id by
+    dare-ta and dare-ties first zero each entry of Δ_i with probability
+    dare_p and divide the survivors by 1 − dare_p, the mask drawn from
+    the stream (seed, i, salt); `salt` (≥ 0, derived from the layer id by
     merge_library) keys the masks so no two layers reuse a stream.  The
     inputs are copied into task rows, never written.  The cp method
     fits the factored deltas of a library, so it runs through

@@ -204,19 +204,23 @@ def gen_planted_library(spec: PlantedSpec):
     return lib, GroundTruth(layer_sums=layer_sums, planted=planted, total_rank=total)
 
 
+# gen_overlap_library's overlaps: of the two tasks' loadings, and of the
+# row and column factors at the first and the last layer
+_RHO_A = 0.5
+_RHO_B = (0.9, 0.1)
+_RHO_C = (0.8, 0.15)
+
+
 def gen_overlap_library(
     n_layers: int = 10,
     d_in: int = 24,
     d_out: int = 24,
     seed: int = 0,
-    rho_a: float = 0.5,
-    rho_b_range=(0.9, 0.1),
-    rho_c_range=(0.8, 0.15),
 ) -> AdapterLibrary:
     """Two-task library whose cross-task factor overlap shrinks per layer.
 
     Each layer is an exact two-component model; the row/column factor
-    inner products follow rho_b_range and rho_c_range across layers, so
+    inner products fall linearly across layers over _RHO_B and _RHO_C, so
     any faithful interference profile decreases strictly with depth.
 
     The two components carry distinct weights (1 and 0.6): with equal
@@ -230,9 +234,9 @@ def gen_overlap_library(
     if seed < 0:
         raise ValueError(f"seed must be ≥ 0, got {seed}")
     rng = np.random.default_rng(seed)
-    rho_b = np.linspace(rho_b_range[0], rho_b_range[1], n_layers)
-    rho_c = np.linspace(rho_c_range[0], rho_c_range[1], n_layers)
-    a_rows = np.array([[1.0, rho_a], [rho_a, 1.0]]) / math.sqrt(1.0 + rho_a**2)
+    rho_b = np.linspace(*_RHO_B, n_layers)
+    rho_c = np.linspace(*_RHO_C, n_layers)
+    a_rows = np.array([[1.0, _RHO_A], [_RHO_A, 1.0]]) / math.sqrt(1.0 + _RHO_A**2)
     a_rows = a_rows * np.array([1.0, 0.6])
 
     deltas = {}

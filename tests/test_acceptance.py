@@ -18,12 +18,10 @@ from adapterfuse import (
     EmbeddingSet,
     MergeConfig,
     PlantedSpec,
-    assign,
     cp_als,
     cp_merge,
     cp_reconstruct_slice,
     cp_sti,
-    dare_transform,
     gen_overlap_library,
     gen_planted_library,
     kmeans_fit,
@@ -150,7 +148,7 @@ def test_criterion_4_baseline_merges():
         draws = np.empty(10_000)
         for trial in range(10_000):
             cfg = MergeConfig(method="dare-ta", dare_p=p, seed=trial)
-            draws[trial] = dare_transform(d, cfg)[0, 0]
+            draws[trial] = merge_deltas([d], cfg)[0, 0]
         se = math.sqrt(p / (1 - p)) / math.sqrt(draws.size)
         assert abs(draws.mean() - 1.0) <= 3 * se, f"mean {draws.mean()}, 3SE {3*se}"
 
@@ -269,7 +267,7 @@ def test_criterion_8_clustering():
             seen = [sid for part in parts for sid in part]
             assert len(seen) == len(set(seen)) == len(manifest)
             assert set(seen) == set(manifest)
-        assert assign(models[2], pool.vectors[0]) in (0, 1)
+        assert assign_many(models[2], pool.vectors[0][None])[0] in (0, 1)
 
 
 def test_criterion_9_end_to_end_determinism(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Adapter container: round trips, corruption handling, directory layout."""
+"""Adapter container: round trips, corruption handling, the one file format."""
 
 import json
 import math
@@ -318,43 +318,14 @@ class TestCorruption:
             load_library(p)
 
 
-class TestDirectoryLayout:
-    def write_tree(self, root, tasks, layers, seed=0):
-        rng = np.random.default_rng(seed)
-        for t in tasks:
-            tdir = root / f"task_{t}"
-            tdir.mkdir(parents=True)
-            for l in layers:
-                d = AdapterDelta(layer_id=l, a=rng.standard_normal((4, 2)),
-                                 b=rng.standard_normal((3, 2)))
-                one = AdapterLibrary(tasks=(t,), layers=(l,), deltas={(t, l): d})
-                save_library(one, tdir / f"layer_{l}.bin")
-
-    def test_round_trip_through_tree(self, tmp_path):
-        self.write_tree(tmp_path, ["a", "b"], ["00", "01"])
-        lib = load_library(tmp_path)
-        assert lib.tasks == ("a", "b") and lib.layers == ("00", "01")
-        lib.validate()
-
-    def test_natural_task_order(self, tmp_path):
-        self.write_tree(tmp_path, ["2", "10", "1"], ["00"])
-        assert load_library(tmp_path).tasks == ("1", "2", "10")
-
-    def test_ragged_schema_rejected(self, tmp_path):
-        self.write_tree(tmp_path, ["a"], ["00", "01"])
-        self.write_tree(tmp_path / "sub", ["b"], ["00"])
-        (tmp_path / "sub" / "task_b").rename(tmp_path / "task_b")
-        with pytest.raises(SchemaError, match="schema"):
+class TestDirectoryPath:
+    def test_directory_is_an_os_error(self, tmp_path, capsys):
+        # the one format is a file: a directory fails as open() fails on it
+        with pytest.raises(OSError):
             load_library(tmp_path)
-
-    def test_empty_directory(self, tmp_path):
-        with pytest.raises(ContainerFormatError, match="task_"):
-            load_library(tmp_path)
-
-    def test_non_layer_files_ignored(self, tmp_path):
-        self.write_tree(tmp_path, ["a", "b"], ["00"])
-        (tmp_path / "task_a" / "README.txt").write_text("notes\n")
-        assert load_library(tmp_path).layers == ("00",)
+        assert main(["interfere", "--library", str(tmp_path), "--k", "1",
+                     "--cp-rank", "1"]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestExportMerged:

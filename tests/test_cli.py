@@ -18,6 +18,7 @@ from adapterfuse import (
     merge_library,
     save_embeddings,
     save_library,
+    save_truth,
 )
 from adapterfuse.clustering import load_manifest, save_manifest
 from adapterfuse.cli import build_parser, main
@@ -245,6 +246,19 @@ class TestInterfereCommand:
                      "--cp-rank", "1"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_cp_rank_is_exit_2(self, lib_path, capsys):
+        assert main(["interfere", "--library", str(lib_path), "--k", "1",
+                     "--cp-rank", "0"]) == 2
+        assert "--cp-rank must be ≥ 1, got 0" in capsys.readouterr().err
+
+    def test_huge_scaling_is_scored(self, tmp_path, capsys):
+        # s = 1e200: the CP fit runs rescaled, and both scores are finite
+        p = tmp_path / "huge.alib"
+        save_library(make_library(d_in=40, d_out=30, rank=3, n_layers=1, scaling=1e200), p)
+        assert main(["interfere", "--library", str(p), "--k", "2", "--cp-rank", "2"]) == 0
+        _, row = capsys.readouterr().out.splitlines()
+        assert all(np.isfinite(float(x)) for x in row.split(",")[1:])
+
     def test_internal_failure_is_exit_1(self, lib_path, capsys, monkeypatch):
         import adapterfuse.cli as cli_mod
         def boom(*a, **kw):
@@ -314,6 +328,22 @@ class TestSweepCommand:
                    "--values", "1", "--out", str(tmp_path / "s.csv")])
         assert rc == 2
         assert "requires --truth" in capsys.readouterr().err
+
+    def test_missing_library_is_exit_2(self, tmp_path, capsys):
+        rc = main(["sweep", "--param", "cp-rank", "--values", "1",
+                   "--out", str(tmp_path / "s.csv"), "--truth", "unused"])
+        assert rc == 2
+        assert "requires --library" in capsys.readouterr().err
+
+    def test_truth_without_a_library_layer_is_exit_2(self, tmp_path, spec_path, capsys):
+        lib, truth = self.synth(tmp_path, spec_path)
+        save_truth({"00": load_truth(truth)["00"]}, truth)
+        out = tmp_path / "s.csv"
+        rc = main(["sweep", "--library", str(lib), "--param", "cp-rank",
+                   "--values", "1", "--out", str(out), "--truth", truth])
+        assert rc == 2
+        assert "truth sidecar has no layer '01'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_embeddings_is_exit_2(self, tmp_path, capsys):
         rc = main(["sweep", "--param", "k-clusters", "--values", "1",
@@ -399,6 +429,16 @@ class TestCompressCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "unknown task" in err and "0, 1, 2" in err
+
+    def test_factor_beyond_float32_is_exit_2_and_writes_nothing(self, tmp_path, capsys):
+        # s = 1e40: the fit is finite, but lam does not fit a float32
+        p = tmp_path / "big.alib"
+        save_library(make_library(d_in=40, d_out=30, rank=3, n_layers=1, scaling=1e40), p)
+        out = tmp_path / "c"
+        assert main(["compress", "--library", str(p), "--cp-rank", "4",
+                     "--task", "0", "--out", str(out)]) == 2
+        assert "factor lam exceeds the float32 range" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_zero_rank_is_exit_2(self, tmp_path, lib_path):
         assert main(["compress", "--library", str(lib_path), "--cp-rank", "0",

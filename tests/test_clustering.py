@@ -9,7 +9,6 @@ from adapterfuse import (
     ClusterModel,
     ContainerFormatError,
     EmbeddingSet,
-    assign,
     kmeans_fit,
     load_embeddings,
     partition_manifest,
@@ -120,7 +119,7 @@ class TestKmeansFit:
         e, _ = blob_set()
         model = kmeans_fit(e, K=2, sample_fraction=1.0, seed=0, distance="cosine")
         v = np.asarray(e.vectors[7], dtype=np.float64)
-        assert assign(model, v) == assign(model, 40.0 * v)
+        assert assign_many(model, v[None])[0] == assign_many(model, 40.0 * v[None])[0]
 
     def test_validation(self):
         e, _ = blob_set(n_per=4)
@@ -149,23 +148,19 @@ class TestAssign:
         model = ClusterModel(
             K=2, centroids=np.array([[0.0, 0.0], [10.0, 0.0]]),
             inertia=0.0, iterations_run=1, seed=0)
-        assert assign(model, [1.0, 1.0]) == 0
-        assert assign(model, [9.0, 1.0]) == 1
-        # exact tie goes to the lower index
-        assert assign(model, [5.0, 0.0]) == 0
+        # an exact tie goes to the lower index
+        assert list(assign_many(model, [[1.0, 1.0], [9.0, 1.0], [5.0, 0.0]])) == [0, 1, 0]
 
     def test_assign_many_matches_scalar(self):
         e, _ = blob_set()
         model = kmeans_fit(e, K=2, seed=0)
         many = assign_many(model, e.vectors)
         for i in range(0, e.n, 7):
-            assert many[i] == assign(model, e.vectors[i])
+            assert many[i] == assign_many(model, e.vectors[i][None])[0]
 
     def test_dim_mismatch(self):
         model = ClusterModel(
             K=1, centroids=np.zeros((1, 3)), inertia=0.0, iterations_run=1, seed=0)
-        with pytest.raises(ValueError, match="dim"):
-            assign(model, [1.0, 2.0])
         with pytest.raises(ValueError, match="dim"):
             assign_many(model, np.zeros((4, 2)))
 

@@ -25,6 +25,7 @@ from adapterfuse import cp_decomposition
 from adapterfuse.cp_decomposition import _init_factors, _normalize_columns
 
 from conftest import (
+    assert_same_bytes,
     cp_reconstruct,
     drop_header_key,
     edit_header,
@@ -484,6 +485,43 @@ class TestFactorContainer:
             load_factors(p)
 
 
+class TestMagnitude:
+    """A tensor beyond _PEAK_RANGE is fitted scaled by a power of two."""
+
+    @pytest.mark.parametrize("scale", [1e155, 1e-155, 1e200, 1e-200, 1e300, 1e-300])
+    def test_fit_at_any_finite_magnitude(self, scale, rng):
+        t = rng.standard_normal((6, 5, 3))
+        want = cp_als(t, 2)
+        got = cp_als(scale * t, 2)
+        assert got.fit == pytest.approx(want.fit, abs=1e-12)
+        np.testing.assert_allclose(got.lam / scale, want.lam, rtol=1e-12)
+        for name in ("a_task", "b_row", "c_col"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), atol=1e-12)
+
+    @pytest.mark.parametrize("exponent", [-1000, -500, 500, 1000])
+    def test_power_of_two_scale_is_exact(self, exponent, rng):
+        t = rng.standard_normal((6, 5, 3))
+        t /= 2 * np.abs(t).max()  # peak 1/2, as the rescaled fit sees it
+        want = cp_als(t, 2)
+        got = cp_als(np.ldexp(t, exponent), 2)
+        assert_same_bytes(got.lam, np.ldexp(want.lam, exponent))
+        for name in ("a_task", "b_row", "c_col"):
+            assert_same_bytes(getattr(got, name), getattr(want, name))
+        assert got.error_trace == want.error_trace
+
+    def test_in_range_fits_run_once(self, rng, monkeypatch):
+        calls = []
+        fit = cp_decomposition.cp_als
+        monkeypatch.setattr(cp_decomposition, "cp_als", lambda *a: calls.append(a) or fit(*a))
+        t = rng.standard_normal((6, 5, 3))
+        t /= np.abs(t).max()  # peak 1
+        for scale in (2.0**-400, 2.0**400):  # the ends of the range
+            cp_decomposition.cp_als(scale * t, 2)
+        assert len(calls) == 2
+        cp_decomposition.cp_als(2.0**401 * t, 2)
+        assert len(calls) == 4  # the call and its rescaled fit
+
+
 class TestValidation:
     def test_als_options(self):
         with pytest.raises(ValueError):
@@ -507,3 +545,5 @@ class TestValidation:
             CPFactors(**{**ok, "fit": 1.5})
         with pytest.raises(ValueError):
             CPFactors(**{**ok, "lam": np.array([1.0, np.nan])})
+        with pytest.raises(ValueError, match="rank_R must be ≥ 1, got 0"):
+            CPFactors(**{**ok, "rank_R": 0})

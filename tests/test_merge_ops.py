@@ -14,7 +14,6 @@ from adapterfuse import (
     AdapterLibrary,
     MergeConfig,
     ShapeMismatchError,
-    dare_transform,
     load_library,
     merge_deltas,
     merge_library,
@@ -148,16 +147,21 @@ class TestTies:
             np.testing.assert_array_equal(out, np.zeros(shape))
 
 
+def dare_drop(d, cfg, salt=0):
+    """DARE's drop of one matrix alone: a one-task dare-ta merge, stream (0, salt)."""
+    return merge_deltas([d], cfg, salt=salt)
+
+
 class TestDare:
     def test_p_zero_is_identity(self, rng):
         d = rng.standard_normal((4, 4))
         cfg = MergeConfig(method="dare-ta", dare_p=0.0)
-        np.testing.assert_array_equal(dare_transform(d, cfg), d)
+        np.testing.assert_array_equal(dare_drop(d, cfg), d)
 
     def test_survivors_rescaled(self, rng):
         d = rng.standard_normal((6, 6))
         cfg = MergeConfig(method="dare-ta", dare_p=0.5, seed=1)
-        out = dare_transform(d, cfg)
+        out = dare_drop(d, cfg)
         kept = out != 0
         np.testing.assert_allclose(out[kept], d[kept] * 2.0, atol=1e-12)
         assert 0 < kept.sum() < d.size
@@ -165,28 +169,30 @@ class TestDare:
     def test_deterministic_per_stream(self, rng):
         d = rng.standard_normal((5, 5))
         cfg = MergeConfig(method="dare-ta", dare_p=0.5, seed=9)
-        np.testing.assert_array_equal(
-            dare_transform(d, cfg, stream=(1, 2)), dare_transform(d, cfg, stream=(1, 2)))
-        a = dare_transform(d, cfg, stream=(0,))
-        b = dare_transform(d, cfg, stream=(1,))
-        assert np.any(a != b)
+        np.testing.assert_array_equal(dare_drop(d, cfg, salt=2), dare_drop(d, cfg, salt=2))
+        assert np.any(dare_drop(d, cfg, salt=0) != dare_drop(d, cfg, salt=1))
 
-    def test_negative_stream_or_salt_rejected_by_name(self, rng):
+    def test_negative_salt_rejected_by_name(self, rng):
         d = rng.standard_normal((3, 3))
-        cfg = MergeConfig(method="dare-ta", dare_p=0.5)
-        with pytest.raises(ValueError, match=r"stream words must be ≥ 0, got \(1, -1\)"):
-            dare_transform(d, cfg, stream=(1, -1))
         for method in DENSE_METHODS:
             with pytest.raises(ValueError, match="salt must be ≥ 0, got -1"):
                 merge_deltas([d, d], MergeConfig(method=method), salt=-1)
 
     def test_large_stream_words_are_not_folded(self, rng):
-        # a word ≥ 2^64 is its own entropy, not its value mod 2^64
+        # a salt ≥ 2^64 is its own stream word, not its value mod 2^64
         d = rng.standard_normal((6, 6))
         cfg = MergeConfig(method="dare-ta", dare_p=0.5, seed=2)
-        big = dare_transform(d, cfg, stream=((1 << 64) + 3,))
-        assert np.any(big != dare_transform(d, cfg, stream=(3,)))
-        np.testing.assert_array_equal(big, dare_transform_oracle(d, cfg, stream=((1 << 64) + 3,)))
+        big = dare_drop(d, cfg, salt=(1 << 64) + 3)
+        assert np.any(big != dare_drop(d, cfg, salt=3))
+        np.testing.assert_array_equal(big, dare_transform_oracle(d, cfg, stream=(0, (1 << 64) + 3)))
+
+    def test_one_task_is_the_drop_of_the_seed_stream(self, rng):
+        # numpy's SeedSequence reads (seed, 0, 0) as (seed,): a one-task
+        # dare-ta merge at salt 0 drops with the mask drawn from the seed alone
+        cfg = MergeConfig(method="dare-ta", dare_p=0.5, seed=4)
+        for _ in range(20):
+            d = rng.standard_normal((7, 9))
+            assert_same_bytes(dare_drop(d, cfg), dare_transform_oracle(d, cfg))
 
     def test_unbiased_in_expectation(self):
         # pooled mean over seeded draws approaches the raw delta; per-draw
@@ -197,7 +203,7 @@ class TestDare:
         n = 3000
         for trial in range(n):
             cfg = MergeConfig(method="dare-ta", dare_p=0.9, seed=trial)
-            acc += dare_transform(d, cfg)
+            acc += dare_drop(d, cfg)
         assert abs((acc / n).mean() - 3.0) < 0.25
 
 
@@ -273,7 +279,7 @@ class TestDispatcher:
         mats = [rng.standard_normal((4, 3)) for _ in range(3)]
         cfg = MergeConfig(method="dare-ta", dare_p=0.4, seed=7, alpha=1.1)
         salt = layer_salt("00")
-        dropped = [dare_transform(m, cfg, stream=(i, salt)) for i, m in enumerate(mats)]
+        dropped = [dare_transform_oracle(m, cfg, stream=(i, salt)) for i, m in enumerate(mats)]
         want = merge_deltas(dropped, MergeConfig(method="task-arithmetic", alpha=1.1))
         np.testing.assert_allclose(merge_deltas(mats, cfg, salt=salt), want, atol=1e-12)
 
@@ -281,14 +287,14 @@ class TestDispatcher:
         mats = [rng.standard_normal((4, 3)) for _ in range(3)]
         cfg = MergeConfig(method="dare-ties", dare_p=0.4, seed=7, k_density=0.6)
         salt = layer_salt("01")
-        dropped = [dare_transform(m, cfg, stream=(i, salt)) for i, m in enumerate(mats)]
+        dropped = [dare_transform_oracle(m, cfg, stream=(i, salt)) for i, m in enumerate(mats)]
         want = merge_deltas(dropped, MergeConfig(method="ties", k_density=0.6))
         np.testing.assert_allclose(merge_deltas(mats, cfg, salt=salt), want, atol=1e-12)
         # k_density > 1 - dare_p keeps more entries than DARE left nonzero,
         # so the k-th largest magnitude is 0
         mats = [rng.standard_normal((6, 5)) for _ in range(3)]
         cfg = MergeConfig(method="dare-ties", dare_p=0.6, seed=2, k_density=0.7)
-        dropped = [dare_transform(m, cfg, stream=(i, salt)) for i, m in enumerate(mats)]
+        dropped = [dare_transform_oracle(m, cfg, stream=(i, salt)) for i, m in enumerate(mats)]
         assert all(np.count_nonzero(d) < math.ceil(0.7 * d.size) for d in dropped)
         np.testing.assert_array_equal(
             merge_deltas(mats, cfg, salt=salt), ties_reference(dropped, 0.7, 1.0))
@@ -296,6 +302,9 @@ class TestDispatcher:
     def test_shape_mismatch_names_index(self, rng):
         mats = [rng.standard_normal((3, 3)), rng.standard_normal((3, 4))]
         with pytest.raises(ShapeMismatchError, match="1"):
+            merge_deltas(mats, MergeConfig(method="uniform"))
+        mats = [rng.standard_normal((3, 3)), rng.standard_normal((3, 3, 2))]
+        with pytest.raises(ShapeMismatchError, match=r"delta 1 is not a matrix \(ndim=3\)"):
             merge_deltas(mats, MergeConfig(method="uniform"))
 
     def test_empty_and_nonfinite_rejected(self):
@@ -445,8 +454,7 @@ class TestByteOracles:
         mats = signed_zero_grid(rng, 1, (9, 11)) + [np.asfortranarray(rng.standard_normal((6, 5)))]
         cfg = MergeConfig(method="dare-ta", dare_p=p, seed=12)
         for m in mats:
-            assert_same_bytes(dare_transform(m, cfg, stream=(2, 40)),
-                              dare_transform_oracle(m, cfg, stream=(2, 40)))
+            assert_same_bytes(dare_drop(m, cfg, salt=40), dense_merge_oracle([m], cfg, salt=40))
 
     def test_ties_merge(self):
         rng = np.random.default_rng(4)
@@ -462,7 +470,6 @@ class TestByteOracles:
         for method in DENSE_METHODS:
             cfg = MergeConfig(method=method, dare_p=0.5, k_density=0.3)
             merge_deltas(mats, cfg)
-        dare_transform(mats[0], MergeConfig(method="dare-ta", dare_p=0.5))
         for m, b in zip(mats, before):
             assert_same_bytes(m, b)
         lib = dense_library(mats)

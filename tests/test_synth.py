@@ -33,6 +33,13 @@ class TestPlantedSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             PlantedSpec(n_tasks=0, d_in=4, d_out=4, rank_shared=1, rank_specific=0)
+        with pytest.raises(ValueError, match="n_layers must be ≥ 1, got 0"):
+            PlantedSpec(n_tasks=2, d_in=4, d_out=4, rank_shared=1, rank_specific=0, n_layers=0)
+        with pytest.raises(ValueError, match="ranks must be ≥ 0"):
+            PlantedSpec(n_tasks=2, d_in=4, d_out=4, rank_shared=1, rank_specific=-1)
+        with pytest.raises(ValueError, match="lambda_shared has non-finite entries"):
+            PlantedSpec(n_tasks=2, d_in=4, d_out=4, rank_shared=1, rank_specific=0,
+                        lambda_shared=(float("inf"),))
         with pytest.raises(ValueError):
             PlantedSpec(n_tasks=2, d_in=4, d_out=4, rank_shared=0, rank_specific=0)
         with pytest.raises(ValueError):

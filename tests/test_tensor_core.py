@@ -46,6 +46,8 @@ def test_stack_slices_names_offending_slice(rng):
         stack_slices(mats)
     with pytest.raises(ValueError):
         stack_slices([])
+    with pytest.raises(ShapeMismatchError, match="slice 0 is not a matrix"):
+        stack_slices([np.zeros(3), np.zeros(3)])
 
 
 def test_unfold_index_arithmetic(rng):
