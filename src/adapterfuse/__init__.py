@@ -36,7 +36,7 @@ from .cp_decomposition import (
 )
 from .errors import ChecksumError, ContainerFormatError, SchemaError, ShapeMismatchError
 from .interference import InterferenceReport, cp_sti, layer_profile, sti
-from .merge_ops import MergeConfig, merge_deltas, merge_library
+from .merge_ops import MergeConfig, merge_deltas, merge_layer, merge_library
 from .svd_kernel import SvdResult, svd, truncated_approx
 from .synth import (
     GroundTruth,
@@ -47,6 +47,6 @@ from .synth import (
     recovery_error,
     save_truth,
 )
-from .tensor_core import frobenius_norm, stack_slices
+from .tensor_core import frobenius_norm
 
 __version__ = "0.1.0"

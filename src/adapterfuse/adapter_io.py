@@ -12,11 +12,15 @@ record points at it.  Readers must address tensors by offset; the
 loader makes one view per distinct span, so those deltas share one B.
 
 Factors live on disk as float32 and stay float32 in memory: a loaded
-AdapterDelta holds read-only views of the CRC-checked payload, which
-starts on a 64-byte file offset so the views are aligned (a file
-written before that padding has its tensors copied once into aligned
-arrays).  Every consumer widens them to float64 once, into the buffer
-it computes in.
+AdapterDelta holds read-only views of the CRC-checked payload, which is
+itself a view of the file's read-only mapping (containers), so loading
+copies no factor onto the heap.  The payload starts on a 64-byte file
+offset so the views are aligned (a file written before that padding has
+its tensors copied once into aligned arrays).  The mapping stays open
+while any delta of the library is alive, so the file must be replaced
+by rename, as save_library does, not rewritten in place.  Every
+consumer widens the factors to float64 once, into the buffer it
+computes in.
 """
 
 from __future__ import annotations
@@ -261,26 +265,38 @@ def load_library(path) -> AdapterLibrary:
     )
 
 
-def export_merged(merged: dict, path, meta: dict | None = None) -> None:
+def export_merged(merged, path, meta: dict | None = None) -> None:
     """Write per-layer merged deltas as a single-task library.
 
-    Dense matrices are stored exactly (modulo the float32 element width)
-    as A = Δ with B = I, so load_library round-trips them.  Layers of one
+    merged is a {layer_id: matrix} mapping or an iterable of (layer_id,
+    matrix) pairs, which may be a generator that merges each layer as it
+    is asked for: each matrix is narrowed to the stored float32 as it
+    arrives, and its float64 is dropped before the next is taken.  Dense
+    matrices are stored exactly (modulo the float32 element width) as
+    A = Δ with B = I, so load_library round-trips them.  Layers of one
     d_out share one read-only identity, and the file holds it once.
     """
-    layers = tuple(str(l) for l in merged)
-    deltas = {}
-    identities = {}  # d_out -> its identity
-    for layer in layers:
-        m = np.asarray(merged[layer], dtype=np.float64)
+    narrowed = {}  # layer_id -> its float32 A
+    for layer, m in merged.items() if isinstance(merged, dict) else merged:
+        layer = str(layer)
+        if layer in narrowed:
+            raise ValueError(f"merged delta for layer {layer!r} is given twice")
+        m = np.asarray(m, dtype=np.float64)
         if m.ndim != 2:
             raise ValueError(f"merged delta for layer {layer!r} is not a matrix")
-        eye = identities.get(m.shape[1])
+        if not all_finite(m):
+            raise ValueError(f"delta {layer!r}: non-finite factor entries")
+        narrowed[layer] = as_float32(m, f"delta (merged, {layer}): factor a")
+        del m  # before the next layer is merged
+    deltas = {}
+    identities = {}  # d_out -> its identity, made once every layer is in
+    for layer, a in narrowed.items():
+        eye = identities.get(a.shape[1])
         if eye is None:
-            eye = identities[m.shape[1]] = np.eye(m.shape[1], dtype=np.float32)
+            eye = identities[a.shape[1]] = np.eye(a.shape[1], dtype=np.float32)
             eye.flags.writeable = False
-        deltas[("merged", layer)] = AdapterDelta(layer_id=layer, a=m, b=eye, scaling_s=1.0)
+        deltas[("merged", layer)] = AdapterDelta(layer_id=layer, a=a, b=eye, scaling_s=1.0)
     lib = AdapterLibrary(
-        tasks=("merged",), layers=layers, deltas=deltas, meta=dict(meta or {})
+        tasks=("merged",), layers=tuple(narrowed), deltas=deltas, meta=dict(meta or {})
     )
     save_library(lib, path)

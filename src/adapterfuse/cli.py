@@ -38,7 +38,7 @@ from .cp_decomposition import (
     storage_bytes,
 )
 from .interference import layer_profile
-from .merge_ops import METHODS, MergeConfig, merge_library
+from .merge_ops import METHODS, MergeConfig, merge_layer, merge_library
 from .synth import PlantedSpec, gen_planted_library, load_truth, recovery_error, save_truth
 from .tensor_core import frobenius_norm
 
@@ -76,15 +76,22 @@ def cmd_merge(args) -> int:
         cp_rank=args.cp_rank,
         seed=args.seed,
     )
-    merged = merge_library(lib, cfg)
     truth = load_truth(args.truth) if args.truth else None
-    for layer_id, delta in merged.items():
-        line = f"{layer_id}: frobenius = {frobenius_norm(delta)!r}"
-        if truth is not None:
-            if layer_id not in truth:
+
+    def merged_layers():
+        """Each layer's merge, printed, then handed to export_merged, which
+        narrows it to float32 before the next layer is merged."""
+        for layer_id in lib.layers:
+            if truth is not None and layer_id not in truth:
                 raise ValueError(f"truth sidecar has no layer {layer_id!r}")
-            line += f", recovery_error = {recovery_error(delta, truth[layer_id])!r}"
-        print(line)
+            delta = merge_layer(lib, layer_id, cfg)
+            line = f"{layer_id}: frobenius = {frobenius_norm(delta)!r}"
+            if truth is not None:
+                line += f", recovery_error = {recovery_error(delta, truth[layer_id])!r}"
+            print(line)
+            yield layer_id, delta
+            del delta  # else it lives on while the next layer is merged
+
     kv = cfg.to_kv()
     meta = {
         "merged_from": list(lib.tasks),
@@ -92,7 +99,7 @@ def cmd_merge(args) -> int:
         "config": kv,
         "config_sha256": hashlib.sha256(kv.encode("utf-8")).hexdigest(),
     }
-    export_merged(merged, args.out, meta=meta)
+    export_merged(merged_layers(), args.out, meta=meta)
     print(f"wrote {args.out}")
     return 0
 

@@ -63,12 +63,21 @@ class ClusterModel:
     distance: str = "euclidean"
 
 
+# Entries per block of rows whose norms are taken at once: the squares
+# the norm makes are a block, not an n × dim array.  A row's norm sums its
+# own entries only, so the blocks give the bits of one whole-array norm.
+_NORM_BLOCK = 1 << 16
+
+
 def _prepare(vectors, distance):
     """The rows as a new float64 array, unit-normalized in place for cosine."""
     x = np.array(vectors, dtype=np.float64)
     if distance == "cosine":
-        norms = np.linalg.norm(x, axis=1, keepdims=True)
-        x /= np.where(norms > 0, norms, 1.0)
+        rows = max(1, _NORM_BLOCK // max(1, x.shape[1]))
+        for i in range(0, len(x), rows):
+            block = x[i : i + rows]
+            norms = np.linalg.norm(block, axis=1, keepdims=True)
+            block /= np.where(norms > 0, norms, 1.0)
     return x
 
 

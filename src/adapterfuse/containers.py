@@ -9,6 +9,16 @@ in space padding (which JSON ignores) so the payload starts at a
 64-byte file offset and its arrays load as aligned views.  A header
 ``dtype`` must be the format's constant.  The format modules name their
 own keys (require_keys) and arrays (read_array).
+
+Readers map the file read-only (mmap) instead of reading it: the checks
+run on the mapping, and every array loaded from the payload is a view
+of it, so a loaded file costs no heap copy and the mapping lives as long
+as some view of it does.  Its pages count in a process's RSS, but as
+clean page-cache pages the kernel can drop, not as a private copy.  A
+file must therefore be replaced by rename while something reads it, as
+atomic_write does, never rewritten in place: an in-place rewrite can
+change what a loaded object holds after its checksum was checked, or
+end the process with SIGBUS when the file shrinks.
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import mmap
 import os
 import struct
 import tempfile
@@ -165,10 +176,19 @@ def write_alib(path, index: dict, chunks) -> None:
     atomic_write(path, [prefix, blob, *chunks])
 
 
-def read_alib(path, dtype: str) -> tuple:
-    """(index, payload) of an ALIB container whose tensors are dtype."""
+def _map(path):
+    """The file's bytes as a read-only mapping, or b"" for an empty file
+    (which mmap refuses to map); a directory is an OSError, as for open."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        if os.fstat(fh.fileno()).st_size == 0:
+            return b""
+        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+
+
+def read_alib(path, dtype: str) -> tuple:
+    """(index, payload) of an ALIB container whose tensors are dtype; the
+    payload is a view of the file's read-only mapping (_map)."""
+    data = _map(path)
     if data[:4] != ALIB_MAGIC:
         raise ContainerFormatError(f"{path}: bad magic, not an adapter container")
     if len(data) < _ALIB_PREFIX.size:
@@ -196,9 +216,9 @@ def write_framed(path, header: dict, chunks) -> None:
 
 
 def read_framed(path, fmt: str, dtype: str) -> tuple:
-    """(header, payload) of a JSON-header-line container tagged fmt."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """(header, payload) of a JSON-header-line container tagged fmt; the
+    payload is a view of the file's read-only mapping (_map)."""
+    data = _map(path)
     end = data.find(b"\n")
     if end < 0:
         raise ContainerFormatError(f"{path}: truncated header, no end of line")

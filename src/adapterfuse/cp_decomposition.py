@@ -292,8 +292,8 @@ def cp_als(t, R: int, opts: AlsOptions | None = None) -> CPFactors:
     The whole fit runs with BLAS held to one thread (blas).
 
     The fit works on one slice-major copy S (N × d_in × d_out, S_k = T_k;
-    none when t is stored that way, as stack_slices stores it), and
-    forms no other array of its size: the peak magnitude is two
+    none when t is stored that way, as np.moveaxis(np.stack(slices), 0, 2)
+    is), and forms no other array of its size: the peak magnitude is two
     reductions over S, and ‖T‖, the init's row Gram and the dense
     residual are each summed slice by slice.  A
     tensor whose peak lies outside _PEAK_RANGE is fitted scaled by a power

@@ -13,7 +13,7 @@ count (a one-entry layer holds its N entries).  The tasks run in
 groups of up to _IN_FLIGHT, in task order, on the worker pool
 (blas.task_map), with OpenBLAS held to one thread for the whole layer
 (blas).  One job per task fills its float64 row
-(merge_library materializes its delta there; merge_deltas copies its
+(merge_layer materializes its delta there; merge_deltas copies its
 inputs, so callers' arrays are never written), checks it is finite,
 then drops (DARE), trims (TIES) or truncates (TSV) it in place; no job
 writes another task's row.  DARE draws its noise in blocks of _BLOCK
@@ -29,8 +29,11 @@ the survivors whose sign agrees with the total's.  Every method
 returns the same bytes whatever the number of workers or cores, and
 the same as the list-based operators it replaced (tests/conftest.py
 keeps those as oracles).  merge_deltas (a list of matrices) and
-merge_library (an AdapterLibrary) are the two entries; each runs the
-method that cfg.method names.
+merge_layer (one layer of an AdapterLibrary) are the two entries; each
+runs the method that cfg.method names.  merge_library merges every
+layer through merge_layer, and a caller that handles each merged layer
+before it merges the next (as `adapterfuse merge` does) holds one
+layer's result at a time.
 """
 
 from __future__ import annotations
@@ -291,7 +294,7 @@ def _elect(sums, alpha, flags) -> None:
 
 
 @single_threaded()  # once per layer, so the workers' own guards leave the count as it is
-def _merge_layer(cfg, salt, shape, fill) -> np.ndarray:
+def _merge_dense(cfg, salt, shape, fill) -> np.ndarray:
     """Merge one layer of `shape` (tasks, d_in, d_out) by cfg.method.
 
     The tasks run in groups of up to _IN_FLIGHT, one per worker.  One job
@@ -388,34 +391,39 @@ def merge_deltas(deltas, cfg: MergeConfig, salt: int = 0) -> np.ndarray:
     merge_library) keys the masks so no two layers reuse a stream.  The
     inputs are copied into task rows, never written.  The cp method
     fits the factored deltas of a library, so it runs through
-    merge_library only.
+    merge_layer only.
     """
     if cfg.method == "cp":
-        raise ValueError(f"method {cfg.method!r} merges factored deltas: use merge_library")
+        raise ValueError(f"method {cfg.method!r} merges factored deltas: use merge_layer "
+                         "or merge_library")
     if salt < 0:
         raise ValueError(f"salt must be ≥ 0, got {salt}")
     deltas = _as_matrices(deltas)
-    return _merge_layer(cfg, salt, (len(deltas), *deltas[0].shape),
+    return _merge_dense(cfg, salt, (len(deltas), *deltas[0].shape),
                         lambda i, out: np.copyto(out, deltas[i]))
 
 
 @single_threaded()  # cp_merge's product too (blas)
-def merge_library(lib, cfg: MergeConfig) -> dict:
-    """Merge every layer of an adapter library independently.
+def merge_layer(lib, layer_id: str, cfg: MergeConfig) -> np.ndarray:
+    """Merge one layer of an adapter library, independently of the others.
 
-    Returns {layer_id: merged delta} in schema order.  The cp method fits
-    on the factored deltas (cp_als_factored); the others materialize them.
+    The cp method fits on the factored deltas (cp_als_factored); the
+    others materialize them into their task rows (_merge_dense).
+    """
+    if layer_id not in lib.layers:
+        raise ValueError(f"library has no layer {layer_id!r}")
+    layer = [lib.deltas[(task, layer_id)] for task in lib.tasks]
+    if cfg.method == "cp":
+        f = cp_als_factored(layer, cfg.cp_rank, AlsOptions(seed=cfg.seed))
+        return cfg.alpha * (cp_merge(f) / f.n_tasks if cfg.average else cp_merge(f))
+    return _merge_dense(cfg, layer_salt(layer_id), (len(layer), layer[0].d_in, layer[0].d_out),
+                        lambda i, out: layer[i].materialize(out=out))
+
+
+def merge_library(lib, cfg: MergeConfig) -> dict:
+    """Merge every layer of an adapter library (merge_layer).
+
+    Returns {layer_id: merged delta} in schema order.
     """
     lib.validate()
-    merged = {}
-    for layer_id in lib.layers:
-        layer = [lib.deltas[(task, layer_id)] for task in lib.tasks]
-        if cfg.method == "cp":
-            f = cp_als_factored(layer, cfg.cp_rank, AlsOptions(seed=cfg.seed))
-            merged[layer_id] = cfg.alpha * (cp_merge(f) / f.n_tasks if cfg.average else cp_merge(f))
-        else:
-            # the rows and sums are freed when this returns, before the next layer's are made
-            merged[layer_id] = _merge_layer(cfg, layer_salt(layer_id),
-                                            (len(layer), layer[0].d_in, layer[0].d_out),
-                                            lambda i, out: layer[i].materialize(out=out))
-    return merged
+    return {layer_id: merge_layer(lib, layer_id, cfg) for layer_id in lib.layers}

@@ -1,4 +1,4 @@
-"""Dense third-order tensor kernels: stacking, norms, finiteness.
+"""Dense tensor kernels: norms, finiteness.
 
 Conventions used throughout the package:
 
@@ -14,35 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .errors import ShapeMismatchError
-
-
-def stack_slices(slices) -> np.ndarray:
-    """Stack matrices along the task mode; slice i of the result is input i.
-
-    The result is stored slice-major (each t[:, :, i] is contiguous), the
-    layout cp_als works on, so cp_als takes it without a copy.  The input
-    is listed first, since the result's size needs the count: a list of
-    arrays the caller holds costs only the result, but a generator's
-    slices are all alive beside it, two stacks in all.  To make slices on
-    the fly without that, fill a slice-major array in place, as
-    cp_als_factored does with AdapterDelta.materialize(out=...).
-    """
-    slices = list(slices)
-    if not slices:
-        raise ValueError("stack_slices requires at least one slice")
-    shape = np.shape(slices[0])
-    if len(shape) != 2:
-        raise ShapeMismatchError("stack_slices: slice 0 is not a matrix")
-    out = np.empty((len(slices), *shape))
-    for i, m in enumerate(slices):
-        if np.shape(m) != shape:
-            raise ShapeMismatchError(
-                f"stack_slices: slice {i} has shape {np.shape(m)}, expected {shape}"
-            )
-        out[i] = m
-    return np.moveaxis(out, 0, 2)
 
 
 def frobenius_norm(t) -> float:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from adapterfuse import AdapterDelta, AdapterLibrary, blas, cp_reconstruct_slice, truncated_approx
+from adapterfuse.containers import atomic_write
 
 
 def outer3(u, v, w):
@@ -149,12 +150,16 @@ def blob_points(n_per=40, dim=4, spread=0.05, centers=((0.0, 5.0), (5.0, 0.0)), 
 
 
 def edit_header(path, edit):
-    """Rewrite a JSON-header-line container after edit(header) mutates it."""
+    """Rewrite a JSON-header-line container after edit(header) mutates it.
+
+    The new file replaces the old by rename, as every adapterfuse writer
+    does: objects loaded from the old one are views of its mapping.
+    """
     blob = path.read_bytes()
     line, payload = blob.split(b"\n", 1)
     header = json.loads(line)
     edit(header)
-    path.write_bytes(json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + payload)
+    atomic_write(path, [json.dumps(header, sort_keys=True).encode("ascii"), b"\n", payload])
 
 
 def drop_header_key(path, key):
@@ -163,8 +168,11 @@ def drop_header_key(path, key):
 
 
 def edit_alib_index(path, edit):
-    """Rewrite an .alib with edit(index) as its index; the payload is kept."""
+    """Rewrite an .alib with edit(index) as its index; the payload is kept.
+
+    The new file replaces the old by rename, as in edit_header.
+    """
     blob = path.read_bytes()
     (n,) = struct.unpack_from("<I", blob, 6)
     index = json.dumps(edit(json.loads(blob[10 : 10 + n])), sort_keys=True).encode()
-    path.write_bytes(blob[:6] + struct.pack("<I", len(index)) + index + blob[10 + n :])
+    atomic_write(path, [blob[:6], struct.pack("<I", len(index)), index, blob[10 + n :]])

@@ -30,7 +30,6 @@ from adapterfuse import (
     merge_deltas,
     partition_manifest,
     recovery_error,
-    stack_slices,
     storage_bytes,
     sti,
 )
@@ -98,7 +97,7 @@ def test_criterion_3_planted_recovery():
             lib, truth = gen_planted_library(spec)
             for layer in lib.layers:
                 deltas = [lib.deltas[(t, layer)].materialize() for t in lib.tasks]
-                f = cp_als(stack_slices(deltas), spec.total_rank, AlsOptions())
+                f = cp_als(np.stack(deltas, axis=2), spec.total_rank, AlsOptions())
                 assert f.fit >= 1 - 1e-6, f"config {i} layer {layer}: fit {f.fit}"
                 err = recovery_error(cp_merge(f), truth.layer_sums[layer])
                 assert err < 1e-5, f"config {i} layer {layer}: error {err}"

@@ -341,6 +341,15 @@ class TestExportMerged:
             np.testing.assert_array_equal(
                 lib.deltas[("merged", layer)].materialize(), m)
 
+    def test_pairs_as_they_arrive_write_the_bytes_of_the_mapping(self, tmp_path, rng):
+        merged = {"00": rng.standard_normal((4, 5)), "01": rng.standard_normal((3, 5))}
+        p, q = tmp_path / "dict.alib", tmp_path / "pairs.alib"
+        export_merged(merged, p, meta={"method": "uniform"})
+        export_merged((pair for pair in merged.items()), q, meta={"method": "uniform"})
+        assert q.read_bytes() == p.read_bytes()
+        with pytest.raises(ValueError, match="layer '00' is given twice"):
+            export_merged([("00", merged["00"]), ("00", merged["00"])], tmp_path / "x.alib")
+
     def test_rejects_non_matrix(self, tmp_path):
         with pytest.raises(ValueError):
             export_merged({"00": np.zeros(3)}, tmp_path / "x.alib")
@@ -473,6 +482,22 @@ class TestFloat32Factors:
             tracemalloc.stop()
         assert q.read_bytes() == p.read_bytes()
         assert peak < payload // 4
+
+    def test_load_maps_the_payload_without_a_heap_copy(self, tmp_path):
+        # noisy planted deltas are dense-stored: a 256² A per (task, layer)
+        spec = PlantedSpec(n_tasks=8, d_in=256, d_out=256, rank_shared=1, rank_specific=1,
+                           noise_sigma=0.05, seed=0, n_layers=2)
+        p = tmp_path / "dense.alib"
+        save_library(gen_planted_library(spec)[0], p)
+        payload = len(p.read_bytes()) - payload_start(p)
+        tracemalloc.start()
+        try:
+            lib = load_library(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(d.dense_stored for d in lib.deltas.values())
+        assert peak < payload // 100, (peak, payload)
 
 
 def mixed_library() -> AdapterLibrary:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from adapterfuse import (
     EmbeddingSet,
     MergeConfig,
     PlantedSpec,
+    gen_planted_library,
     load_factors,
     load_library,
     load_truth,
@@ -168,6 +170,44 @@ class TestMergeCommand:
                    "--out", str(tmp_path / "m.alib"), "--truth", str(t)])
         assert rc == 2
         assert "no layer" in capsys.readouterr().err
+
+    def test_truth_missing_a_later_layer_is_exit_2_and_writes_nothing(self, tmp_path, lib_path,
+                                                                       capsys):
+        # layer 00 is merged, printed and narrowed before 01 finds no truth
+        t = tmp_path / "bad.truth"
+        save_truth({"00": np.zeros((8, 6))}, t)
+        rc = main(["merge", "--library", str(lib_path), "--method", "uniform",
+                   "--out", str(tmp_path / "m.alib"), "--truth", str(t)])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out.startswith("00: frobenius = ") and len(out.splitlines()) == 1
+        assert "truth sidecar has no layer '01'" in err
+        assert not (tmp_path / "m.alib").exists()
+
+    @pytest.mark.parametrize("method", [m for m in METHODS if m != "cp"])
+    def test_peak_grows_by_one_float32_layer_per_layer(self, method, tmp_path, capsys):
+        # each layer is narrowed to the float32 it is written as before the
+        # next is merged, and the library's payload is mapped, not copied
+        d, few, many = 128, 2, 10
+        peaks = {}
+        for n_layers in (few, few, many):  # the first run is a warm-up
+            lib = tmp_path / f"lib{n_layers}.alib"
+            spec = PlantedSpec(n_tasks=4, d_in=d, d_out=d, rank_shared=1, rank_specific=1,
+                               noise_sigma=0.05, seed=0, n_layers=n_layers)
+            save_library(gen_planted_library(spec)[0], lib)
+            tracemalloc.start()
+            try:
+                rc = main(["merge", "--library", str(lib), "--method", method,
+                           "--out", str(tmp_path / "m.alib")])
+                peaks[n_layers] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rc == 0
+        capsys.readouterr()
+        # per layer: its float32 payload, plus its index entry and objects;
+        # once: the timing of the two workers' scratch (one noise block)
+        bound = (many - few) * (d * d * 4 + 8 * 2**10) + 256 * 2**10
+        assert peaks[many] - peaks[few] <= bound, (peaks, bound)
 
     def test_truth_missing_header_key_is_exit_2(self, tmp_path, spec_path, capsys):
         out = tmp_path / "p.alib"

@@ -14,9 +14,10 @@ from adapterfuse import (
     partition_manifest,
     save_embeddings,
 )
+from adapterfuse import clustering
 from adapterfuse.clustering import assign_many, load_manifest, save_manifest
 
-from conftest import blob_points, drop_header_key
+from conftest import assert_same_bytes, blob_points, drop_header_key
 
 
 def blob_set(**kw):
@@ -120,6 +121,20 @@ class TestKmeansFit:
         model = kmeans_fit(e, K=2, sample_fraction=1.0, seed=0, distance="cosine")
         v = np.asarray(e.vectors[7], dtype=np.float64)
         assert assign_many(model, v[None])[0] == assign_many(model, 40.0 * v[None])[0]
+
+    @pytest.mark.parametrize("shape", [(1000, 768), (777, 33), (5000, 7), (3, 1)])
+    @pytest.mark.parametrize("block", [None, 1, 100])
+    def test_cosine_rows_are_normalized_in_blocks_as_in_one_pass(self, shape, block,
+                                                                  monkeypatch):
+        # the blocked row norms give the bits of one whole-array norm
+        if block is not None:
+            monkeypatch.setattr(clustering, "_NORM_BLOCK", block)
+        x = np.random.default_rng(3).standard_normal(shape).astype(np.float32)
+        x[1] = 0.0  # a zero row keeps its zeros
+        wide = x.astype(np.float64)
+        norms = np.linalg.norm(wide, axis=1, keepdims=True)
+        assert_same_bytes(clustering._prepare(x, "cosine"),
+                          wide / np.where(norms > 0, norms, 1.0))
 
     def test_validation(self):
         e, _ = blob_set(n_per=4)

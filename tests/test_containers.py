@@ -1,5 +1,6 @@
 """Container framing: fuzzed readers and all-or-nothing writes."""
 
+import gc
 import os
 import struct
 
@@ -23,6 +24,7 @@ from adapterfuse import (
     save_truth,
 )
 from adapterfuse import containers
+from adapterfuse.cli import main
 
 from conftest import make_library
 
@@ -136,3 +138,45 @@ def test_written_file_gets_the_mode_open_would_give(tmp_path):
     os.umask(umask)
     containers.atomic_write(tmp_path / "x", [b"data"])
     assert (tmp_path / "x").stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("fmt", LOADERS)
+def test_empty_file_is_a_format_error_and_exit_2(fmt, tmp_path, capsys):
+    # mmap refuses an empty file; the reader must still name the format fault
+    empty = tmp_path / f"empty.{fmt}"
+    empty.write_bytes(b"")
+    with pytest.raises(ContainerFormatError):
+        LOADERS[fmt](empty)
+    lib = tmp_path / "lib.alib"
+    SAVERS["alib"](lib)
+    argv = {
+        "alib": ["interfere", "--library", str(empty), "--k", "1", "--cp-rank", "1"],
+        "truth": ["merge", "--library", str(lib), "--method", "uniform",
+                  "--out", str(tmp_path / "m.alib"), "--truth", str(empty)],
+        "emb": ["cluster", "--embeddings", str(empty), "--manifest", str(tmp_path / "m.jsonl"),
+                "--k", "1", "--out-dir", str(tmp_path / "out")],
+    }.get(fmt)
+    if argv is not None:  # no subcommand reads a .cpf it did not just write
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {empty}: ")
+        assert not (tmp_path / "m.alib").exists()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("fmt", LOADERS)
+def test_loads_leave_no_open_file(fmt, tmp_path):
+    # a loaded object's arrays are views of a mapping, which holds a duplicate
+    # of the file's descriptor until the last view is freed; with the cycle
+    # collector off, a mapping caught in a reference cycle would stay open
+    path = tmp_path / f"x.{fmt}"
+    SAVERS[fmt](path)
+    gc.collect()  # mappings earlier tests left in cycles
+    gc.disable()
+    try:
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(200):
+            LOADERS[fmt](path)
+        after = len(os.listdir("/proc/self/fd"))
+    finally:
+        gc.enable()
+    assert after == before

@@ -18,7 +18,6 @@ from adapterfuse import (
     load_factors,
     normalize_factors,
     save_factors,
-    stack_slices,
     storage_bytes,
 )
 from adapterfuse import cp_decomposition
@@ -142,10 +141,10 @@ class TestAlsRecovery:
     def test_ill_conditioned_input_survives(self, rng):
         # two nearly parallel components force the ridge branch
         b = rng.standard_normal((8, 1))
-        t = stack_slices([
+        t = np.stack([
             b @ rng.standard_normal((1, 8)),
             (b + 1e-9 * rng.standard_normal((8, 1))) @ rng.standard_normal((1, 8)),
-        ])
+        ], axis=2)
         f = cp_als(t, 2, AlsOptions(max_iters=50))
         assert np.all(np.isfinite(f.lam))
         assert np.all(np.diff(f.error_trace) <= 1e-12)
@@ -228,7 +227,8 @@ class TestGramInit:
         lib, _ = gen_planted_library(spec)
         checked = 0
         for layer_id in lib.layers:
-            t = stack_slices([lib.deltas[(task, layer_id)].materialize() for task in lib.tasks])
+            t = np.moveaxis(np.stack([lib.deltas[(task, layer_id)].materialize()
+                                      for task in lib.tasks]), 0, 2)  # slice-major
             x1, x2 = unfold(t, 1), unfold(t, 2)
             svds = [np.linalg.svd(x, full_matrices=False) for x in (x1, x2)]
             for R in ranks:
@@ -277,7 +277,8 @@ def noisy_planted_layer():
     spec = PlantedSpec(n_tasks=5, d_in=48, d_out=48, rank_shared=0, rank_specific=4,
                        noise_sigma=0.05, seed=0, n_layers=1)
     lib, _ = gen_planted_library(spec)
-    return stack_slices([lib.deltas[(task, lib.layers[0])].materialize() for task in lib.tasks])
+    return np.moveaxis(np.stack([lib.deltas[(task, lib.layers[0])].materialize()
+                                for task in lib.tasks]), 0, 2)  # slice-major, as cp_als fits it
 
 
 def near_exact_layer():
@@ -285,7 +286,8 @@ def near_exact_layer():
     spec = PlantedSpec(n_tasks=4, d_in=30, d_out=26, rank_shared=0, rank_specific=3,
                        seed=2, n_layers=1)
     lib, _ = gen_planted_library(spec)
-    return stack_slices([lib.deltas[(task, lib.layers[0])].materialize() for task in lib.tasks])
+    return np.moveaxis(np.stack([lib.deltas[(task, lib.layers[0])].materialize()
+                                for task in lib.tasks]), 0, 2)  # slice-major, as cp_als fits it
 
 
 ITERATION_CASES = {

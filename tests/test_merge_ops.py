@@ -21,7 +21,7 @@ from adapterfuse import (
 )
 from adapterfuse import blas, merge_ops
 from adapterfuse.cli import main
-from adapterfuse.merge_ops import METHODS, layer_salt
+from adapterfuse.merge_ops import METHODS, layer_salt, merge_layer
 from adapterfuse.svd_kernel import truncated_approx
 
 from conftest import (
@@ -269,6 +269,11 @@ class TestDispatcher:
         a = merge_library(dense_library(mats), cfg)["00"]
         b = merge_library(dense_library(mats, order=(2, 0, 3, 1)), cfg)["00"]
         np.testing.assert_allclose(a, b, atol=1e-10)
+
+    def test_merge_layer_rejects_an_unknown_layer(self, rng):
+        lib = dense_library([rng.standard_normal((4, 4)) for _ in range(2)])
+        with pytest.raises(ValueError, match="library has no layer 'zz'"):
+            merge_layer(lib, "zz", MergeConfig(method="uniform"))
 
     def test_merge_deltas_points_cp_to_merge_library(self, rng):
         mats = [rng.standard_normal((4, 4)) for _ in range(3)]

@@ -60,3 +60,18 @@ def test_only_blas_imports_threads():
         if module.split(".")[0] in ("threading", "concurrent", "_thread")
     ]
     assert found == []
+
+
+def test_containers_are_mapped_never_read():
+    # one read path: containers maps every container file (mmap) and reads
+    # none into a copy, and no other module maps a file
+    found = []
+    for name, tree in parsed_sources():
+        for node in ast.walk(tree):
+            if name == "containers.py" and isinstance(node, ast.Attribute) and node.attr == "read":
+                found.append(f"{name}:{node.lineno} .read")
+            if name != "containers.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [a.name for a in node.names] if isinstance(node, ast.Import) \
+                    else [node.module]
+                found += [f"{name}:{node.lineno} mmap" for m in modules if m == "mmap"]
+    assert found == []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adapterfuse import AdapterDelta, ShapeMismatchError, frobenius_norm, stack_slices
+from adapterfuse import AdapterDelta, frobenius_norm
 from adapterfuse.tensor_core import all_finite
 
 from conftest import fold, khatri_rao, outer3, unfold
@@ -30,24 +30,6 @@ def test_outer3_is_multilinear(seed, c):
     u, v, w = (rng.standard_normal(3) for _ in range(3))
     np.testing.assert_allclose(outer3(c * u, v, w), c * outer3(u, v, w), atol=1e-9)
     np.testing.assert_allclose(outer3(u, c * v, w), c * outer3(u, v, w), atol=1e-9)
-
-
-def test_stack_and_slice_round_trip(rng):
-    mats = [rng.standard_normal((5, 3)) for _ in range(4)]
-    t = stack_slices(mats)
-    assert t.shape == (5, 3, 4)
-    for i, m in enumerate(mats):
-        np.testing.assert_array_equal(t[:, :, i], m)
-
-
-def test_stack_slices_names_offending_slice(rng):
-    mats = [rng.standard_normal((5, 3)), rng.standard_normal((5, 4))]
-    with pytest.raises(ShapeMismatchError, match="slice 1"):
-        stack_slices(mats)
-    with pytest.raises(ValueError):
-        stack_slices([])
-    with pytest.raises(ShapeMismatchError, match="slice 0 is not a matrix"):
-        stack_slices([np.zeros(3), np.zeros(3)])
 
 
 def test_unfold_index_arithmetic(rng):
@@ -105,11 +87,6 @@ def test_frobenius_norm_matches_numpy(rng):
     t = rng.standard_normal((3, 4, 5))
     assert frobenius_norm(t) == pytest.approx(np.linalg.norm(t.ravel()), rel=1e-15)
     assert frobenius_norm(np.zeros((2, 2))) == 0.0
-
-
-def test_stack_slices_stores_each_slice_contiguously(rng):
-    t = stack_slices([rng.standard_normal((4, 3)) for _ in range(5)])
-    assert np.moveaxis(t, 2, 0).flags.c_contiguous
 
 
 @pytest.mark.filterwarnings("error")
