@@ -273,10 +273,13 @@ def export_merged(merged, path, meta: dict | None = None) -> None:
     is asked for: each matrix is narrowed to the stored float32 as it
     arrives, and its float64 is dropped before the next is taken.  Dense
     matrices are stored exactly (modulo the float32 element width) as
-    A = Δ with B = I, so load_library round-trips them.  Layers of one
-    d_out share one read-only identity, and the file holds it once.
+    A = Δ with B = I, so load_library round-trips them.  A layer whose
+    peak lies beyond the float32 range is stored as A = Δ·2⁻ᵉ with
+    s = 2ᵉ, the least power of two that brings it in range: the scaling
+    is exact, and every other layer keeps s = 1.  Layers of one d_out
+    share one read-only identity, and the file holds it once.
     """
-    narrowed = {}  # layer_id -> its float32 A
+    narrowed = {}  # layer_id -> (its float32 A, its s)
     for layer, m in merged.items() if isinstance(merged, dict) else merged:
         layer = str(layer)
         if layer in narrowed:
@@ -286,16 +289,20 @@ def export_merged(merged, path, meta: dict | None = None) -> None:
             raise ValueError(f"merged delta for layer {layer!r} is not a matrix")
         if not all_finite(m):
             raise ValueError(f"delta {layer!r}: non-finite factor entries")
-        narrowed[layer] = as_float32(m, f"delta (merged, {layer}): factor a")
+        try:
+            narrowed[layer] = as_float32(m, f"delta (merged, {layer}): factor a"), 1.0
+        except ValueError:  # the peak is ≥ 2¹²⁷, so e ≥ 1, and A's peak is < 2¹²⁷
+            e = math.frexp(max(m.max(), -m.min()))[1] - 127
+            narrowed[layer] = np.ldexp(m, -e).astype("<f4"), math.ldexp(1.0, e)
         del m  # before the next layer is merged
     deltas = {}
     identities = {}  # d_out -> its identity, made once every layer is in
-    for layer, a in narrowed.items():
+    for layer, (a, s) in narrowed.items():
         eye = identities.get(a.shape[1])
         if eye is None:
             eye = identities[a.shape[1]] = np.eye(a.shape[1], dtype=np.float32)
             eye.flags.writeable = False
-        deltas[("merged", layer)] = AdapterDelta(layer_id=layer, a=a, b=eye, scaling_s=1.0)
+        deltas[("merged", layer)] = AdapterDelta(layer_id=layer, a=a, b=eye, scaling_s=s)
     lib = AdapterLibrary(
         tasks=("merged",), layers=tuple(narrowed), deltas=deltas, meta=dict(meta or {})
     )

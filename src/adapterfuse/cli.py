@@ -38,7 +38,7 @@ from .cp_decomposition import (
     storage_bytes,
 )
 from .interference import layer_profile
-from .merge_ops import METHODS, MergeConfig, merge_layer, merge_library
+from .merge_ops import METHODS, MergeConfig, merge_layer
 from .synth import PlantedSpec, gen_planted_library, load_truth, recovery_error, save_truth
 from .tensor_core import frobenius_norm
 
@@ -65,17 +65,15 @@ def cmd_cluster(args) -> int:
     return 0
 
 
+def _config(cls, args):
+    """The dataclass cls from the parsed flags named after its fields; the merge
+    and compress parsers skip flags not given, so those keep cls's defaults."""
+    return cls(**{k: v for k, v in vars(args).items() if k in cls.__dataclass_fields__})
+
+
 def cmd_merge(args) -> int:
     lib = load_library(args.library)
-    cfg = MergeConfig(
-        method=args.method,
-        alpha=args.alpha,
-        average=args.average,
-        k_density=args.k_density,
-        dare_p=args.dare_p,
-        cp_rank=args.cp_rank,
-        seed=args.seed,
-    )
+    cfg = _config(MergeConfig, args)
     truth = load_truth(args.truth) if args.truth else None
 
     def merged_layers():
@@ -167,12 +165,11 @@ def cmd_sweep(args) -> int:
             continue
         if args.param == "cp-rank":
             cfg = MergeConfig(method="cp", cp_rank=value, seed=args.seed)
-            merged = merge_library(lib, cfg)
             errs = []
-            for layer_id, delta in merged.items():
+            for layer_id in lib.layers:  # one layer's merge held at a time
                 if layer_id not in truth:
                     raise ValueError(f"truth sidecar has no layer {layer_id!r}")
-                errs.append(recovery_error(delta, truth[layer_id]))
+                errs.append(recovery_error(merge_layer(lib, layer_id, cfg), truth[layer_id]))
             score = float(np.mean(errs))
         else:
             model = kmeans_fit(
@@ -201,7 +198,7 @@ def cmd_compress(args) -> int:
             f"unknown task {args.task!r}; library tasks: {', '.join(lib.tasks)}"
         )
     task_idx = lib.tasks.index(args.task)
-    opts = AlsOptions(seed=args.seed)
+    opts = _config(AlsOptions, args)
     os.makedirs(args.out, exist_ok=True)
     compressed_bytes = 0
     dense_bytes = 0
@@ -261,15 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--max-iters", type=int, default=300)
     c.set_defaults(func=cmd_cluster)
 
-    m = sub.add_parser("merge", help="merge a library into one delta per layer")
+    m = sub.add_parser("merge", help="merge a library into one delta per layer",
+                       argument_default=argparse.SUPPRESS)
     m.add_argument("--library", required=True)
     m.add_argument("--method", required=True, choices=METHODS)
-    m.add_argument("--alpha", type=float, default=1.0)
-    m.add_argument("--average", action="store_true")
-    m.add_argument("--k-density", type=float, default=0.2)
-    m.add_argument("--dare-p", type=float, default=0.5)
-    m.add_argument("--cp-rank", type=int, default=1)
-    m.add_argument("--seed", type=int, default=0)
+    m.add_argument("--alpha", type=float)
+    m.add_argument("--k-density", type=float)
+    m.add_argument("--dare-p", type=float)
+    m.add_argument("--cp-rank", type=int)
+    m.add_argument("--seed", type=int)
     m.add_argument("--out", required=True)
     m.add_argument("--truth", default=None)
     m.set_defaults(func=cmd_merge)
@@ -292,12 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_sweep)
 
-    k = sub.add_parser("compress", help="CP-compress a library; write .cpf per layer")
+    k = sub.add_parser("compress", help="CP-compress a library; write .cpf per layer",
+                       argument_default=argparse.SUPPRESS)
     k.add_argument("--library", required=True)
     k.add_argument("--cp-rank", required=True, type=int)
     k.add_argument("--task", required=True)
     k.add_argument("--out", required=True)
-    k.add_argument("--seed", type=int, default=0)
+    k.add_argument("--seed", type=int)
     k.set_defaults(func=cmd_compress)
 
     y = sub.add_parser("synth", help="generate a planted library with ground truth")

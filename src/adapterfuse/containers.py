@@ -1,9 +1,13 @@
 """Container framing, bounds checks and atomic writes for every file format.
 
 ALIB framing (`.alib`): magic ``ALIB``, little-endian u16 version, u32
-index length, the JSON index, then a payload whose length and CRC32 the
-index records.  JSON-header-line framing (`.cpf`, `.truth`, `.emb`): a
-JSON object tagged with its ``format``, a newline, then a payload.
+index length, the JSON index, then a payload.  JSON-header-line framing
+(`.cpf`, `.truth`, `.emb`): a JSON object tagged with its ``format``, a
+newline, then a payload.  Every header (the ALIB index included)
+records its payload's length and CRC32 (``payload_bytes``,
+``payload_crc32``), and every reader checks both, on the mapping, before
+it reads an array; a header without them is refused, so files written
+before the header-line formats carried them must be written again.
 Headers carry sorted keys, so equal inputs give equal bytes, and end
 in space padding (which JSON ignores) so the payload starts at a
 64-byte file offset and its arrays load as aligned views.  A header
@@ -159,18 +163,29 @@ def _padded(blob: bytes, start: int, end: bytes = b"") -> bytes:
     return blob + b" " * pad + end
 
 
-def write_alib(path, index: dict, chunks) -> None:
-    """Write an ALIB container whose payload is the concatenated chunks.
-
-    The chunks (bytes or C-contiguous arrays) are checksummed and written
-    one by one, never joined into one payload-sized copy.
-    """
-    chunks = list(chunks)
+def _with_checksum(header: dict, chunks) -> dict:
+    """header plus the length and CRC32 of the chunks' payload; the chunks (bytes
+    or C-contiguous arrays) are checksummed one by one, never joined."""
     crc = 0
     for chunk in chunks:
         crc = zlib.crc32(chunk, crc)
     size = sum(memoryview(chunk).nbytes for chunk in chunks)
-    index = {**index, "payload_bytes": size, "payload_crc32": crc}
+    return {**header, "payload_bytes": size, "payload_crc32": crc}
+
+
+def _check_payload(header: dict, payload, path) -> None:
+    """Check payload against the length and CRC32 its header records."""
+    size, crc = require_keys(header, {"payload_bytes": int, "payload_crc32": int}, path)
+    if len(payload) != size:
+        raise ChecksumError(f"{path}: payload is {len(payload)} bytes, header says {size}")
+    if zlib.crc32(payload) != crc:
+        raise ChecksumError(f"{path}: payload checksum mismatch")
+
+
+def write_alib(path, index: dict, chunks) -> None:
+    """Write an ALIB container whose payload is the concatenated chunks."""
+    chunks = list(chunks)
+    index = _with_checksum(index, chunks)
     blob = _padded(json.dumps(index, sort_keys=True).encode("utf-8"), _ALIB_PREFIX.size)
     prefix = _ALIB_PREFIX.pack(ALIB_MAGIC, ALIB_VERSION, len(blob))
     atomic_write(path, [prefix, blob, *chunks])
@@ -201,16 +216,14 @@ def read_alib(path, dtype: str) -> tuple:
         raise ContainerFormatError(f"{path}: truncated index")
     index = _parse_header(data[_ALIB_PREFIX.size : start], path, None, dtype)
     payload = memoryview(data)[start:]
-    size, crc = require_keys(index, {"payload_bytes": int, "payload_crc32": int}, path)
-    if len(payload) != size:
-        raise ChecksumError(f"{path}: payload is {len(payload)} bytes, index says {size}")
-    if zlib.crc32(payload) != crc:
-        raise ChecksumError(f"{path}: payload checksum mismatch")
+    _check_payload(index, payload, path)
     return index, payload
 
 
 def write_framed(path, header: dict, chunks) -> None:
     """Write a JSON header line, then the chunks as the payload."""
+    chunks = list(chunks)
+    header = _with_checksum(header, chunks)
     line = _padded(json.dumps(header, sort_keys=True).encode("utf-8"), 0, b"\n")
     atomic_write(path, [line, *chunks])
 
@@ -222,4 +235,6 @@ def read_framed(path, fmt: str, dtype: str) -> tuple:
     end = data.find(b"\n")
     if end < 0:
         raise ContainerFormatError(f"{path}: truncated header, no end of line")
-    return _parse_header(data[:end], path, fmt, dtype), memoryview(data)[end + 1 :]
+    header, payload = _parse_header(data[:end], path, fmt, dtype), memoryview(data)[end + 1 :]
+    _check_payload(header, payload, path)
+    return header, payload

@@ -439,17 +439,16 @@ def cp_merge(f: CPFactors) -> np.ndarray:
     return (f.b_row * coeff) @ f.c_col.T
 
 
-def storage_bytes(f, element_bytes: int = 4) -> int:
-    """Bytes to store the factor set at the given element width.
+def storage_bytes(f) -> int:
+    """Bytes the factor set's float32 entries take in a .cpf payload.
 
     Accepts a single CPFactors, an iterable of them, or a mapping whose
     values are CPFactors (a per-layer factor set); collections are summed.
     """
     if isinstance(f, CPFactors):
-        n_elems = f.rank_R * (1 + f.n_tasks + f.d_in + f.d_out)
-        return int(n_elems) * int(element_bytes)
+        return int(f.rank_R * (1 + f.n_tasks + f.d_in + f.d_out)) * 4
     values = f.values() if hasattr(f, "values") else f
-    return sum(storage_bytes(v, element_bytes) for v in values)
+    return sum(storage_bytes(v) for v in values)
 
 
 # --- serialization (.cpf): one-line JSON header, then raw little-endian floats

@@ -1,4 +1,12 @@
-"""Flat `key = value` text config, shared by merge and synth configs."""
+"""Flat `key = value` text config, shared by merge and synth configs.
+
+A config dataclass's text is one line per field, in field order, each
+value written and parsed by its annotation's (parse, format) pair
+(_CODECS); the config modules postpone annotations, so a field's type
+is its annotation's text.  The fields are read from the class's
+`__dataclass_fields__` mapping (no config declares a ClassVar or
+InitVar), not dataclasses.fields, whose per-call tuple a `merge` op
+would keep on the allocator's free list through its fits."""
 
 from __future__ import annotations
 
@@ -28,15 +36,6 @@ def dumps(entries: dict) -> str:
     return "".join(f"{k} = {v}\n" for k, v in entries.items())
 
 
-def as_bool(value: str) -> bool:
-    v = value.lower()
-    if v in ("true", "1", "yes"):
-        return True
-    if v in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {value!r}")
-
-
 def as_floats(value: str) -> list:
     """Comma-separated float list; empty string means empty list."""
     value = value.strip()
@@ -45,19 +44,35 @@ def as_floats(value: str) -> list:
     return [float(part) for part in value.split(",")]
 
 
-def build(cls, text: str, parsers: dict, what: str):
-    """The dataclass cls from `key = value` text, each value through parsers[key].
+_CODECS = {  # annotation -> (parse, format)
+    "int": (int, str),
+    "float": (float, lambda v: repr(float(v))),
+    "str": (str, str),
+    "tuple": (as_floats, lambda v: ",".join(repr(x) for x in v)),  # of floats
+}
 
-    A key with no parser, a field of cls with no default left out, or a
-    value its parser rejects raises a ValueError naming the key.
+
+def dump(config) -> str:
+    """The dataclass instance config as `key = value` lines, in field order."""
+    return dumps(
+        {k: _CODECS[f.type][1](getattr(config, k)) for k, f in config.__dataclass_fields__.items()}
+    )
+
+
+def build(cls, text: str, what: str):
+    """The dataclass cls from `key = value` text, each value parsed by its field's type.
+
+    A key that names no field, a field of cls with no default left out,
+    or a value its parser rejects raises a ValueError naming the key.
     """
     raw = loads(text)
-    unknown = set(raw) - set(parsers)
+    fields = cls.__dataclass_fields__
+    unknown = set(raw) - set(fields)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
     missing = [
-        f.name for f in dataclasses.fields(cls)
-        if f.name not in raw
+        name for name, f in fields.items()
+        if name not in raw
         and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
     ]
     if missing:
@@ -65,7 +80,7 @@ def build(cls, text: str, parsers: dict, what: str):
     values = {}
     for key, value in raw.items():
         try:
-            values[key] = parsers[key](value)
+            values[key] = _CODECS[fields[key].type][0](value)
         except ValueError as exc:
             raise ValueError(f"{what} key {key!r}: {exc}") from None
     return cls(**values)

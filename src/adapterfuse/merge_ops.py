@@ -59,13 +59,13 @@ class MergeConfig:
     """Merge method plus its parameters.
 
     Every parameter is validated whatever the method, so the operators
-    trust the config they are given; `average` is consumed by the cp
-    method alone (uniform always divides by N, task arithmetic never does).
+    trust the config they are given.  The fields are the one statement
+    of the parameters: the `key = value` text that merged files record
+    (to_kv, through kvconfig) and the `merge` flags (cli) follow from them.
     """
 
     method: str
     alpha: float = 1.0
-    average: bool = False
     k_density: float = 0.2
     dare_p: float = 0.5
     cp_rank: int = 1
@@ -88,30 +88,11 @@ class MergeConfig:
             raise ValueError(f"seed must be ≥ 0, got {self.seed}")
 
     def to_kv(self) -> str:
-        return kvconfig.dumps(
-            {
-                "method": self.method,
-                "alpha": repr(float(self.alpha)),
-                "average": "true" if self.average else "false",
-                "k_density": repr(float(self.k_density)),
-                "dare_p": repr(float(self.dare_p)),
-                "cp_rank": str(self.cp_rank),
-                "seed": str(self.seed),
-            }
-        )
+        return kvconfig.dump(self)
 
     @classmethod
     def from_kv(cls, text: str) -> "MergeConfig":
-        parsers = {
-            "method": str,
-            "alpha": float,
-            "average": kvconfig.as_bool,
-            "k_density": float,
-            "dare_p": float,
-            "cp_rank": int,
-            "seed": int,
-        }
-        return kvconfig.build(cls, text, parsers, "merge config")
+        return kvconfig.build(cls, text, "merge config")
 
 
 def _require_finite(delta, i) -> None:
@@ -415,7 +396,7 @@ def merge_layer(lib, layer_id: str, cfg: MergeConfig) -> np.ndarray:
     layer = [lib.deltas[(task, layer_id)] for task in lib.tasks]
     if cfg.method == "cp":
         f = cp_als_factored(layer, cfg.cp_rank, AlsOptions(seed=cfg.seed))
-        return cfg.alpha * (cp_merge(f) / f.n_tasks if cfg.average else cp_merge(f))
+        return cfg.alpha * cp_merge(f)
     return _merge_dense(cfg, layer_salt(layer_id), (len(layer), layer[0].d_in, layer[0].d_out),
                         lambda i, out: layer[i].materialize(out=out))
 

@@ -82,36 +82,11 @@ class PlantedSpec:
         return self.rank_shared + self.n_tasks * self.rank_specific
 
     def to_kv(self) -> str:
-        return kvconfig.dumps(
-            {
-                "n_tasks": str(self.n_tasks),
-                "d_in": str(self.d_in),
-                "d_out": str(self.d_out),
-                "rank_shared": str(self.rank_shared),
-                "rank_specific": str(self.rank_specific),
-                "lambda_shared": ",".join(repr(x) for x in self.lambda_shared),
-                "lambda_specific": ",".join(repr(x) for x in self.lambda_specific),
-                "noise_sigma": repr(float(self.noise_sigma)),
-                "seed": str(self.seed),
-                "n_layers": str(self.n_layers),
-            }
-        )
+        return kvconfig.dump(self)
 
     @classmethod
     def from_kv(cls, text: str) -> "PlantedSpec":
-        parsers = {
-            "n_tasks": int,
-            "d_in": int,
-            "d_out": int,
-            "rank_shared": int,
-            "rank_specific": int,
-            "lambda_shared": kvconfig.as_floats,
-            "lambda_specific": kvconfig.as_floats,
-            "noise_sigma": float,
-            "seed": int,
-            "n_layers": int,
-        }
-        return kvconfig.build(cls, text, parsers, "planted spec")
+        return kvconfig.build(cls, text, "planted spec")
 
 
 @dataclass(frozen=True)

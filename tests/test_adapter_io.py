@@ -355,12 +355,25 @@ class TestExportMerged:
             export_merged({"00": np.zeros(3)}, tmp_path / "x.alib")
 
     @pytest.mark.filterwarnings("error")
-    def test_beyond_float32_is_rejected_before_writing(self, tmp_path):
+    def test_beyond_float32_is_stored_with_a_power_of_two_scale(self, tmp_path, rng):
+        # A = Δ·2⁻ᵉ with s = 2ᵉ: exact, so A holds Δ to float32 rounding; a layer
+        # in range keeps s = 1 and the bytes it had alone
+        big, small = rng.standard_normal((4, 3)) * 1e300, rng.standard_normal((4, 3))
+        p, q = tmp_path / "x.alib", tmp_path / "y.alib"
+        export_merged({"00": big, "01": small}, p)
+        export_merged({"01": small}, q)
+        lib = load_library(p)
+        d, kept = lib.deltas[("merged", "00")], lib.deltas[("merged", "01")]
+        assert math.frexp(d.scaling_s)[0] == 0.5 and d.scaling_s > 1.0
+        assert np.max(np.abs(d.a)) < 2.0 ** 127
+        np.testing.assert_allclose(d.materialize(), big, rtol=2.0 ** -23, atol=0)
+        assert kept.scaling_s == 1.0
+        np.testing.assert_array_equal(kept.a, load_library(q).deltas[("merged", "01")].a)
+
+    @pytest.mark.filterwarnings("error")
+    def test_save_library_beyond_float32_is_rejected_before_writing(self, tmp_path):
         # a finite float64 factor that float32 cannot hold would load as inf
         p = tmp_path / "x.alib"
-        with pytest.raises(ValueError, match=r"delta \(merged, 00\): factor a exceeds the float32"):
-            export_merged({"00": np.full((2, 2), 1e300)}, p)
-        assert not p.exists()
         big = AdapterLibrary(tasks=("0", "1"), layers=("00",), deltas={
             ("0", "00"): AdapterDelta("00", np.ones((3, 1)), np.ones((2, 1))),
             ("1", "00"): AdapterDelta("00", np.ones((3, 1)), np.array([[-1e39], [1.0]]))})

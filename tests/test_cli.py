@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -107,20 +108,35 @@ class TestMergeCommand:
         assert len(merged.meta["config_sha256"]) == 64
         assert "alpha = 0.5" in merged.meta["config"]
 
-    def test_merged_delta_beyond_float32_is_exit_2(self, tmp_path, capsys):
-        # alpha = 1e300 leaves the merged float64 finite, but no float32 holds it
-        spec = tmp_path / "s.kv"
-        spec.write_text(PlantedSpec(n_tasks=2, d_in=6, d_out=5, rank_shared=1,
-                                    rank_specific=1, seed=2).to_kv())
-        lib, out = tmp_path / "p.alib", tmp_path / "m.alib"
-        assert main(["synth", "--spec", str(spec), "--out", str(lib)]) == 0
+    @pytest.mark.parametrize("method", METHODS)
+    def test_merged_delta_beyond_float32_is_written_with_a_power_of_two_scale(
+            self, method, tmp_path, capsys):
+        # s = 1e40: every merged layer is beyond float32, so it is stored as
+        # A·2⁻ᵉ with s = 2ᵉ and reloads as the merge to float32 rounding
+        p, out = tmp_path / "big.alib", tmp_path / "m.alib"
+        save_library(make_library(d_in=40, d_out=30, rank=3, n_layers=1, scaling=1e40), p)
+        assert main(["merge", "--library", str(p), "--method", method,
+                     "--cp-rank", "4", "--out", str(out)]) == 0
         capsys.readouterr()
-        with np.errstate(over="ignore", invalid="ignore"):  # the printed norm is inf
-            rc = main(["merge", "--library", str(lib), "--method", "task-arithmetic",
-                       "--alpha", "1e300", "--out", str(out)])
-        assert rc == 2
-        assert "(merged, 00): factor a exceeds the float32 range" in capsys.readouterr().err
-        assert not out.exists()
+        want = merge_library(load_library(p), MergeConfig(method=method, cp_rank=4))["00"]
+        got = load_library(out).deltas[("merged", "00")]
+        assert got.scaling_s > 1.0 and math.frexp(got.scaling_s)[0] == 0.5
+        np.testing.assert_allclose(got.materialize(), want, rtol=2.0 ** -23, atol=0)
+
+    def test_defaults_come_from_the_config(self, tmp_path, lib_path, capsys):
+        for method in METHODS:
+            out = tmp_path / f"{method}.alib"
+            assert main(["merge", "--library", str(lib_path), "--method", method,
+                         "--out", str(out)]) == 0
+            assert load_library(out).meta["config"] == MergeConfig(method=method).to_kv()
+        capsys.readouterr()
+
+    def test_average_flag_is_gone(self, tmp_path, lib_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["merge", "--library", str(lib_path), "--method", "cp", "--average",
+                  "--out", str(tmp_path / "m.alib")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --average" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["task-arithmetic", "ties", "dare-ties",
                                         "dare-ta", "tsv", "cp"])
@@ -349,6 +365,32 @@ class TestSweepCommand:
         assert scores[1] < scores[0]
         assert scores[1] < 1e-5
 
+    def test_peak_does_not_grow_by_a_float64_layer_per_layer(self, tmp_path, capsys):
+        # each layer's merge is scored and dropped before the next is merged
+        d, few, many = 96, 2, 8
+        peaks = {}
+        for n_layers in (few, few, many):  # the first run is a warm-up
+            lib, truth = tmp_path / f"lib{n_layers}.alib", tmp_path / f"lib{n_layers}.truth"
+            spec = PlantedSpec(n_tasks=3, d_in=d, d_out=d, rank_shared=1, rank_specific=1,
+                               seed=0, n_layers=n_layers)
+            planted, gt = gen_planted_library(spec)
+            save_library(planted, lib)
+            save_truth(gt.layer_sums, truth)
+            out = tmp_path / f"sweep{n_layers}.csv"
+            out.unlink(missing_ok=True)
+            tracemalloc.start()
+            try:
+                rc = main(["sweep", "--library", str(lib), "--param", "cp-rank",
+                           "--values", "3", "--out", str(out), "--truth", str(truth)])
+                peaks[n_layers] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rc == 0
+        capsys.readouterr()
+        # per layer: its truth and library index entries and objects, and its error
+        bound = (many - few) * d * d * 8 // 4
+        assert peaks[many] - peaks[few] <= bound, (peaks, bound)
+
     def test_k_clusters_sweep(self, tmp_path, capsys):
         vectors, _ = blob_points()
         e = EmbeddingSet(ids=[str(i) for i in range(len(vectors))], vectors=vectors)
@@ -462,6 +504,15 @@ class TestCompressCommand:
         stdout = capsys.readouterr().out
         stored = (spec.n_tasks * spec.n_layers * spec.d_in * spec.d_out + spec.d_out ** 2) * 4
         assert f"library_bytes = {stored}\n" in stdout
+
+    def test_seed_defaults_to_the_fit_options(self, tmp_path, lib_path, capsys):
+        base = ["compress", "--library", str(lib_path), "--cp-rank", "2", "--task", "1"]
+        assert main(base + ["--out", str(tmp_path / "a")]) == 0
+        assert main(base + ["--out", str(tmp_path / "b"), "--seed", "0"]) == 0
+        capsys.readouterr()
+        for layer in load_library(lib_path).layers:
+            name = f"layer_{layer}.cpf"
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_unknown_task_lists_tasks(self, tmp_path, lib_path, capsys):
         rc = main(["compress", "--library", str(lib_path), "--cp-rank", "1",

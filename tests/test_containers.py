@@ -26,7 +26,7 @@ from adapterfuse import (
 from adapterfuse import containers
 from adapterfuse.cli import main
 
-from conftest import make_library
+from conftest import drop_header_key, make_library
 
 LOADERS = {
     "alib": load_library,
@@ -58,8 +58,14 @@ def valid(scratch):
 
 
 def load_error(fmt, blob, path):
-    """The ValueError that loading blob raises, or None when it loads."""
-    path.write_bytes(blob)
+    """The ValueError that loading blob raises, or None when it loads.
+
+    blob replaces path by rename, never by an in-place rewrite: the
+    exception returned keeps the loaded mapping of the previous blob alive.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(blob)
+    os.replace(tmp, path)
     try:
         LOADERS[fmt](path)
     except ValueError as exc:
@@ -72,6 +78,13 @@ def header_end(fmt, blob):
     if fmt == "alib":
         return 10 + struct.unpack_from("<I", blob, 6)[0]
     return blob.index(b"\n") + 1
+
+
+def header_json(fmt, blob):
+    """Offsets of the header's JSON: the index, or the header line without its newline."""
+    if fmt == "alib":
+        return range(10, header_end(fmt, blob))
+    return range(header_end(fmt, blob) - 1)
 
 
 @pytest.mark.parametrize("fmt", LOADERS)
@@ -92,8 +105,7 @@ def test_arbitrary_bytes_are_a_format_error(fmt, blob, scratch):
 def test_arbitrary_payload_loads_or_is_a_value_error(fmt, payload, valid, scratch):
     blob = valid[fmt]
     err = load_error(fmt, blob[: header_end(fmt, blob)] + payload, scratch / "f")
-    if fmt == "alib":
-        assert isinstance(err, ChecksumError)
+    assert isinstance(err, ChecksumError)
 
 
 @pytest.mark.parametrize("fmt", LOADERS)
@@ -106,17 +118,44 @@ def test_every_truncation_is_a_format_error(fmt, valid, scratch):
 
 @pytest.mark.parametrize("fmt", LOADERS)
 def test_every_bit_flip_loads_or_is_a_value_error(fmt, valid, scratch):
-    # load_error lets anything but a ValueError escape; an ALIB flip outside
-    # the index breaks the prefix or the payload CRC, both framing faults
+    # load_error lets anything but a ValueError escape; a flip outside the
+    # header's JSON breaks the ALIB prefix, the header line's end or the
+    # payload CRC, all framing faults
     blob = valid[fmt]
-    index = range(10, header_end(fmt, blob))
+    header = header_json(fmt, blob)
     for i in range(len(blob)):
         for bit in range(8):
             flipped = bytearray(blob)
             flipped[i] ^= 1 << bit
             err = load_error(fmt, bytes(flipped), scratch / "f")
-            if fmt == "alib" and i not in index:
+            if i not in header:
                 assert isinstance(err, ContainerFormatError), f"byte {i} bit {bit}: {err!r}"
+
+
+@pytest.mark.parametrize("fmt", LOADERS)
+def test_payload_byte_flip_is_a_checksum_error_and_exit_2(fmt, tmp_path, capsys):
+    path = tmp_path / f"x.{fmt}"
+    SAVERS[fmt](path)
+    flipped = bytearray(path.read_bytes())
+    flipped[-1] ^= 1
+    path.write_bytes(flipped)  # nothing has it loaded
+    with pytest.raises(ChecksumError, match="payload checksum mismatch"):
+        LOADERS[fmt](path)
+    argv = reading_command(fmt, path, tmp_path)
+    if argv is not None:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: payload checksum mismatch\n"
+
+
+@pytest.mark.parametrize("key", ["payload_bytes", "payload_crc32"])
+@pytest.mark.parametrize("fmt", [fmt for fmt in LOADERS if fmt != "alib"])
+def test_header_without_its_checksum_is_refused(fmt, key, tmp_path):
+    # files written before the header-line formats carried a checksum
+    path = tmp_path / f"x.{fmt}"
+    SAVERS[fmt](path)
+    drop_header_key(path, key)
+    with pytest.raises(ContainerFormatError, match=f"header is missing '{key}'"):
+        LOADERS[fmt](path)
 
 
 def test_failed_write_leaves_target_and_no_temp_file(tmp_path, monkeypatch):
@@ -140,6 +179,20 @@ def test_written_file_gets_the_mode_open_would_give(tmp_path):
     assert (tmp_path / "x").stat().st_mode & 0o777 == 0o666 & ~umask
 
 
+def reading_command(fmt, path, tmp_path):
+    """argv of a subcommand that reads path as a fmt file, or None for .cpf:
+    no subcommand reads a .cpf it did not just write."""
+    lib = tmp_path / "lib.alib"
+    SAVERS["alib"](lib)
+    return {
+        "alib": ["interfere", "--library", str(path), "--k", "1", "--cp-rank", "1"],
+        "truth": ["merge", "--library", str(lib), "--method", "uniform",
+                  "--out", str(tmp_path / "m.alib"), "--truth", str(path)],
+        "emb": ["cluster", "--embeddings", str(path), "--manifest", str(tmp_path / "m.jsonl"),
+                "--k", "1", "--out-dir", str(tmp_path / "out")],
+    }.get(fmt)
+
+
 @pytest.mark.parametrize("fmt", LOADERS)
 def test_empty_file_is_a_format_error_and_exit_2(fmt, tmp_path, capsys):
     # mmap refuses an empty file; the reader must still name the format fault
@@ -147,16 +200,8 @@ def test_empty_file_is_a_format_error_and_exit_2(fmt, tmp_path, capsys):
     empty.write_bytes(b"")
     with pytest.raises(ContainerFormatError):
         LOADERS[fmt](empty)
-    lib = tmp_path / "lib.alib"
-    SAVERS["alib"](lib)
-    argv = {
-        "alib": ["interfere", "--library", str(empty), "--k", "1", "--cp-rank", "1"],
-        "truth": ["merge", "--library", str(lib), "--method", "uniform",
-                  "--out", str(tmp_path / "m.alib"), "--truth", str(empty)],
-        "emb": ["cluster", "--embeddings", str(empty), "--manifest", str(tmp_path / "m.jsonl"),
-                "--k", "1", "--out-dir", str(tmp_path / "out")],
-    }.get(fmt)
-    if argv is not None:  # no subcommand reads a .cpf it did not just write
+    argv = reading_command(fmt, empty, tmp_path)
+    if argv is not None:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {empty}: ")
         assert not (tmp_path / "m.alib").exists()

@@ -396,7 +396,6 @@ class TestAlsIteration:
 def test_storage_bytes_formula():
     f = cp_als(np.random.default_rng(0).standard_normal((8, 7, 5)), 3)
     assert storage_bytes(f) == 3 * (1 + 5 + 8 + 7) * 4
-    assert storage_bytes(f, element_bytes=8) == 3 * (1 + 5 + 8 + 7) * 8
     assert storage_bytes({"a": f, "b": f}) == 2 * storage_bytes(f)
     assert storage_bytes([f, f, f]) == 3 * storage_bytes(f)
 

@@ -236,12 +236,6 @@ class TestCpMergeLayer:
         out = merge_library(one_layer_library(deltas), MergeConfig(method="cp", cp_rank=3))
         np.testing.assert_allclose(out["00"], sum(d.materialize() for d in deltas), atol=1e-5)
 
-    def test_average_flag(self, rng):
-        lib = one_layer_library(self.rank_one_deltas(rng))
-        out_sum = merge_library(lib, MergeConfig(method="cp", cp_rank=3))["00"]
-        out_avg = merge_library(lib, MergeConfig(method="cp", cp_rank=3, average=True))["00"]
-        np.testing.assert_allclose(out_avg, out_sum / 3, atol=1e-9)
-
     def test_task_order_invariance(self, rng):
         deltas = self.rank_one_deltas(rng)
         cfg = MergeConfig(method="cp", cp_rank=3)
@@ -825,14 +819,37 @@ class TestMergeConfig:
         again = MergeConfig.from_kv(cfg.to_kv())
         assert again == cfg
 
+    def test_kv_text_is_pinned(self):
+        # these bytes land in every merged file's meta (config, config_sha256)
+        cfg = MergeConfig(method="dare-ties", alpha=0.5, k_density=0.25, dare_p=0.1,
+                          cp_rank=3, seed=7)
+        assert cfg.to_kv() == ("method = dare-ties\nalpha = 0.5\nk_density = 0.25\n"
+                               "dare_p = 0.1\ncp_rank = 3\nseed = 7\n")
+
+    @given(st.builds(
+        MergeConfig,
+        method=st.sampled_from(METHODS),
+        alpha=st.floats(allow_nan=False, allow_infinity=False),
+        k_density=st.floats(0.0, 1.0, exclude_min=True),
+        dare_p=st.floats(0.0, 1.0, exclude_max=True),
+        cp_rank=st.integers(1, 2**40),
+        seed=st.integers(0, 2**64),
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_kv_round_trip_property(self, cfg):
+        assert MergeConfig.from_kv(cfg.to_kv()) == cfg
+
     def test_from_kv_rejects_unknown_and_missing(self):
         with pytest.raises(ValueError):
             MergeConfig.from_kv("method = uniform\nwat = 1\n")
         with pytest.raises(ValueError, match="missing 'method'"):
             MergeConfig.from_kv("alpha = 1.0\n")
+        # the config text of files merged while MergeConfig had an average field
+        with pytest.raises(ValueError, match=r"unknown merge config keys: \['average'\]"):
+            MergeConfig.from_kv("method = cp\nalpha = 1.0\naverage = false\n")
 
     @pytest.mark.parametrize("key,value", [
-        ("alpha", "big"), ("average", "maybe"), ("cp_rank", "2.5"), ("seed", "x"),
+        ("alpha", "big"), ("dare_p", "half"), ("cp_rank", "2.5"), ("seed", "x"),
     ])
     def test_from_kv_bad_value_names_its_key(self, key, value):
         with pytest.raises(ValueError, match=f"'{key}'"):
