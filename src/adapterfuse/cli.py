@@ -22,6 +22,7 @@ import numpy as np
 from .adapter_io import export_merged, load_library, save_library, stored_bytes
 from .blas import single_threaded
 from .clustering import (
+    DISTANCES,
     kmeans_fit,
     load_embeddings,
     load_manifest,
@@ -46,14 +47,7 @@ from .tensor_core import frobenius_norm
 def cmd_cluster(args) -> int:
     embeds = load_embeddings(args.embeddings)
     manifest = load_manifest(args.manifest)
-    model = kmeans_fit(
-        embeds,
-        K=args.k,
-        sample_fraction=args.sample_fraction,
-        seed=args.seed,
-        distance=args.distance,
-        max_iters=args.max_iters,
-    )
+    model = kmeans_fit(embeds, K=args.k, **_given(args, _KMEANS_FLAGS))
     parts = partition_manifest(manifest, model, embeds)
     os.makedirs(args.out_dir, exist_ok=True)
     for j, part in enumerate(parts):
@@ -65,10 +59,18 @@ def cmd_cluster(args) -> int:
     return 0
 
 
+_KMEANS_FLAGS = ("sample_fraction", "seed", "distance", "max_iters")
+
+
+def _given(args, names) -> dict:
+    """The parsed flags among names; every parser but interfere's and synth's
+    skips the flags not given, so those keep the callee's defaults."""
+    return {k: v for k, v in vars(args).items() if k in names}
+
+
 def _config(cls, args):
-    """The dataclass cls from the parsed flags named after its fields; the merge
-    and compress parsers skip flags not given, so those keep cls's defaults."""
-    return cls(**{k: v for k, v in vars(args).items() if k in cls.__dataclass_fields__})
+    """The dataclass cls from the given flags named after its fields."""
+    return cls(**_given(args, cls.__dataclass_fields__))
 
 
 def cmd_merge(args) -> int:
@@ -140,7 +142,7 @@ def _read_sweep_rows(path):
 
 
 def cmd_sweep(args) -> int:
-    if args.seed < 0:  # as MergeConfig and kmeans_fit check it, also when every value is cached
+    if "seed" in args and args.seed < 0:  # as MergeConfig and kmeans_fit do, even if all cached
         raise ValueError(f"seed must be ≥ 0, got {args.seed}")
     if args.param == "cp-rank":
         metric = "recovery-error"
@@ -164,7 +166,7 @@ def cmd_sweep(args) -> int:
             print(f"{args.param} = {value}: cached")
             continue
         if args.param == "cp-rank":
-            cfg = MergeConfig(method="cp", cp_rank=value, seed=args.seed)
+            cfg = MergeConfig(method="cp", cp_rank=value, **_given(args, ("seed",)))
             errs = []
             for layer_id in lib.layers:  # one layer's merge held at a time
                 if layer_id not in truth:
@@ -172,13 +174,7 @@ def cmd_sweep(args) -> int:
                 errs.append(recovery_error(merge_layer(lib, layer_id, cfg), truth[layer_id]))
             score = float(np.mean(errs))
         else:
-            model = kmeans_fit(
-                embeds,
-                K=value,
-                sample_fraction=args.sample_fraction,
-                seed=args.seed,
-            )
-            score = model.inertia
+            score = kmeans_fit(embeds, K=value, **_given(args, _KMEANS_FLAGS)).inertia
         rows.append((args.param, str(value), metric, repr(score)))
         done.add(key)
         print(f"{args.param} = {value}: {metric} = {score!r}")
@@ -247,15 +243,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    c = sub.add_parser("cluster", help="k-means over embeddings; split a manifest")
+    c = sub.add_parser("cluster", help="k-means over embeddings; split a manifest",
+                       argument_default=argparse.SUPPRESS)
     c.add_argument("--embeddings", required=True)
     c.add_argument("--manifest", required=True)
     c.add_argument("--k", required=True, type=int)
-    c.add_argument("--sample-fraction", type=float, default=0.2)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--sample-fraction", type=float)
+    c.add_argument("--seed", type=int)
     c.add_argument("--out-dir", required=True)
-    c.add_argument("--distance", choices=("euclidean", "cosine"), default="euclidean")
-    c.add_argument("--max-iters", type=int, default=300)
+    c.add_argument("--distance", choices=DISTANCES)
+    c.add_argument("--max-iters", type=int)
     c.set_defaults(func=cmd_cluster)
 
     m = sub.add_parser("merge", help="merge a library into one delta per layer",
@@ -278,15 +275,16 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--format", choices=("csv", "text", "json"), default="csv")
     i.set_defaults(func=cmd_interfere)
 
-    s = sub.add_parser("sweep", help="sweep cp rank or cluster count")
+    s = sub.add_parser("sweep", help="sweep cp rank or cluster count",
+                       argument_default=argparse.SUPPRESS)
     s.add_argument("--library", default=None)
     s.add_argument("--param", required=True, choices=("cp-rank", "k-clusters"))
     s.add_argument("--values", required=True, type=int, nargs="+")
     s.add_argument("--out", required=True)
     s.add_argument("--truth", default=None)
     s.add_argument("--embeddings", default=None)
-    s.add_argument("--sample-fraction", type=float, default=0.2)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--sample-fraction", type=float)
+    s.add_argument("--seed", type=int)
     s.set_defaults(func=cmd_sweep)
 
     k = sub.add_parser("compress", help="CP-compress a library; write .cpf per layer",

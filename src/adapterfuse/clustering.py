@@ -13,14 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .containers import (
-    atomic_write,
-    read_array,
-    read_framed,
-    require_end,
-    require_keys,
-    write_framed,
-)
+from .containers import atomic_write, read_framed, require_keys, write_framed
+from .errors import ContainerFormatError
 from .tensor_core import all_finite
 
 DISTANCES = ("euclidean", "cosine")
@@ -208,16 +202,17 @@ _EMB_DTYPE = "<f4"
 
 
 def save_embeddings(e: EmbeddingSet, path) -> None:
-    header = {"format": "emb", "version": 1, "n": e.n, "dim": e.dim, "ids": list(e.ids)}
-    write_framed(path, header, [np.ascontiguousarray(e.vectors, dtype=_EMB_DTYPE)])
+    write_framed(path, {"format": "emb", "version": 1, "ids": list(e.ids)}, _EMB_DTYPE, [e.vectors])
 
 
 def load_embeddings(path) -> EmbeddingSet:
-    header, payload = read_framed(path, "emb", _EMB_DTYPE)
-    n, dim, ids = require_keys(header, {"n": int, "dim": int, "ids": list}, path)
-    vectors = read_array(payload, _EMB_DTYPE, (n, dim), 0, "vectors", path)
-    require_end(payload, vectors.nbytes, path)
-    return EmbeddingSet(ids=tuple(ids), vectors=vectors)
+    header, arrays = read_framed(path, "emb", _EMB_DTYPE)
+    (ids,) = require_keys(header, {"ids": list}, path)
+    try:
+        (vectors,) = arrays  # a ValueError unless there is 1
+        return EmbeddingSet(ids=tuple(ids), vectors=vectors)
+    except ValueError as exc:
+        raise ContainerFormatError(f"{path}: not an embedding set: {exc}") from None
 
 
 def load_manifest(path) -> dict:

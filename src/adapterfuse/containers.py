@@ -11,8 +11,11 @@ before the header-line formats carried them must be written again.
 Headers carry sorted keys, so equal inputs give equal bytes, and end
 in space padding (which JSON ignores) so the payload starts at a
 64-byte file offset and its arrays load as aligned views.  A header
-``dtype`` must be the format's constant.  The format modules name their
-own keys (require_keys) and arrays (read_array).
+``dtype`` must be the format's constant.  A header-line payload is
+its arrays back to back, with the ``shapes`` its header lists
+(write_framed, read_framed), so the format modules name only their other
+keys (require_keys); the ALIB index gives each tensor an offset, so that
+a tensor shared by many entries is stored once (adapter_io, read_array).
 
 Readers map the file read-only (mmap) instead of reading it: the checks
 run on the mapping, and every array loaded from the payload is a view
@@ -124,20 +127,14 @@ def read_array(payload, dtype: str, shape, offset, what: str, path) -> np.ndarra
             f"{path}: {what} at offset {offset} overruns the {len(payload)}-byte "
             "payload (truncated or bad offset)"
         )
-    arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset).reshape(shape)
+    try:
+        arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset).reshape(shape)
+    except ValueError as exc:  # a zero-size shape with a dimension numpy cannot hold
+        raise ContainerFormatError(f"{path}: {what} has a bad shape {shape!r:.40}: {exc}") from None
     if not arr.flags.aligned:  # written before headers were padded
         arr = arr.copy()
         arr.flags.writeable = False
     return arr
-
-
-def require_end(payload, end: int, path) -> None:
-    """Check that the arrays read from payload end exactly where it ends."""
-    if end != len(payload):
-        raise ContainerFormatError(
-            f"{path}: payload is {len(payload)} bytes, its arrays end at {end} "
-            f"({len(payload) - end} trailing bytes)"
-        )
 
 
 def _parse_header(blob, path, fmt, dtype) -> dict:
@@ -220,21 +217,37 @@ def read_alib(path, dtype: str) -> tuple:
     return index, payload
 
 
-def write_framed(path, header: dict, chunks) -> None:
-    """Write a JSON header line, then the chunks as the payload."""
-    chunks = list(chunks)
-    header = _with_checksum(header, chunks)
+def write_framed(path, header: dict, dtype: str, arrays) -> None:
+    """Write a JSON header line, then the arrays as dtype, back to back;
+    the header records dtype and the arrays' shapes."""
+    arrays = [np.asarray(arr, dtype=dtype, order="C") for arr in arrays]
+    header = {**header, "dtype": dtype, "shapes": [list(arr.shape) for arr in arrays]}
+    header = _with_checksum(header, arrays)
     line = _padded(json.dumps(header, sort_keys=True).encode("utf-8"), 0, b"\n")
-    atomic_write(path, [line, *chunks])
+    atomic_write(path, [line, *arrays])
 
 
 def read_framed(path, fmt: str, dtype: str) -> tuple:
-    """(header, payload) of a JSON-header-line container tagged fmt; the
-    payload is a view of the file's read-only mapping (_map)."""
+    """(header, arrays) of a JSON-header-line container tagged fmt.
+
+    The arrays lie back to back in the payload with the header's shapes,
+    and must end where it ends; each is a read-only view of the file's
+    mapping (_map, read_array).
+    """
     data = _map(path)
     end = data.find(b"\n")
     if end < 0:
         raise ContainerFormatError(f"{path}: truncated header, no end of line")
     header, payload = _parse_header(data[:end], path, fmt, dtype), memoryview(data)[end + 1 :]
     _check_payload(header, payload, path)
-    return header, payload
+    shapes, _ = require_keys(header, {"shapes": list, "dtype": object}, path)
+    arrays, offset = [], 0
+    for i, shape in enumerate(shapes):
+        arrays.append(read_array(payload, dtype, shape, offset, f"array {i}", path))
+        offset += arrays[-1].nbytes
+    if offset != len(payload):
+        raise ContainerFormatError(
+            f"{path}: payload is {len(payload)} bytes, its arrays end at {offset} "
+            f"({len(payload) - offset} trailing bytes)"
+        )
+    return header, arrays

@@ -18,14 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blas import single_threaded
-from .containers import (
-    as_float32,
-    read_array,
-    read_framed,
-    require_end,
-    require_keys,
-    write_framed,
-)
+from .containers import as_float32, read_framed, require_keys, write_framed
+from .errors import ContainerFormatError
 from .tensor_core import all_finite
 from .svd_kernel import _largest_entry_signs, svd
 
@@ -457,42 +451,26 @@ _CPF_DTYPE = "<f4"  # float32 on disk, widened on load
 
 
 def save_factors(f: CPFactors, path) -> None:
-    arrays = {
-        name: as_float32(getattr(f, name), f"factor {name}")
-        for name in ("lam", "a_task", "b_row", "c_col")
-    }
-    offsets = {}
-    pos = 0
-    for name, arr in arrays.items():
-        offsets[name] = pos
-        pos += arr.nbytes
-    header = {
-        "format": "cpf",
-        "version": 1,
-        "rank": f.rank_R,
-        "n_tasks": f.n_tasks,
-        "d_in": f.d_in,
-        "d_out": f.d_out,
-        "dtype": _CPF_DTYPE,
-        "offsets": offsets,
-        "fit": repr(float(f.fit)),
-    }
-    write_framed(path, header, arrays.values())
+    """Write lam·2⁻ᵉ, a_task, b_row and c_col as float32, with e (lam_exp) the
+    least e ≥ 0 that brings lam below 2¹²⁷: the other factors have unit
+    columns, so lam carries all the magnitude, and the scaling is exact."""
+    e = max(0, math.frexp(np.abs(f.lam).max())[1] - 127)
+    factors = {"lam": np.ldexp(f.lam, -e), "a_task": f.a_task, "b_row": f.b_row, "c_col": f.c_col}
+    arrays = [as_float32(arr, f"factor {name}") for name, arr in factors.items()]
+    header = {"format": "cpf", "version": 1, "fit": repr(float(f.fit)), "lam_exp": e}
+    write_framed(path, header, _CPF_DTYPE, arrays)
 
 
 def load_factors(path) -> CPFactors:
-    header, payload = read_framed(path, "cpf", _CPF_DTYPE)
-    R, n, d_in, d_out, _, offsets, fit = require_keys(
-        {"fit": "0.0", **header},  # fit is optional
-        {"rank": int, "n_tasks": int, "d_in": int, "d_out": int, "dtype": object,
-         "offsets": object, "fit": str},
-        path,
-    )
-    shapes = {"lam": (R,), "a_task": (n, R), "b_row": (d_in, R), "c_col": (d_out, R)}
-    starts = require_keys(offsets, dict.fromkeys(shapes, object), path)
-    out = {
-        name: read_array(payload, _CPF_DTYPE, shape, start, name, path)
-        for (name, shape), start in zip(shapes.items(), starts)
-    }
-    require_end(payload, sum(arr.nbytes for arr in out.values()), path)
-    return CPFactors(rank_R=R, fit=float(fit), **out)
+    """The CPFactors of a .cpf; its rank and sizes are its arrays' shapes."""
+    header, arrays = read_framed(path, "cpf", _CPF_DTYPE)
+    fit, lam_exp = require_keys(header, {"fit": str, "lam_exp": int}, path)
+    try:
+        lam, a_task, b_row, c_col = arrays  # a ValueError unless there are 4
+        if lam_exp < 0:
+            raise ValueError(f"lam_exp {lam_exp} is negative")
+        with np.errstate(over="ignore"):  # an overflow is a non-finite lam, refused below
+            lam = np.ldexp(lam, lam_exp, dtype=np.float64)
+        return CPFactors(lam.size, lam, a_task, b_row, c_col, fit=float(fit))
+    except (ValueError, OverflowError) as exc:  # OverflowError: lam_exp beyond a C long
+        raise ContainerFormatError(f"{path}: not a CP model: {exc}") from None

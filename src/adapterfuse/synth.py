@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kvconfig
 from .adapter_io import AdapterDelta, AdapterLibrary
-from .containers import read_array, read_framed, require_end, require_keys, write_framed
+from .containers import read_framed, require_keys, write_framed
 from .errors import ContainerFormatError, ShapeMismatchError
 from .tensor_core import frobenius_norm
 
@@ -251,36 +251,22 @@ _TRUTH_DTYPE = "<f8"  # oracle material stays full precision
 
 
 def save_truth(layer_sums: dict, path) -> None:
-    layers = [str(l) for l in layer_sums]
-    mats = [np.ascontiguousarray(layer_sums[l], dtype=_TRUTH_DTYPE) for l in layers]
-    header = {
-        "format": "truth",
-        "version": 1,
-        "layers": layers,
-        "shapes": [list(m.shape) for m in mats],
-        "dtype": _TRUTH_DTYPE,
-    }
-    write_framed(path, header, mats)
+    header = {"format": "truth", "version": 1, "layers": [str(l) for l in layer_sums]}
+    write_framed(path, header, _TRUTH_DTYPE, layer_sums.values())
 
 
 def load_truth(path) -> dict:
     """{layer: exact planted sum} as read-only float64 arrays, views of the
-    payload unless the file predates header padding (read_array)."""
-    header, payload = read_framed(path, "truth", _TRUTH_DTYPE)
-    _, layers, shapes = require_keys(
-        header, {"dtype": object, "layers": list, "shapes": list}, path
-    )
-    if len(layers) != len(shapes):
+    file's mapping unless it predates header padding (read_framed)."""
+    header, arrays = read_framed(path, "truth", _TRUTH_DTYPE)
+    (layers,) = require_keys(header, {"layers": list}, path)
+    if len(layers) != len(arrays):
         raise ContainerFormatError(
-            f"{path}: header lists {len(layers)} layers but {len(shapes)} shapes"
+            f"{path}: header lists {len(layers)} layers but {len(arrays)} shapes"
         )
     out = {}
-    offset = 0
-    for layer, shape in zip(layers, shapes):
+    for layer, arr in zip(layers, arrays):
         if str(layer) in out:
             raise ContainerFormatError(f"{path}: header repeats layer {layer!r}")
-        arr = read_array(payload, _TRUTH_DTYPE, shape, offset, f"layer {layer!r}", path)
         out[str(layer)] = arr
-        offset += arr.nbytes
-    require_end(payload, offset, path)
     return out

@@ -14,7 +14,9 @@ from adapterfuse import (
     EmbeddingSet,
     MergeConfig,
     PlantedSpec,
+    cp_als_factored,
     gen_planted_library,
+    load_embeddings,
     load_factors,
     load_library,
     load_truth,
@@ -23,7 +25,7 @@ from adapterfuse import (
     save_library,
     save_truth,
 )
-from adapterfuse.clustering import load_manifest, save_manifest
+from adapterfuse.clustering import DISTANCES, kmeans_fit, load_manifest, save_manifest
 from adapterfuse.cli import build_parser, main
 from adapterfuse.containers import read_alib, write_alib
 from adapterfuse.merge_ops import METHODS
@@ -521,15 +523,24 @@ class TestCompressCommand:
         err = capsys.readouterr().err
         assert "unknown task" in err and "0, 1, 2" in err
 
-    def test_factor_beyond_float32_is_exit_2_and_writes_nothing(self, tmp_path, capsys):
-        # s = 1e40: the fit is finite, but lam does not fit a float32
-        p = tmp_path / "big.alib"
-        save_library(make_library(d_in=40, d_out=30, rank=3, n_layers=1, scaling=1e40), p)
-        out = tmp_path / "c"
-        assert main(["compress", "--library", str(p), "--cp-rank", "4",
-                     "--task", "0", "--out", str(out)]) == 2
-        assert "factor lam exceeds the float32 range" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+    def test_factor_beyond_float32_is_written_with_its_exponent(self, tmp_path, capsys):
+        # s = 1e40: lam lies beyond float32, so the .cpf stores lam·2⁻ᵉ with
+        # lam_exp = e, and the task's error is the one it has at s = 1 (up to
+        # rounding: 1e40 is no power of two)
+        errors = []
+        for scaling in (1.0, 1e40):
+            p, out = tmp_path / f"{scaling}.alib", tmp_path / f"c{scaling}"
+            save_library(make_library(d_in=40, d_out=30, rank=3, n_layers=1,
+                                      scaling=scaling), p)
+            assert main(["compress", "--library", str(p), "--cp-rank", "4",
+                         "--task", "0", "--out", str(out)]) == 0
+            errors.append(float(capsys.readouterr().out.split(" -> ")[0].split(" = ")[1]))
+        assert errors[1] == pytest.approx(errors[0], rel=1e-12)
+        lib = load_library(p)
+        fitted = cp_als_factored([lib.deltas[(t, "00")] for t in lib.tasks], 4)
+        reloaded = load_factors(out / "layer_00.cpf")
+        assert fitted.lam.max() > 1e40
+        np.testing.assert_allclose(reloaded.lam, fitted.lam, rtol=2.0**-24)
 
     def test_zero_rank_is_exit_2(self, tmp_path, lib_path):
         assert main(["compress", "--library", str(lib_path), "--cp-rank", "0",
@@ -570,6 +581,26 @@ class TestClusterCommand:
             assert (d1 / f"cluster_{j}.jsonl").read_bytes() == \
                 (d2 / f"cluster_{j}.jsonl").read_bytes()
 
+    def test_defaults_are_kmeans_fits(self, tmp_path, capsys):
+        # cluster and sweep pass on only the flags given
+        ep, mp = self.make_inputs(tmp_path)
+        model = kmeans_fit(load_embeddings(ep), K=2)
+        assert main(["cluster", "--embeddings", str(ep), "--manifest", str(mp),
+                     "--k", "2", "--out-dir", str(tmp_path / "p")]) == 0
+        assert capsys.readouterr().out.endswith(
+            f"inertia = {model.inertia!r}\niterations = {model.iterations_run}\n")
+        assert main(["sweep", "--embeddings", str(ep), "--param", "k-clusters",
+                     "--values", "2", "--out", str(tmp_path / "s.csv")]) == 0
+        assert f"k-clusters = 2: inertia = {model.inertia!r}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("distance", DISTANCES)
+    def test_distance_choices_are_kmeans_fits(self, distance, tmp_path, capsys):
+        ep, mp = self.make_inputs(tmp_path)
+        model = kmeans_fit(load_embeddings(ep), K=2, distance=distance)
+        assert main(["cluster", "--embeddings", str(ep), "--manifest", str(mp), "--k", "2",
+                     "--out-dir", str(tmp_path / "p"), "--distance", distance]) == 0
+        assert f"inertia = {model.inertia!r}\n" in capsys.readouterr().out
+
 
 class TestNegativeSeed:
     """Every --seed rejects a negative value by name, exit 2, before writing."""
@@ -605,9 +636,11 @@ class TestNegativeSeed:
 
     def test_sweep_k_clusters_and_cluster(self, tmp_path, capsys):
         ep, mp = TestClusterCommand().make_inputs(tmp_path)
-        self.assert_rejected(["sweep", "--embeddings", str(ep), "--param", "k-clusters",
-                              "--values", "2", "--seed", "-1", "--out", str(tmp_path / "s.csv")],
-                             tmp_path, capsys)
+        argv = ["sweep", "--embeddings", str(ep), "--param", "k-clusters",
+                "--values", "2", "--out", str(tmp_path / "s.csv")]
+        self.assert_rejected(argv + ["--seed", "-1"], tmp_path, capsys)
+        assert main(argv) == 0
+        self.assert_rejected(argv + ["--seed", "-1"], tmp_path, capsys)  # the value is cached
         self.assert_rejected(["cluster", "--embeddings", str(ep), "--manifest", str(mp),
                               "--k", "2", "--seed", "-1", "--out-dir", str(tmp_path / "parts")],
                              tmp_path, capsys)

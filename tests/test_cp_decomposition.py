@@ -1,5 +1,7 @@
 """ALS solver: exact recovery, monotonicity, normalization, container I/O."""
 
+import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -435,7 +437,7 @@ class TestFactorContainer:
         with pytest.raises(ContainerFormatError):
             load_factors(p)
 
-    @pytest.mark.parametrize("key", ["rank", "n_tasks", "d_in", "d_out", "dtype", "offsets"])
+    @pytest.mark.parametrize("key", ["dtype", "fit", "lam_exp"])
     def test_missing_header_key_named(self, key, rng, tmp_path):
         p = tmp_path / "x.cpf"
         save_factors(cp_als(rng.standard_normal((4, 3, 2)), 1), p)
@@ -443,38 +445,59 @@ class TestFactorContainer:
         with pytest.raises(ContainerFormatError, match=f"missing '{key}'"):
             load_factors(p)
 
-    @pytest.mark.parametrize("key", ["lam", "a_task", "b_row", "c_col"])
-    def test_missing_offset_named(self, key, rng, tmp_path):
-        p = tmp_path / "x.cpf"
-        save_factors(cp_als(rng.standard_normal((4, 3, 2)), 1), p)
-        edit_header(p, lambda h: h["offsets"].pop(key))
-        with pytest.raises(ContainerFormatError, match=f"missing '{key}'"):
-            load_factors(p)
-
-    @pytest.mark.parametrize("offset", [-4, 10**6, "0"])
-    def test_bad_offset_names_tensor(self, offset, rng, tmp_path):
-        p = tmp_path / "x.cpf"
-        save_factors(cp_als(rng.standard_normal((4, 3, 2)), 1), p)
-        edit_header(p, lambda h: h["offsets"].update(c_col=offset))
-        with pytest.raises(ContainerFormatError, match="c_col"):
-            load_factors(p)
-
-    def test_offsets_not_a_mapping_rejected(self, rng, tmp_path):
-        p = tmp_path / "x.cpf"
-        save_factors(cp_als(rng.standard_normal((4, 3, 2)), 1), p)
-        edit_header(p, lambda h: h.update(offsets=5))
-        with pytest.raises(ContainerFormatError, match="JSON object"):
-            load_factors(p)
-
     @pytest.mark.parametrize("edit", [
-        {"d_in": 4.0}, {"dtype": "nonsense"}, {"dtype": "<i4"}, {"rank": "1"}, {"fit": [1]},
-    ], ids=["d_in-float", "dtype-nonsense", "dtype-i4", "rank-str", "fit-list"])
+        {"dtype": "nonsense"}, {"dtype": "<i4"}, {"fit": [1]}, {"fit": "x"}, {"fit": "1.5"},
+        {"lam_exp": "0"}, {"lam_exp": -1}, {"lam_exp": 10**30}, {"lam_exp": 5000},
+    ], ids=["dtype-nonsense", "dtype-i4", "fit-list", "fit-str", "fit-above-1",
+            "lam_exp-str", "lam_exp-negative", "lam_exp-huge", "lam_exp-overflows"])
     def test_bad_header_value_rejected(self, edit, rng, tmp_path):
         p = tmp_path / "x.cpf"
         save_factors(cp_als(rng.standard_normal((4, 3, 2)), 1), p)
         edit_header(p, lambda h: h.update(edit))
-        with pytest.raises(ContainerFormatError):
+        with pytest.raises(ContainerFormatError, match=str(p)):
             load_factors(p)
+
+    @pytest.mark.parametrize("shapes", [
+        [[1], [5, 1], [4, 1]],  # three arrays
+        [[1], [2, 1], [4, 1], [3, 1], [0]],  # five
+        [[1], [1, 2], [4, 1], [3, 1]],  # a_task of 2 columns, R = 1
+        [[2], [1, 1], [4, 1], [3, 1]],  # R = 2, the others of 1 column
+        [[1, 1], [2, 1], [4, 1], [3, 1]],  # lam a matrix
+        [[], [2, 1], [4, 1], [3, 1]],  # lam a scalar
+        [[0], [2, 0], [4, 0], [10, 1]],  # R = 0
+    ], ids=["three", "five", "a_task-2-columns", "lam-longer", "lam-2d", "lam-0d", "rank-0"])
+    def test_arrays_that_form_no_cp_model_are_named(self, shapes, rng, tmp_path):
+        # the payload (10 float32: R = 1, N = 2, 4×3) and its checksum stay
+        # valid; only the shapes the header gives it change
+        p = tmp_path / "x.cpf"
+        save_factors(cp_als(rng.standard_normal((4, 3, 2)), 1), p)
+        edit_header(p, lambda h: h.update(shapes=shapes))
+        with pytest.raises(ContainerFormatError, match=f"{p}: not a CP model"):
+            load_factors(p)
+
+    @pytest.mark.parametrize("shift", [0, 150, 800])
+    def test_lam_at_any_magnitude_is_stored_with_its_exponent(self, shift, rng, tmp_path):
+        # lam·2⁻ᵉ goes to the payload, e to lam_exp; e = 0 while lam fits
+        f = cp_als(rng.standard_normal((5, 4, 3)), 2)
+        big = CPFactors(2, np.ldexp(f.lam, shift), f.a_task, f.b_row, f.c_col, fit=f.fit)
+        p = tmp_path / "x.cpf"
+        save_factors(big, p)
+        e = json.loads(p.read_bytes().split(b"\n", 1)[0])["lam_exp"]
+        assert e == max(0, math.frexp(big.lam.max())[1] - 127) and (e == 0) == (shift == 0)
+        g = load_factors(p)
+        assert_same_bytes(g.lam, np.ldexp(np.ldexp(big.lam, -e).astype("<f4"), e, dtype=float))
+        np.testing.assert_allclose(g.lam, big.lam, rtol=2.0**-24)
+        for name in ("a_task", "b_row", "c_col"):
+            assert_same_bytes(getattr(g, name), getattr(f, name).astype("<f4").astype(float))
+        assert g.fit == f.fit
+
+    def test_factor_beyond_float32_is_refused_before_writing(self, tmp_path):
+        # only lam is rescaled; a user-built b_row beyond float32 is refused
+        f = CPFactors(1, np.ones(1), np.ones((2, 1)), np.full((3, 1), 1e40), np.ones((2, 1)))
+        p = tmp_path / "x.cpf"
+        with pytest.raises(ValueError, match="factor b_row exceeds the float32 range"):
+            save_factors(f, p)
+        assert list(tmp_path.iterdir()) == []
 
     def test_truncated_payload_rejected(self, rng, tmp_path):
         f = cp_als(rng.standard_normal((4, 4, 2)), 1)

@@ -75,3 +75,19 @@ def test_containers_are_mapped_never_read():
                     else [node.module]
                 found += [f"{name}:{node.lineno} mmap" for m in modules if m == "mmap"]
     assert found == []
+
+
+def test_only_containers_lays_out_payloads():
+    # containers places every array of a payload: the header-line formats
+    # get theirs from read_framed, and only the offset-addressed ALIB index
+    # makes adapter_io read its tensors one by one
+    allowed = {"frombuffer": {"containers.py"}, "read_array": {"containers.py", "adapter_io.py"}}
+    found = [
+        f"{name}:{node.lineno} {callee}"
+        for name, tree in parsed_sources()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for callee in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+        if callee in allowed and name not in allowed[callee]
+    ]
+    assert found == []
