@@ -115,20 +115,23 @@ class AdapterDelta:
         return self._dense
 
     @single_threaded()  # the product's bits do not follow the core count (blas)
-    def materialize(self, out=None) -> np.ndarray:
-        """s·A·Bᵀ, written into `out` (a d_in×d_out float64 array) when given.
+    def materialize(self, out=None, rows=slice(None)) -> np.ndarray:
+        """Rows `rows` (a slice) of s·A·Bᵀ, written into `out` (a float64
+        matrix of their shape) when given.
 
-        A dense-stored delta skips the matmul.
+        A dense-stored delta skips the matmul.  A product of some rows
+        may differ in its last bits from those rows of the whole product.
         """
+        a = self.a[rows]
         if out is None:
-            out = np.empty((self.d_in, self.d_out))
+            out = np.empty((a.shape[0], self.d_out))
         if self.dense_stored:
-            np.copyto(out, self.a)
+            np.copyto(out, a)
             if self.scaling_s != 1.0:
                 out *= self.scaling_s
             out += 0.0  # as A @ I would: −0.0 becomes +0.0
             return out
-        wide_a, wide_b = (x.astype(np.float64, copy=False) for x in (self.a, self.b))
+        wide_a, wide_b = (x.astype(np.float64, copy=False) for x in (a, self.b))
         np.matmul(wide_a, wide_b.T, out=out)
         out *= self.scaling_s
         return out

@@ -5,7 +5,7 @@ CLI, and all parallelism comes from task_map.  The last bits of a
 product, QR or SVD depend on OpenBLAS's thread count, which it takes
 from the cores it sees, so a second thread would make the output bytes
 follow the machine.  single_threaded() is held around each CLI
-subcommand, dense layer merge, CP fit (QRs and lift included), sti,
+subcommand, merge_layer, CP fit (QRs and lift included), sti,
 AdapterDelta.materialize and truncated_approx, so a caller's own
 product has the bits a merge uses.  A library caller of another entry
 (kmeans_fit, svd, cp_merge, recovery_error) runs on its own thread
@@ -16,23 +16,23 @@ threads and 4.0 ms on one at 96×256; a 1024×1024 one took 590-610 ms
 on two and 810-910 ms on one.  single_threaded() does nothing without
 an OpenBLAS in numpy's wheel.
 
-task_map spreads independent jobs (the dense merges' per-task fill,
-DARE, trim and truncation, and the column blocks of their running sums)
-over one process-wide pool of worker threads, one per core this process
-may run on (os.sched_getaffinity), made on first use.  A call uses
+task_map spreads independent jobs (the dense merges' first pass, one
+task per job, and their second, one row panel per job) over one
+process-wide pool of worker threads, one per core this process may run
+on (os.sched_getaffinity), made on first use.  A call uses
 worker_count(n, most) = min(n, cores, most) workers; each makes its
 scratch once and then takes the lowest index not yet taken.  The caller
 picks `most` so that its workers' scratch stays within the memory it
-means to hold (merge_ops: at most two tasks of a layer in flight).
-numpy's loops, BLAS and LAPACK release the GIL, and a job's BLAS call
-runs on its worker under the caller's process-wide one-thread limit.
-On a 2-core VM the per-task stage of a dare-ties layer of 8
-dense-stored 512² deltas took 21 ms on two workers against 24 ms on
-one.  Workers run under the caller's np.geterr(), since np.errstate is
-per thread.  A job writes only its own rows and a column block keeps
-the task order within each column, so the bytes do not depend on the
-number of workers.  With one worker (most=1 runs small jobs inline)
-the jobs run in the calling thread, without a hand-off.
+means to hold (merge_ops: at most two workers on a layer).  numpy's
+loops, BLAS and LAPACK release the GIL, and a job's BLAS call runs on
+its worker under the caller's process-wide one-thread limit.  On a
+2-core VM the dare-ties merge of a layer of 8 dense-stored 512² deltas
+took 24-33 ms on two workers against 29-34 ms on one (medians of
+interleaved runs): the VM's two threads share most of one core.  Workers run under the
+caller's np.geterr(), since np.errstate is per thread.  A job writes
+only its own task's or panel's entries, and a panel adds its tasks in
+task order, so the bytes do not depend on the number of workers.  With
+one worker the jobs run in the calling thread, without a hand-off.
 """
 
 import ctypes

@@ -6,34 +6,37 @@ a MergeConfig and returns a single merged delta.  Stochastic operators
 layer salt), so a layer's merge does not depend on which layers were
 merged before it.
 
-The dense methods stream each layer's tasks into running sums of its
-entries: no (N, d_in, d_out) stack is made, and a layer's merge holds
-the sums and at most _IN_FLIGHT task rows, whatever N and the core
-count (a one-entry layer holds its N entries).  The tasks run in
-groups of up to _IN_FLIGHT, in task order, on the worker pool
-(blas.task_map), with OpenBLAS held to one thread for the whole layer
-(blas).  One job per task fills its float64 row
-(merge_layer materializes its delta there; merge_deltas copies its
-inputs, so callers' arrays are never written), checks it is finite,
-then drops (DARE), trims (TIES) or truncates (TSV) it in place; no job
-writes another task's row.  DARE draws its noise in blocks of _BLOCK
-entries from the (seed, task, layer) stream, which reproduces one draw
-over the row.  The TIES trim's threshold is the k-th largest nonzero
-magnitude, and a row with at most k nonzeros is left as it is.  Then
-one job per column block adds the group's rows into the sums, in task
-order within each column: the total for every method, and for TIES
-also the sums and counts of the positive and of the negative
-survivors.  The last group's jobs turn their block into the output:
-alpha × the total (÷ N for uniform), or for TIES alpha × the mean of
-the survivors whose sign agrees with the total's.  Every method
-returns the same bytes whatever the number of workers or cores, and
-the same as the list-based operators it replaced (tests/conftest.py
-keeps those as oracles).  merge_deltas (a list of matrices) and
-merge_layer (one layer of an AdapterLibrary) are the two entries; each
-runs the method that cfg.method names.  merge_library merges every
-layer through merge_layer, and a caller that handles each merged layer
-before it merges the next (as `adapterfuse merge` does) holds one
-layer's result at a time.
+The dense methods merge a layer in row panels (_PANEL), in two passes
+(_DenseMerge): no (N, d_in, d_out) stack is made, and no sums the size
+of the layer.  A layer's merge holds its float64 output, DARE's
+keep-bits (one bit per entry and task) and the scratch of at most
+_IN_FLIGHT workers (blas.task_map), whatever N and the core count.
+The first pass, for DARE and TIES, takes one task per job: DARE draws
+its noise panel by panel from the (seed, task, layer) stream, which
+reproduces one draw over the row, and keeps the keep-bits; TIES fills
+each panel (merge_layer materializes its delta's rows there;
+merge_deltas copies its inputs, so callers' arrays are never written),
+checks it is finite and collects the magnitudes of its nonzero
+survivors, whose k-th largest is the task's threshold.  The second
+pass takes one panel per job: each task in order is refilled, dropped
+by its keep-bits, trimmed at its threshold (or truncated by TSV, whose
+one panel is the whole layer) and added into the panel's sums, the
+total for every method and for TIES also the sums and counts of the
+positive and of the negative survivors, which then become the panel's
+output: alpha × the total (÷ N for uniform), or for TIES alpha × the
+mean of the survivors whose sign agrees with the total's.  A layer of
+one panel runs both passes inline, with no hand-off to a worker.
+Every method returns the same bytes whatever the number of workers or
+cores, and the same as the list-based operators it replaced
+(tests/conftest.py keeps those as oracles) on every dense-stored layer
+and every factored one of one panel; the product of a panel's rows may
+differ in its last bits from those rows of the whole product.
+merge_deltas (a list of matrices) and merge_layer (one layer of an
+AdapterLibrary) are the two entries; each runs the method that
+cfg.method names.  merge_library merges every layer through
+merge_layer, and a caller that handles each merged layer before it
+merges the next (as `adapterfuse merge` does) holds one layer's result
+at a time.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kvconfig
-from .blas import single_threaded, task_map, worker_count
+from .blas import single_threaded, task_map
 from .cp_decomposition import AlsOptions, cp_als_factored, cp_merge
 from .errors import ShapeMismatchError
 from .svd_kernel import truncated_approx
@@ -95,11 +98,6 @@ class MergeConfig:
         return kvconfig.build(cls, text, "merge config")
 
 
-def _require_finite(delta, i) -> None:
-    if not all_finite(delta):
-        raise ValueError(f"delta {i} has non-finite entries")
-
-
 def _as_matrices(deltas) -> list:
     """A list of same-shape matrices as float64 arrays, shapes checked."""
     deltas = [np.asarray(d, dtype=np.float64) for d in deltas]
@@ -116,144 +114,86 @@ def _as_matrices(deltas) -> list:
     return deltas
 
 
-# Elements per block of DARE's noise and of the trim's passes: a block
-# and its temporaries stay in a core's L2 cache.  A layer whose tasks
-# hold fewer entries than one block, all together, is merged inline.
-_BLOCK = 1 << 15
-# Entries of the group's rows per column block of the running sums.
-# Wider blocks take fewer numpy calls (up to seven per row and block),
-# between which two workers wait on each other for the GIL; narrower ones
-# keep a block's sums in a core's L2 cache while the rows are added.
-# From 2^15 to 2^17 the sums of a dare-ties layer of 8 dense-stored 512²
-# deltas took 10-15 ms either way on a 2-core VM.
-_COLUMN_BLOCK = 1 << 16
-# Tasks in flight in one layer's merge, one per worker.  Each holds its
-# row and scratch, so every further one adds a row to the peak: two take
-# the per-task stage of that layer from 24 to 21 ms on the 2-core VM,
-# and the peak stops there whatever the core count.
+# Entries per row panel: a layer is merged in panels of whole rows (one
+# row where a row holds more), of about _PANEL entries, so that a panel
+# and its scratch stay in a core's L2 cache, or in _MOST_PANELS panels
+# where that makes them larger.  A layer of at most one panel is merged
+# inline.  Every numpy call on a panel hands the GIL over, and on
+# a 2-core VM the ties merge of a 4096², N = 16 layer took 3.2 s in panels
+# of 2^15 entries and 2.4 s in 128 panels of 2^17, where each worker's
+# scratch is about 4% of the output.
+_PANEL = 1 << 15
+_MOST_PANELS = 128
+# Workers on one layer's merge.  A TIES task in its first pass holds the
+# magnitudes of its nonzero entries, a layer's worth at most, so every
+# further worker adds up to a layer to the peak; on a 2-core VM two took
+# the dare-ties merge of 8 dense-stored 512² deltas from 29-34 ms to 24-33.
 _IN_FLIGHT = 2
 
 
-def _dare(row, cfg, stream, noise) -> None:
-    """DARE on one flattened matrix in place; `noise` is float64 scratch.
-
-    The noise is drawn block by block into `noise`, which reproduces one
-    draw over the whole row.
-    """
-    p = cfg.dare_p
-    if p == 0.0:
-        return
-    rng = np.random.default_rng([cfg.seed, *stream])
-    for j0 in range(0, len(row), len(noise)):
-        part = row[j0 : j0 + len(noise)]
-        block = noise[: len(part)]
-        rng.random(out=block)
-        np.divide(part, 1.0 - p, out=part)
-        # AND with all-ones keeps a survivor's bits (−0.0 included) and AND
-        # with zero leaves +0.0, as np.where(keep, delta, 0.0) would, with no
-        # branch per entry; the noise is dead once compared, so it holds the mask
-        keep = block >= p
-        mask = block.view(np.int64)
-        np.negative(keep.view(np.int8), out=mask)
-        bits = part.view(np.int64)
-        np.bitwise_and(bits, mask, out=bits)
+def _panel_rows(d_in, d_out) -> int:
+    """Rows per panel of a d_in × d_out layer (d_in for one panel)."""
+    n = d_in * d_out
+    return d_in if n <= _PANEL else max(1, max(_PANEL, n // _MOST_PANELS) // d_out)
 
 
-def _trim(row, k, mags, flags) -> None:
-    """TIES trim of one flattened delta in place: keep its k largest magnitudes.
+class _NonFinite(ValueError):
+    """A task's delta, or its DARE rescale, has a non-finite entry."""
 
-    A row with at most k nonzeros keeps them all and its zeros are
-    zeros already, so it is left alone.  Otherwise the threshold is the
-    k-th largest magnitude, selected among the nonzero ones, in an array
-    of their count: selection over a row that DARE left half zeros
-    degenerates on the run of equal zeros.  Magnitude ties at the
-    threshold keep the lowest indices.  `mags` (float64) and `flags`
-    (bool) are scratch of at least min(length, _BLOCK); the row is read
-    block by block, because np.compress over the whole row allocates its
-    index array, 8 bytes per nonzero.
-    """
-    n = len(row)
-    # (part, its flags, scratch for its magnitudes); a row of one block is
-    # not cut, since slices cost as much as its numpy calls
-    blocks = ([(row, flags[:n], mags[:n])] if n <= _BLOCK else
-              [(row[j0 : j0 + _BLOCK], flags[: min(_BLOCK, n - j0)], mags[: min(_BLOCK, n - j0)])
-               for j0 in range(0, n, _BLOCK)])
-    nnz = 0
-    for part, part_flags, _ in blocks:
-        nnz += np.count_nonzero(np.not_equal(part, 0.0, out=part_flags))
-    if nnz <= k:
-        return
-    if nnz == n:  # compress over an all-true mask is a slow copy
-        top = np.abs(row)
+    def __init__(self, task):
+        super().__init__(f"delta {task} has non-finite entries")
+        self.task = task
+
+
+def _require_finite(x, first) -> None:
+    """x holds the rows (or the one row) of tasks first, first + 1, …:
+    raise _NonFinite naming the first with a non-finite entry."""
+    if not all_finite(x):
+        bad = ~np.isfinite(x.reshape(-1, x.shape[-1])).all(axis=1)
+        raise _NonFinite(first + int(np.argmax(bad)))
+
+
+def _nonzero_magnitudes(row, flags, out) -> int:
+    """Write the magnitudes of row's nonzero entries, in order, to the
+    start of out and return their count; flags (bool) is scratch."""
+    flags = np.not_equal(row, 0.0, out=flags[: len(row)])
+    count = np.count_nonzero(flags)
+    dst = out[:count]
+    if count == len(row):  # compress over an all-true mask is a slow copy
+        np.abs(row, out=dst)
     else:
-        top = np.empty(nnz)
-        at = 0
-        for part, part_flags, _ in blocks:
-            if len(blocks) > 1:  # else the flags still hold the one block's mask
-                np.not_equal(part, 0.0, out=part_flags)
-            nonzeros = part.compress(part_flags)
-            np.abs(nonzeros, out=top[at : at + len(nonzeros)])
-            at += len(nonzeros)
-    top.partition(nnz - k)
-    thr = top[nnz - k]
-    kept = 0
-    for part, part_flags, part_mag in blocks:
-        keep = np.greater_equal(np.abs(part, out=part_mag), thr, out=part_flags)
-        kept += np.count_nonzero(keep)
-        np.multiply(part, keep, out=part)
-    # the surplus of ties with thr is dropped at the highest indices; a
-    # zero's sign never reaches the output (the election tests ≥ 0, and
-    # agreement needs a nonzero)
-    surplus = kept - k
-    if surplus:
-        for part, _, part_mag in reversed(blocks):
-            if len(blocks) > 1:  # else part_mag still holds the one block's magnitudes
-                np.abs(part, out=part_mag)
-            ties = np.flatnonzero(part_mag == thr)[-surplus:]
-            part[ties] = 0.0
-            surplus -= len(ties)
-            if not surplus:
-                break
-
-
-def _column_blocks(n_rows, n) -> tuple:
-    """(count, widest) of the column blocks over which n_rows rows of n
-    entries are added into the sums, about _COLUMN_BLOCK entries of the
-    rows each; block b is columns n·b // count up to n·(b + 1) // count.
-
-    No block is a single column unless the layer is (_fold_ties).
-    """
-    n_blocks = max(1, n // max(2, _COLUMN_BLOCK // n_rows))
-    return n_blocks, -(-n // n_blocks)
+        np.abs(row.compress(flags, out=dst), out=dst)
+    return count
 
 
 def _fold_ties(x, sums, flags, tmp, zeros) -> None:
-    """Add the task rows x (tasks, columns), in task order, into the TIES
-    sums of their columns: the total, the sums of the positive and of the
+    """Add the task rows x (tasks, entries), in task order, into the TIES
+    sums of their entries: the total, the sums of the positive and of the
     negative entries, and the counts of each.
 
-    flags (bool), tmp and zeros (float64, all zero) are scratch of a
-    row's length; max and min against an array of zeros run twice as fast
-    as against the scalar.  They add a zero in place of the other sign's
-    entries, which leaves a nonzero sum as it is and a zero one +0.0.  A
-    one-column layer comes in one group, and is summed over its tasks
-    pairwise, the order in which numpy reduces one contiguous column.
+    flags (bool) and tmp (float64) are scratch of x's shape, zeros (all
+    zero) of a row's.  A group of several rows holds all the tasks, so
+    the sums start from zero, and numpy reduces over them in task order,
+    or pairwise for a one-entry layer, as the oracle's sum over the stack
+    does.  One row is added in place; max and min against an array of
+    zeros run twice as fast as against the scalar.  Either adds a zero in
+    place of the other sign's entries, which leaves a nonzero sum as it
+    is and a zero one +0.0.
     """
     total, pos, neg, n_pos, n_neg = sums
-    if x.shape[1] == 1:
-        col = x[:, 0]
-        total += np.add.reduce(col)
-        pos += np.add.reduce(np.maximum(col, 0.0))
-        neg += np.add.reduce(np.minimum(col, 0.0))
-        n_pos += int(np.count_nonzero(col > 0.0))
-        n_neg += int(np.count_nonzero(col < 0.0))
+    if len(x) > 1:
+        total += np.add.reduce(x, axis=0)
+        pos += np.add.reduce(np.maximum(x, 0.0, out=tmp), axis=0)
+        neg += np.add.reduce(np.minimum(x, 0.0, out=tmp), axis=0)
+        n_pos += np.add.reduce(np.greater(x, 0.0, out=flags), axis=0, dtype=n_pos.dtype)
+        n_neg += np.add.reduce(np.less(x, 0.0, out=flags), axis=0, dtype=n_neg.dtype)
         return
-    for row in x:
-        total += row
-        n_pos += np.greater(row, 0.0, out=flags).view(np.uint8)
-        n_neg += np.less(row, 0.0, out=flags).view(np.uint8)
-        pos += np.maximum(row, zeros, out=tmp)
-        neg += np.minimum(row, zeros, out=tmp)
+    row, flags, tmp = x[0], flags[0], tmp[0]
+    total += row
+    n_pos += np.greater(row, 0.0, out=flags).view(np.uint8)
+    n_neg += np.less(row, 0.0, out=flags).view(np.uint8)
+    pos += np.maximum(row, zeros, out=tmp)
+    neg += np.minimum(row, zeros, out=tmp)
 
 
 def _elect(sums, alpha, flags) -> None:
@@ -264,8 +204,9 @@ def _elect(sums, alpha, flags) -> None:
     for part, count in ((pos, n_pos), (neg, n_neg)):
         np.divide(part, np.maximum(count, 1, out=count), out=part)
         part *= alpha
-    # ANDs with all-ones or zero masks, as in _dare, pick the mean by its
-    # bits: a product by 0 would turn a mean that overflowed to inf into nan
+    # ANDs with all-ones or zero masks pick the mean by its bits, with no
+    # branch per entry: a product by 0 would turn a mean that overflowed
+    # to inf into nan
     np.greater_equal(total, 0.0, out=flags)
     mask, pos, neg = (a.view(np.int64) for a in (total, pos, neg))
     np.negative(flags.view(np.int8), out=mask)
@@ -274,81 +215,207 @@ def _elect(sums, alpha, flags) -> None:
     np.bitwise_or(pos, neg, out=mask)
 
 
-@single_threaded()  # once per layer, so the workers' own guards leave the count as it is
-def _merge_dense(cfg, salt, shape, fill) -> np.ndarray:
-    """Merge one layer of `shape` (tasks, d_in, d_out) by cfg.method.
+class _DenseMerge:
+    """One layer of `shape` (tasks, d_in, d_out) merged by cfg.method in
+    row panels; fill(i, rows, out) writes rows `rows` (a slice) of task
+    i's delta into the float64 matrix out.  See the module docstring."""
 
-    The tasks run in groups of up to _IN_FLIGHT, one per worker.  One job
-    per task fills its row (fill(i, matrix)), checks it is finite, then
-    drops, trims or truncates it in place; then one job per column block
-    adds the group's rows into the sums, and the last group's jobs turn
-    the sums into the output.  A layer whose tasks hold fewer than _BLOCK
-    entries in all runs inline.
-    """
-    n_tasks = shape[0]
-    n = math.prod(shape[1:])
-    dare = cfg.method.startswith("dare-") and cfg.dare_p > 0.0
-    k = math.ceil(cfg.k_density * n) if cfg.method in ("ties", "dare-ties") else None
-    rank = math.ceil(cfg.k_density * min(shape[1:])) if cfg.method == "tsv" else None
-    block = max(1, min(n, _BLOCK))
-    # a truncation holds about three slices of its own (the SVD's factors
-    # and their product), so TSV keeps one task in flight; a one-entry layer
-    # is summed over its tasks pairwise (_fold_ties), so it takes them all
-    group = n_tasks if n == 1 else worker_count(n_tasks, 1 if rank is not None else _IN_FLIGHT)
-    workers = 1 if n_tasks * n < _BLOCK else group
-    rows = np.empty((group, n))
-    # the total becomes the output; the counts take the narrowest type that holds N
-    out = np.zeros(n)
-    count_type = np.min_scalar_type(n_tasks)
-    sums = (out, np.zeros(n), np.zeros(n), np.zeros(n, count_type), np.zeros(n, count_type)) \
-        if k is not None else (out,)
-    n_blocks, width = _column_blocks(group, n)
-    first = last = 0
+    def __init__(self, cfg, salt, shape, fill):
+        self.cfg, self.salt, self.fill = cfg, salt, fill
+        self.n_tasks, d_in, self.d_out = shape
+        self.n = d_in * self.d_out
+        self.dare = cfg.method.startswith("dare-") and cfg.dare_p > 0.0
+        self.k = math.ceil(cfg.k_density * self.n) if cfg.method in ("ties", "dare-ties") else None
+        self.rank = math.ceil(cfg.k_density * min(shape[1:])) if cfg.method == "tsv" else None
+        # a truncation needs the whole matrix, so TSV takes the layer as one panel
+        rows = d_in if self.rank is not None else _panel_rows(d_in, self.d_out)
+        self.panels = [(r0, min(r0 + rows, d_in)) for r0 in range(0, d_in, max(1, rows))] or [(0, 0)]
+        self.width = (self.panels[0][1] - self.panels[0][0]) * self.d_out  # the widest panel
+        # tasks a panel takes at once: all of them where their rows fit in one
+        # panel (fewer calls on a small layer), or where the layer has one
+        # entry (_fold_ties), else one
+        self.group = self.n_tasks if self.n_tasks * self.width <= _PANEL or self.n == 1 else 1
+        self.out = np.zeros(self.n)
+        # the first pass's keep-bits, one bit per entry and task, and TIES cuts
+        self.bits = (np.empty((self.n_tasks, len(self.panels), -(-self.width // 8)), np.uint8)
+                     if self.dare else None)
+        self.cuts = [None] * self.n_tasks if self.k is not None else None
 
-    def stage(j, noise, flags):
-        i, row = first + j, rows[j]
-        matrix = row.reshape(shape[1:])
-        fill(i, matrix)
-        _require_finite(row, i)  # s·A·Bᵀ can overflow
-        if dare:
-            _dare(row, cfg, (i, salt), noise)
-            _require_finite(row, i)  # dividing by 1 − p can overflow
-        if k is not None:
-            _trim(row, k, noise, flags)  # DARE's noise is dead before the trim writes there
-        if rank is not None:
-            np.copyto(matrix, truncated_approx(matrix, rank))
+    def run(self) -> np.ndarray:
+        most = 1 if len(self.panels) == 1 else _IN_FLIGHT  # one panel runs inline
+        if self.dare or self.k is not None:
+            task_map(self.plan, self.n_tasks, self.plan_scratch, most)
+        failed = {}
+        task_map(lambda b, *scratch: self.merge_panel(b, failed, *scratch), len(self.panels),
+                 self.panel_scratch, most)
+        if failed:  # each panel stops at its first failing task; name the lowest
+            raise min(failed.values(), key=lambda exc: exc.task)
+        return self.out
 
-    def stage_scratch():
-        return (np.empty(block) if dare or k is not None else None,
-                np.empty(block, dtype=bool) if k is not None else None)
+    def filled(self, first, b, x, check) -> np.ndarray:
+        """x (tasks, entries) with the rows of tasks first, first + 1, … in
+        panel b; finite-checked when `check`."""
+        r0, r1 = self.panels[b]
+        for i, row in enumerate(x, first):
+            self.fill(i, slice(r0, r1), row.reshape(r1 - r0, self.d_out))
+        if check:
+            _require_finite(x, first)  # s·A·Bᵀ can overflow
+        return x
 
-    def fold(b, flags, tmp, zeros):
-        cols = slice(n * b // n_blocks, n * (b + 1) // n_blocks)
-        x = rows[: last - first, cols]
-        if k is not None:
-            part, w = tuple(s[cols] for s in sums), x.shape[1]
-            _fold_ties(x, part, flags[:w], tmp[:w], zeros[:w])
-            if last == n_tasks:
-                _elect(part, cfg.alpha, flags[:w])
+    def keep(self, first, b, x) -> np.ndarray:
+        """DARE's survivors (bool) among the entries of x, the rows of tasks
+        first, first + 1, … in panel b, from the first pass's keep-bits."""
+        g, m = x.shape
+        return np.unpackbits(self.bits[first : first + g, b], axis=1, count=m).view(bool)
+
+    def prepare(self, first, b, x, check) -> None:
+        """Fill x (tasks, entries) with the rows of tasks first, first + 1,
+        … in panel b and drop them by DARE; finite-check them when `check`."""
+        self.filled(first, b, x, check)
+        if self.dare:
+            # a finite entry times 0 is a zero of either sign; no zero's sign
+            # reaches the output, since every sum starts from +0.0
+            np.multiply(x, self.keep(first, b, x), out=x)
+            np.divide(x, 1.0 - self.cfg.dare_p, out=x)
+            if check:
+                _require_finite(x, first)  # dividing by 1 − p can overflow
+
+    def plan_scratch(self):
+        """A worker's scratch for plan; TIES without DARE keeps its
+        magnitudes here, a layer's worth, for one task after another."""
+        part = np.empty((1, self.width)) if self.k is not None else None  # DARE alone fills none
+        mags = np.empty(self.n) if self.k is not None and not self.dare else None
+        return part, np.empty(self.width), np.empty(self.width, dtype=bool), mags
+
+    def plan(self, i, part, tmp, flags, mags) -> None:
+        """The first pass, over task i's panels in order: DARE's keep-bits,
+        drawn panel by panel from the (seed, task, layer) stream, which
+        reproduces one draw over the row; then for TIES the panels, each
+        finite-checked, and the magnitudes of their nonzero survivors,
+        which fix the task's cut."""
+        p, kept = self.cfg.dare_p, self.n
+        if self.dare:
+            rng, kept = np.random.default_rng([self.cfg.seed, i, self.salt]), 0
+            for b, (r0, r1) in enumerate(self.panels):
+                m = (r1 - r0) * self.d_out
+                keep = np.greater_equal(rng.random(out=tmp[:m]), p, out=flags[:m])
+                kept += np.count_nonzero(keep)
+                self.bits[i, b, : -(-m // 8)] = np.packbits(keep)
+        if self.k is None:
             return
-        total = out[cols]
-        for row in x:  # from +0.0, as sum() starts: −0.0 becomes +0.0
-            total += row
-        if last == n_tasks:
-            total *= cfg.alpha
-            if cfg.method == "uniform":
-                total /= n_tasks
+        if self.dare:
+            mags = np.empty(kept)  # DARE's survivors bound the nonzeros
+        nnz = 0
+        for b, (r0, r1) in enumerate(self.panels):
+            x = self.filled(i, b, part[:, : (r1 - r0) * self.d_out], check=True)
+            row = x[0]
+            if self.dare:  # only the survivors, rescaled
+                keep = self.keep(i, b, x)[0]
+                row = row.compress(keep, out=tmp[: np.count_nonzero(keep)])
+                np.divide(row, 1.0 - p, out=row)
+                _require_finite(row, i)  # dividing by 1 − p can overflow
+            nnz += _nonzero_magnitudes(row, flags, mags[nnz:])
+        self.cuts[i] = self.cut(i, mags[:nnz], part, tmp)
 
-    def fold_scratch():
-        if k is None:
-            return None, None, None
-        return np.empty(width, dtype=bool), np.empty(width), np.zeros(width)
+    def cut(self, i, mags, part, tmp):
+        """Task i's TIES trim, as (threshold, index of the first threshold
+        tie it drops), from the magnitudes of its nonzero entries, which
+        this reorders; None when it has at most k nonzeros and keeps them
+        all.
 
-    while last < n_tasks:
-        first, last = last, min(last + group, n_tasks)
-        task_map(stage, last - first, stage_scratch, workers)
-        task_map(fold, n_blocks, fold_scratch, workers)
-    return out.reshape(shape[1:])
+        The threshold is the k-th largest magnitude, selected among the
+        nonzero ones only: DARE leaves about p of a row zeros, which would
+        take memory and slow the selection down.  Ties keep the lowest
+        indices: only a task with more ties than the k leave room for is
+        prepared again, panel by panel into part (tmp is scratch), for the
+        index of its first dropped tie."""
+        nnz, k = len(mags), self.k
+        if nnz <= k:
+            return None
+        mags.partition(nnz - k)
+        thr = mags[nnz - k]
+        if mags[: nnz - k].max() < thr:  # no tie with the threshold beyond the k
+            return thr, self.n
+        kept = k - np.count_nonzero(mags[nnz - k :] > thr)  # the ties it keeps
+        for b, (r0, r1) in enumerate(self.panels):
+            x = part[:, : (r1 - r0) * self.d_out]
+            self.prepare(i, b, x, check=False)
+            ties = (np.abs(x[0], out=tmp[: x.shape[1]]) == thr).nonzero()[0]
+            if kept < len(ties):
+                return thr, r0 * self.d_out + int(ties[kept])
+            kept -= len(ties)
+        raise AssertionError("a threshold tie past the kept ones was counted but not found")
+
+    def trim(self, first, j0, x, mags, flags) -> None:
+        """TIES trim in place of x (tasks, entries), the rows of tasks first,
+        first + 1, … from the layer's entry j0 on, at each task's cut: its
+        entries below the threshold, and its threshold ties from the first
+        dropped one on, become zeros of either sign.  mags (float64) and
+        flags (bool) are scratch of x's shape."""
+        for row, mag, flag, cut in zip(x, mags, flags, self.cuts[first:]):
+            if cut is None:
+                continue
+            thr, at = cut
+            np.multiply(row, np.greater_equal(np.abs(row, out=mag), thr, out=flag), out=row)
+            at = max(at - j0, 0)
+            if at < len(row):
+                row[at:][mag[at:] == thr] = 0.0
+
+    def panel_scratch(self):
+        """A worker's scratch for merge_panel: its group's rows, and for
+        TIES the trim's scratch of their shape and the sums but the total,
+        which is the output."""
+        shape = (self.group, self.width)
+        if self.k is None:
+            return np.empty(shape), None, None, None
+        count_type = np.min_scalar_type(self.n_tasks)  # the narrowest type that holds N
+        w = self.width
+        sums = (np.empty(w), np.empty(w), np.empty(w, count_type), np.empty(w, count_type))
+        return (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool),
+                (sums, np.zeros(w)))
+
+    def merge_panel(self, b, failed, rows, tmp, flags, ties) -> None:
+        """The second pass, over panel b: the tasks in order, a group at a
+        time, refilled, dropped, trimmed or truncated and added into the
+        panel's sums, which then become its output.  TIES checked its
+        tasks in the first pass, the other methods check them here: the
+        first task found non-finite goes to failed[b], and the panel stops
+        there."""
+        r0, r1 = self.panels[b]
+        j0, m = r0 * self.d_out, (r1 - r0) * self.d_out
+        total = self.out[j0 : j0 + m]  # from +0.0, as sum() starts: −0.0 becomes +0.0
+        if self.k is not None:
+            sums = (total, *(s[:m] for s in ties[0]))
+            for s in sums[1:]:
+                s.fill(0)
+        try:
+            for first in range(0, self.n_tasks, len(rows)):
+                g = min(len(rows), self.n_tasks - first)
+                x = rows[:g, :m]
+                self.prepare(first, b, x, check=self.k is None)
+                if self.k is not None:
+                    self.trim(first, j0, x, tmp[:g, :m], flags[:g, :m])
+                    _fold_ties(x, sums, flags[:g, :m], tmp[:g, :m], ties[1][:m])
+                    continue
+                for row in x:
+                    if self.rank is not None:
+                        matrix = row.reshape(r1 - r0, self.d_out)
+                        np.copyto(matrix, truncated_approx(matrix, self.rank))
+                    total += row
+        except _NonFinite as exc:
+            failed[b] = exc
+            return
+        if self.k is not None:
+            _elect(sums, self.cfg.alpha, flags[0, :m])
+            return
+        total *= self.cfg.alpha
+        if self.cfg.method == "uniform":
+            total /= self.n_tasks
+
+
+def _merge_dense(cfg, salt, shape, fill) -> np.ndarray:
+    """Merge one layer of `shape` (tasks, d_in, d_out) by cfg.method (_DenseMerge)."""
+    return _DenseMerge(cfg, salt, shape, fill).run().reshape(shape[1:])
 
 
 def layer_salt(layer_id: str) -> int:
@@ -381,7 +448,7 @@ def merge_deltas(deltas, cfg: MergeConfig, salt: int = 0) -> np.ndarray:
         raise ValueError(f"salt must be ≥ 0, got {salt}")
     deltas = _as_matrices(deltas)
     return _merge_dense(cfg, salt, (len(deltas), *deltas[0].shape),
-                        lambda i, out: np.copyto(out, deltas[i]))
+                        lambda i, rows, out: np.copyto(out, deltas[i][rows]))
 
 
 @single_threaded()  # cp_merge's product too (blas)
@@ -398,7 +465,7 @@ def merge_layer(lib, layer_id: str, cfg: MergeConfig) -> np.ndarray:
         f = cp_als_factored(layer, cfg.cp_rank, AlsOptions(seed=cfg.seed))
         return cfg.alpha * cp_merge(f)
     return _merge_dense(cfg, layer_salt(layer_id), (len(layer), layer[0].d_in, layer[0].d_out),
-                        lambda i, out: layer[i].materialize(out=out))
+                        lambda i, rows, out: layer[i].materialize(out=out, rows=rows))
 
 
 def merge_library(lib, cfg: MergeConfig) -> dict:

@@ -20,7 +20,7 @@ from . import kvconfig
 from .adapter_io import AdapterDelta, AdapterLibrary
 from .containers import read_framed, require_keys, write_framed
 from .errors import ContainerFormatError, ShapeMismatchError
-from .tensor_core import frobenius_norm
+from .tensor_core import _difference_norm, frobenius_norm
 
 
 @dataclass(frozen=True)
@@ -239,7 +239,7 @@ def recovery_error(merged, truth) -> float:
             f"merged has shape {merged.shape}, truth has shape {truth.shape}"
         )
     denom = frobenius_norm(truth)
-    diff = frobenius_norm(merged - truth)
+    diff = _difference_norm(merged, truth)
     if denom == 0.0:
         return 0.0 if diff == 0.0 else math.inf
     return diff / denom

@@ -94,6 +94,14 @@ def dense_merge_oracle(deltas, cfg, salt=0):
     return cfg.alpha * sum(truncated_approx(d, k) for d in deltas)
 
 
+def panel_products(delta, rows):
+    """s·A·Bᵀ of an AdapterDelta made `rows` rows at a time, as a merge in
+    row panels makes it (test oracle)."""
+    a, b = (np.asarray(x, dtype=np.float64) for x in (delta.a, delta.b))
+    return np.vstack([(a[r0 : r0 + rows] @ b.T) * delta.scaling_s
+                      for r0 in range(0, len(a), rows)])
+
+
 def assert_same_bytes(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()

@@ -141,7 +141,7 @@ class TestCorruption:
         p = self.saved(tmp_path)
         blob = p.read_bytes()
         p.write_bytes(b"NOPE" + blob[4:])
-        with pytest.raises(ContainerFormatError, match="magic"):
+        with pytest.raises(ContainerFormatError, match=r"\.alib: .*magic"):
             load_library(p)
 
     def test_unsupported_version(self, tmp_path):
@@ -149,7 +149,7 @@ class TestCorruption:
         blob = bytearray(p.read_bytes())
         blob[4:6] = struct.pack("<H", ALIB_VERSION + 1)
         p.write_bytes(bytes(blob))
-        with pytest.raises(ContainerFormatError, match="version"):
+        with pytest.raises(ContainerFormatError, match=r"\.alib: .*version"):
             load_library(p)
 
     def test_truncated_header_and_index(self, tmp_path):
@@ -159,10 +159,10 @@ class TestCorruption:
         with pytest.raises(ContainerFormatError):
             load_library(p)
         p.write_bytes(blob[:8])
-        with pytest.raises(ContainerFormatError, match="truncated"):
+        with pytest.raises(ContainerFormatError, match=r"\.alib: .*truncated"):
             load_library(p)
         p.write_bytes(blob[:30])
-        with pytest.raises(ContainerFormatError, match="truncated index"):
+        with pytest.raises(ContainerFormatError, match=r"\.alib: .*truncated index"):
             load_library(p)
 
     def test_bad_index_json(self, tmp_path):
@@ -170,7 +170,7 @@ class TestCorruption:
         p = tmp_path / "x.alib"
         p.write_bytes(ALIB_MAGIC + struct.pack("<H", ALIB_VERSION)
                       + struct.pack("<I", len(junk)) + junk)
-        with pytest.raises(ContainerFormatError, match="json"):
+        with pytest.raises(ContainerFormatError, match=r"\.alib: .*json"):
             load_library(p)
 
     @pytest.mark.parametrize("junk", [b"[]", b'{"\xff": 1}', b"[" * 100_000],
@@ -178,7 +178,7 @@ class TestCorruption:
     def test_index_not_a_json_object(self, junk, tmp_path):
         p = tmp_path / "x.alib"
         p.write_bytes(ALIB_MAGIC + struct.pack("<HI", ALIB_VERSION, len(junk)) + junk)
-        with pytest.raises(ContainerFormatError, match="(?i)json"):
+        with pytest.raises(ContainerFormatError, match=r"(?i)\.alib: .*json"):
             load_library(p)
 
     @pytest.mark.parametrize("edit", [
@@ -260,7 +260,7 @@ class TestCorruption:
                     "a": {"shape": [2, 1], "offset": 0},
                     "b": {"shape": [2, 1], "offset": 12}}]
         p = self.write_index(tmp_path, self.crafted_index(payload, entries), payload)
-        with pytest.raises(ContainerFormatError, match="overruns"):
+        with pytest.raises(ContainerFormatError, match=r"\.alib: .*overruns"):
             load_library(p)
 
     def valid_entry(self):
@@ -314,7 +314,7 @@ class TestCorruption:
                "a": {"shape": [2, 1], "offset": 0},
                "b": {"shape": [2, 1], "offset": 8}}
         p = self.write_index(tmp_path, self.crafted_index(payload, [rec, rec]), payload)
-        with pytest.raises(ContainerFormatError, match="duplicate"):
+        with pytest.raises(ContainerFormatError, match=r"\.alib: .*duplicate"):
             load_library(p)
 
 

@@ -251,7 +251,7 @@ class TestEmbContainer:
         p = tmp_path / "x.emb"
         save_embeddings(e, p)
         p.write_bytes(p.read_bytes()[:-1])
-        with pytest.raises(ContainerFormatError, match="payload"):
+        with pytest.raises(ContainerFormatError, match=r"\.emb: .*payload"):
             load_embeddings(p)
 
 
@@ -293,7 +293,7 @@ class TestManifestIO:
     def test_duplicate_id(self, tmp_path):
         p = tmp_path / "m.jsonl"
         p.write_text('{"id": "x"}\n{"id": "x"}\n')
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match=r"m\.jsonl:2: .*duplicate"):
             load_manifest(p)
 
     def test_save_sorts_keys(self, tmp_path):

@@ -26,6 +26,7 @@ from adapterfuse.svd_kernel import truncated_approx
 
 from conftest import (
     assert_same_bytes,
+    panel_products,
     dare_transform_oracle,
     dense_merge_oracle,
     make_library,
@@ -378,17 +379,15 @@ def oracle_cases():
         # task order; same-signed entries all agree, so every one is summed
         ("tall-1x1", [np.abs(m) for m in wide_range(rng, 16, (1, 1))], dict(k_density=1.0)),
         ("tall-1x2", [np.abs(m) for m in wide_range(rng, 16, (1, 2))], dict(k_density=1.0)),
-        # a stack above the inline threshold: 16 tasks run on the workers
+        # one panel, but 16 tasks' rows do not fit in one: a task at a time
         ("blocks", wide_range(rng, 16, (64, 65)), dict(k_density=0.6, dare_p=0.3)),
-        # more columns than one reduction block holds for 16 tasks
         ("column-blocks", wide_range(rng, 16, (96, 97)), dict(k_density=0.6, dare_p=0.3)),
         # rows with no zeros (the trim skips compress), ~85 entries of
         # magnitude 3 per row against k = 77: ties at the threshold
         ("zero-free-ties", [m + np.sign(m + 0.5) * (m == 0) for m in
                             signed_zero_grid(rng, 4, (16, 16))], dict(k_density=0.3)),
-        # rows longer than one trim block, a seventh of them zeros, ~11600
-        # entries of magnitude 3 against k = 8192: the ties at the threshold
-        # span blocks
+        # two panels, a seventh of the entries zeros, ~11600 entries of
+        # magnitude 3 against k = 8192: the ties at the threshold span panels
         ("ties-across-blocks", [rng.integers(-3, 4, (256, 160)).astype(float)
                                 for _ in range(3)], dict(k_density=0.2, dare_p=0.2)),
     ]
@@ -560,10 +559,10 @@ class TestDenseMergeMemory:
         assert peak < a_bytes + identity_bytes + 2 * stack_bytes
 
     def test_load_and_merge_peak_is_payload_sums_and_two_tasks(self, tmp_path):
-        # beside the payload: the first layer's output, the second's running
-        # sums (26 bytes per entry for TIES), and two tasks in flight, each a
-        # row and its trim's magnitudes; 8.6 slices at most, where the stack
-        # took 16 on its own
+        # beside the mapped payload: both layers' outputs, two tasks in
+        # flight in the first pass, each with its nonzero magnitudes (a
+        # slice for TIES), and panel scratch; under 6 slices, where the
+        # running sums of the layer took 8.6 and the stack 16 on its own
         rng = np.random.default_rng(1)
         eye = np.eye(512)
         layers = ("00", "01")
@@ -581,7 +580,7 @@ class TestDenseMergeMemory:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < payload_bytes + 9 * slice_bytes
+            assert peak < payload_bytes + 6 * slice_bytes
 
 
 @pytest.mark.usefixtures("eight_workers")
@@ -593,8 +592,10 @@ class TestDenseMergeMemoryOnEightWorkers(TestDenseMergeMemory):
 
 @pytest.mark.usefixtures("eight_workers")
 class TestStreamedMemory:
-    """A layer's merge holds its running sums and at most two tasks, so its
-    peak does not grow with N, nor with the core count."""
+    """A layer's merge holds its output, DARE's keep-bits and at most two
+    workers' scratch: a few panels each, and for TIES one task's
+    magnitudes in the first pass; so its peak does not grow with N, nor
+    with the core count."""
 
     @pytest.mark.parametrize("method", DENSE_METHODS)
     def test_peak_does_not_depend_on_n_or_cores(self, method, monkeypatch):
@@ -627,8 +628,8 @@ class TestStreamedMemory:
 
 @pytest.fixture
 def uncapped(monkeypatch):
-    """Every stage on as many workers as the pool has: the in-flight cap
-    holds a layer's merge to two tasks at once."""
+    """Both passes on as many workers as the pool has: the in-flight cap
+    holds a layer's merge to two workers."""
     monkeypatch.setattr(merge_ops, "_IN_FLIGHT", None)
 
 
@@ -709,8 +710,8 @@ class TestOverflow:
 
 
 def pooled_cases():
-    """(id, library) for the worker-count tests: stacks above the inline
-    threshold and wider than one reduction block."""
+    """(id, library) for the worker-count tests, each over several row panels
+    once _PANEL is 2^12."""
     rng = np.random.default_rng(21)
     mats = signed_zero_grid(rng, 8, (256, 160))
     # d_out = 130: OpenBLAS's product differs in the last bits between one
@@ -721,18 +722,32 @@ def pooled_cases():
     return [("dense-stored-ties", dense_library(mats)), ("factored", factored)]
 
 
+def panel_inputs(lib, method):
+    """The task matrices a panel-wise merge of lib's one layer sees: TSV
+    truncates whole matrices, the other methods fill row panels."""
+    if method == "tsv":
+        return [lib.deltas[(t, "00")].materialize() for t in lib.tasks]
+    first = lib.deltas[(lib.tasks[0], "00")]
+    rows = merge_ops._panel_rows(first.d_in, first.d_out)
+    return [panel_products(lib.deltas[(t, "00")], rows) for t in lib.tasks]
+
+
+@pytest.fixture
+def small_panels(monkeypatch):
+    """Panels of 2^12 entries, so small layers span several."""
+    monkeypatch.setattr(merge_ops, "_PANEL", 1 << 12)
+
+
 class TestWorkerCount:
     """The bytes do not depend on how many workers merge them."""
 
     @pytest.mark.parametrize("method", DENSE_METHODS)
     @pytest.mark.parametrize("case", pooled_cases(), ids=lambda c: c[0])
-    @pytest.mark.usefixtures("eight_workers", "uncapped")
+    @pytest.mark.usefixtures("eight_workers", "uncapped", "small_panels")
     def test_one_two_and_eight_workers_give_the_oracle_bytes(self, case, method, monkeypatch):
         _, lib = case
-        mats = [lib.deltas[(t, "00")].materialize() for t in lib.tasks]
-        assert len(mats) * mats[0].size >= merge_ops._BLOCK
-        n_blocks, _ = merge_ops._column_blocks(len(mats), mats[0].size)
-        assert n_blocks > 1
+        mats = panel_inputs(lib, method)
+        assert mats[0].size > 4 * merge_ops._PANEL
         cfg = MergeConfig(method=method, k_density=0.3, dare_p=0.5, seed=4, alpha=0.9)
         salt = layer_salt("00")
         want = dense_merge_oracle(mats, cfg, salt)
@@ -742,16 +757,15 @@ class TestWorkerCount:
             assert_same_bytes(merge_deltas(mats, cfg, salt=salt), want)
 
 
-class TestGroups:
-    """Groups of tasks that do not divide N, sums in blocks, counts past 255."""
+class TestPanels:
+    """Panels that do not divide the layer, counts past 255."""
 
     @pytest.mark.parametrize("method", DENSE_METHODS)
     @pytest.mark.parametrize("n_tasks", [5, 9])
     @pytest.mark.parametrize("stored", ["dense", "factored"])
-    @pytest.mark.usefixtures("eight_workers", "uncapped")
-    def test_partial_groups_give_the_oracle_bytes(self, stored, n_tasks, method, monkeypatch):
-        # groups of 1, 2 and 8 tasks, each folded over several column blocks
-        monkeypatch.setattr(merge_ops, "_COLUMN_BLOCK", 1 << 12)
+    @pytest.mark.usefixtures("eight_workers", "uncapped", "small_panels")
+    def test_uneven_panels_give_the_oracle_bytes(self, stored, n_tasks, method, monkeypatch):
+        # panels of 25, 25, 25, 25 and 20 rows on 1, 2 and 8 workers
         rng = np.random.default_rng(n_tasks)
         shape = (120, 160)
         if stored == "dense":
@@ -760,9 +774,8 @@ class TestGroups:
             lib = one_layer_library([
                 AdapterDelta("00", rng.standard_normal((shape[0], 6)),
                              rng.standard_normal((shape[1], 6)), 1.0 + i) for i in range(n_tasks)])
-        mats = [lib.deltas[(t, "00")].materialize() for t in lib.tasks]
-        assert n_tasks * mats[0].size >= merge_ops._BLOCK
-        assert merge_ops._column_blocks(1, mats[0].size)[0] > 1
+        assert merge_ops._panel_rows(*shape) == 25
+        mats = panel_inputs(lib, method)
         cfg = MergeConfig(method=method, k_density=0.3, dare_p=0.5, seed=2, alpha=0.8)
         salt = layer_salt("00")
         want = dense_merge_oracle(mats, cfg, salt)
@@ -775,8 +788,7 @@ class TestGroups:
     @pytest.mark.parametrize("shape", [(1, 1), (4, 5), (12, 10)], ids=str)
     def test_counts_past_255_tasks(self, shape, method):
         # 300 tasks, nearly all positive: a count in one byte would wrap and
-        # divide the sums by 44; (12, 10) runs on the workers, (4, 5) inline,
-        # and (1, 1) in one group, its single column summed pairwise
+        # divide the sums by 44; (1, 1) is summed over its tasks pairwise
         rng = np.random.default_rng(3)
         mats = [np.abs(m) + 0.5 for m in wide_range(rng, 300, shape)]
         mats[7][0, 0] = -1.0
@@ -785,6 +797,80 @@ class TestGroups:
         want = dense_merge_oracle(mats, cfg, salt)
         assert_same_bytes(merge_deltas(mats, cfg, salt=salt), want)
         assert_same_bytes(merge_library(dense_library(mats), cfg)["00"], want)
+
+
+class TestRowPanels:
+    """Layers of several row panels at the default panel size."""
+
+    def test_dense_stored_peak_is_output_magnitudes_and_panels(self, monkeypatch):
+        # a 2048² dense-stored layer: beside its float64 output a merge
+        # holds, on each of two workers, one task's nonzero magnitudes and
+        # scratch of a few panels, plus DARE's keep-bits; the parent's
+        # running sums of the whole layer (26 bytes per entry) are gone
+        monkeypatch.setattr(blas, "_workers", 2)
+        rng = np.random.default_rng(5)
+        d = 2048
+        eye = np.eye(d, dtype=np.float32)
+        lib = one_layer_library([AdapterDelta("00", rng.standard_normal((d, d)).astype(np.float32),
+                                              eye) for _ in range(3)])
+        n, panel = d * d, merge_ops._panel_rows(d, d) * d
+        assert n >= 64 * panel
+        for method in ("ties", "dare-ties"):
+            tracemalloc.start()
+            try:
+                merge_library(lib, MergeConfig(method=method))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * n + 2 * (8 * n + 64 * panel) + 3 * n // 8
+
+    def test_factored_layer_keeps_k_per_task_and_has_the_panel_products_bits(self):
+        # 128-row panels of 128, 128 and 44 rows; each task's rows are the
+        # products of its panels, which may differ in their last bits from
+        # rows of the whole product
+        rng = np.random.default_rng(6)
+        d_in, d_out = 300, 256
+        deltas = [AdapterDelta("00", rng.standard_normal((d_in, 5)),
+                               rng.standard_normal((d_out, 5)), 1.0 + i) for i in range(4)]
+        rows = merge_ops._panel_rows(d_in, d_out)
+        assert rows == 128
+        products = [panel_products(delta, rows) for delta in deltas]
+        k = math.ceil(0.3 * d_in * d_out)
+        for method in ("ties", "dare-ties"):
+            cfg = MergeConfig(method=method, k_density=0.3, dare_p=0.4, seed=7)
+            want = dense_merge_oracle(products, cfg, layer_salt("00"))
+            assert_same_bytes(merge_library(one_layer_library(deltas), cfg)["00"], want)
+            for delta in deltas:  # one task merged alone is its own trim
+                alone = merge_library(one_layer_library([delta]), cfg)["00"]
+                assert np.count_nonzero(alone) == k
+
+    def test_surplus_threshold_ties_across_panels_keep_the_lowest_indices(self):
+        # all entries ±1 but 100 of ±2: k = 46080 keeps the 100 and the
+        # 45980 lowest-indexed ties, which run into the second panel
+        rng = np.random.default_rng(7)
+        m = np.where(rng.random((300, 256)) < 0.5, 1.0, -1.0)
+        big = np.sort(rng.choice(m.size, 100, replace=False))
+        m.flat[big] *= 2.0
+        cfg = MergeConfig(method="ties", k_density=0.6)
+        out = merge_deltas([m], cfg)
+        ties = np.setdiff1d(np.arange(m.size), big)
+        assert ties[46080 - 100] > merge_ops._panel_rows(*m.shape) * m.shape[1]
+        np.testing.assert_array_equal(np.flatnonzero(out),
+                                      np.union1d(big, ties[: 46080 - 100]))
+        for method in ("ties", "dare-ties"):
+            cfg = MergeConfig(method=method, k_density=0.6 if method == "ties" else 0.3, seed=3)
+            want = dense_merge_oracle([m, -m[::-1]], cfg, layer_salt("00"))
+            assert_same_bytes(merge_deltas([m, -m[::-1]], cfg, salt=layer_salt("00")), want)
+            assert_same_bytes(merge_library(dense_library([m, -m[::-1]]), cfg)["00"], want)
+
+    @pytest.mark.parametrize("p", [0.3, 0.9])
+    def test_dare_over_several_panels_is_one_draw(self, p):
+        m = np.random.default_rng(8).standard_normal((300, 256))
+        cfg = MergeConfig(method="dare-ta", dare_p=p, seed=11)
+        assert_same_bytes(merge_deltas([m], cfg, salt=5),
+                          dare_transform_oracle(m, cfg, stream=(0, 5)))
+        assert_same_bytes(merge_library(dense_library([m]), cfg)["00"],
+                          dare_transform_oracle(m, cfg, stream=(0, layer_salt("00"))))
 
 
 class TestMergeConfig:

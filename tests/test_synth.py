@@ -240,6 +240,15 @@ class TestRecoveryError:
         assert recovery_error(merged, truth) == pytest.approx(1.0 / 5.0, rel=1e-12)
         assert recovery_error(truth, truth) == 0.0
 
+    def test_bits_of_the_difference_norm(self):
+        # summed in chunks, with no copy of merged − truth, as np.sum would
+        rng = np.random.default_rng(4)
+        truth = rng.standard_normal((300, 131))
+        merged = truth + 1e-3 * rng.standard_normal(truth.shape)
+        d = merged - truth
+        want = float(np.sqrt(np.sum(d * d))) / float(np.sqrt(np.sum(truth * truth)))
+        assert recovery_error(merged, truth) == want
+
     def test_zero_truth(self):
         z = np.zeros((2, 2))
         assert recovery_error(z, z) == 0.0

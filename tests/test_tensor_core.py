@@ -1,6 +1,7 @@
 """Tensor kernels, and the unfolding and Khatri-Rao test oracles, against index arithmetic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adapterfuse import AdapterDelta, frobenius_norm
-from adapterfuse.tensor_core import all_finite
+from adapterfuse.tensor_core import _difference_norm, all_finite
 
 from conftest import fold, khatri_rao, outer3, unfold
 
@@ -87,6 +88,48 @@ def test_frobenius_norm_matches_numpy(rng):
     t = rng.standard_normal((3, 4, 5))
     assert frobenius_norm(t) == pytest.approx(np.linalg.norm(t.ravel()), rel=1e-15)
     assert frobenius_norm(np.zeros((2, 2))) == 0.0
+
+
+def summed_squares_norm(a):
+    """np.sum's norm, with the overflow rescale (test oracle)."""
+    with np.errstate(over="ignore"):
+        total = np.sum(a * a)
+    if math.isfinite(total):
+        return float(np.sqrt(total))
+    peak = float(np.max(np.abs(a)))
+    return peak * math.sqrt(np.sum((a / peak) * (a / peak)))
+
+
+# sizes around the chunk (2^13) and its halvings, rows, tensors, a large layer
+NORM_SHAPES = [(0,), (1,), (7,), (9,), (8191,), (8192,), (8193,), (16385,), (24577,),
+               (12, 10), (300, 131), (3, 5, 7), (512, 512), (4096, 1024)]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200], ids=["plain", "overflow-scaled"])
+def test_frobenius_norm_has_the_bits_of_numpys_sum(scale):
+    # the squares are summed in chunks through scratch, in np.sum's own
+    # pairwise order; at 1e200 every square overflows and the entries are
+    # rescaled by their peak first
+    rng = np.random.default_rng(8)
+    for shape in NORM_SHAPES:
+        a = scale * rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape)
+        b = scale * rng.standard_normal(shape)
+        for x, y in ((a, b), (np.asfortranarray(a), np.asfortranarray(b))):
+            assert frobenius_norm(x) == summed_squares_norm(x), shape
+            assert _difference_norm(x, y) == summed_squares_norm(x - y), shape
+
+
+def test_norms_make_no_copy_of_their_input():
+    rng = np.random.default_rng(9)
+    a, b = rng.standard_normal((2, 1024, 1024))
+    for norm, args in ((frobenius_norm, (a,)), (_difference_norm, (a, b))):
+        tracemalloc.start()
+        try:
+            norm(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes // 16
 
 
 @pytest.mark.filterwarnings("error")
