@@ -11,10 +11,10 @@ product has the bits a merge uses.  A library caller of another entry
 (kmeans_fit, svd, cp_merge, recovery_error) runs on its own thread
 count unless it holds single_threaded() itself.  At the sizes of the
 fits and of sti one thread is also faster: OpenBLAS's hand-offs cost
-more than they save, and its idle threads spin between calls.  On a 2-core Xeon VM, SVDs took 6.1 ms on two
-threads and 4.0 ms on one at 96×256; a 1024×1024 one took 590-610 ms
-on two and 810-910 ms on one.  single_threaded() does nothing without
-an OpenBLAS in numpy's wheel.
+more than they save, and its idle threads spin between calls.  On a
+2-core Xeon VM, SVDs took 6.1 ms on two threads and 4.0 ms on one at
+96×256; a 1024×1024 one took 590-610 ms on two and 810-910 ms on one.
+single_threaded() does nothing without an OpenBLAS in numpy's wheel.
 
 task_map spreads independent jobs (the dense merges' first pass, one
 task per job, and their second, one row panel per job) over one
@@ -28,11 +28,12 @@ loops, BLAS and LAPACK release the GIL, and a job's BLAS call runs on
 its worker under the caller's process-wide one-thread limit.  On a
 2-core VM the dare-ties merge of a layer of 8 dense-stored 512² deltas
 took 24-33 ms on two workers against 29-34 ms on one (medians of
-interleaved runs): the VM's two threads share most of one core.  Workers run under the
-caller's np.geterr(), since np.errstate is per thread.  A job writes
-only its own task's or panel's entries, and a panel adds its tasks in
-task order, so the bytes do not depend on the number of workers.  With
-one worker the jobs run in the calling thread, without a hand-off.
+interleaved runs): the VM's two threads share most of one core.
+Workers run under the caller's np.geterr(), since np.errstate is per
+thread.  A job writes only its own task's or panel's entries, and a
+panel adds its tasks in task order, so the bytes do not depend on the
+number of workers.  With one worker the jobs run in the calling thread,
+without a hand-off.
 """
 
 import ctypes

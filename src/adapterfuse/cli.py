@@ -125,20 +125,34 @@ def _read_sweep_rows(path):
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-        if lines and lines[0] != "param,value,metric,score":
+        if lines and lines[0] != "param,value,metric,inputs,score":
             raise ValueError(f"{path}: not a sweep csv (bad header)")
         for lineno, line in enumerate(lines[1:], start=2):
             if not line:
                 continue
-            row = tuple(line.split(",", 3))
-            if len(row) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+            row = tuple(line.split(",", 4))
+            if len(row) != 5:
+                raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
             try:
-                float(row[3])
+                float(row[4])
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: score {row[3]!r} is not a number") from None
+                raise ValueError(f"{path}:{lineno}: score {row[4]!r} is not a number") from None
             rows.append(row)
     return rows
+
+
+def _inputs_digest(paths, flags) -> str:
+    """A short digest of the files' bytes and of the flags given, not of
+    their paths: a sweep row is reused only for the same inputs."""
+    digest = hashlib.sha256(repr(sorted(flags.items())).encode("utf-8"))
+    buf = bytearray(1 << 16)  # read in place: a sweep's heap does not grow with its inputs
+    for path in paths:
+        file_digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            while n := fh.readinto(buf):
+                file_digest.update(memoryview(buf)[:n])
+        digest.update(file_digest.digest())
+    return digest.hexdigest()[:16]
 
 
 def cmd_sweep(args) -> int:
@@ -151,17 +165,19 @@ def cmd_sweep(args) -> int:
         if not args.truth:
             raise ValueError("--param cp-rank requires --truth")
         lib, truth = load_library(args.library), load_truth(args.truth)
+        inputs = _inputs_digest((args.library, args.truth), _given(args, ("seed",)))
     else:
         metric = "inertia"
         if not args.embeddings:
             raise ValueError("--param k-clusters requires --embeddings")
         embeds = load_embeddings(args.embeddings)
+        inputs = _inputs_digest((args.embeddings,), _given(args, _KMEANS_FLAGS))
 
     rows = _read_sweep_rows(args.out)
-    done = {(p, v, m) for p, v, m, _ in rows}
+    done = {row[:4] for row in rows}
 
     for value in args.values:
-        key = (args.param, str(value), metric)
+        key = (args.param, str(value), metric, inputs)
         if key in done:
             print(f"{args.param} = {value}: cached")
             continue
@@ -175,11 +191,11 @@ def cmd_sweep(args) -> int:
             score = float(np.mean(errs))
         else:
             score = kmeans_fit(embeds, K=value, **_given(args, _KMEANS_FLAGS)).inertia
-        rows.append((args.param, str(value), metric, repr(score)))
+        rows.append((*key, repr(score)))
         done.add(key)
         print(f"{args.param} = {value}: {metric} = {score!r}")
 
-    lines = ["param,value,metric,score"] + [",".join(row) for row in rows]
+    lines = ["param,value,metric,inputs,score"] + [",".join(row) for row in rows]
     atomic_write(args.out, [("\n".join(lines) + "\n").encode("utf-8")])
     print(f"wrote {args.out}")
     return 0

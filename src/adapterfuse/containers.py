@@ -36,7 +36,6 @@ import math
 import mmap
 import os
 import struct
-import tempfile
 import zlib
 
 import numpy as np
@@ -53,17 +52,21 @@ PAYLOAD_ALIGN = 64  # writers pad headers so payloads start at a multiple of thi
 def atomic_write(path, chunks) -> None:
     """Write the byte chunks to path, all or nothing.
 
-    They go to a unique temp file in the target directory, which is
-    fsynced and renamed over path; on any failure it is removed and path
-    is left as it was.
+    They go to a temp file of a new random name in the target directory,
+    created with mode 0o666 less the umask, as open() would make path;
+    it is fsynced and renamed over path.  On any failure it is removed
+    and path is left as it was.
     """
     directory, name = os.path.split(os.fspath(path))
-    umask = os.umask(0)  # read the umask, to give the file the mode open() would
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=directory or ".")
+    while True:
+        tmp = os.path.join(directory, f"{name}.{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.writelines(chunks)
             fh.flush()
             os.fsync(fh.fileno())

@@ -275,6 +275,11 @@ def _residual(s, lam, a, b, c, norm_t):
 def cp_als(t, R: int, opts: AlsOptions | None = None) -> CPFactors:
     """Rank-R CP fit by alternating least squares.
 
+    t is a third-order tensor: a 3-D float64 array with axes (d_in, d_out,
+    n_tasks), whose frontal slice i, t[:, :, i], is task i's matrix.
+    Modes are numbered from 1: mode 1 = rows (d_in), mode 2 = columns
+    (d_out), mode 3 = tasks.
+
     Update order per iteration is task mode, then row, then column.  Each
     update is an exact least-squares solve only when its Gram matrix is
     not near singular (otherwise _ls_solve adds a ridge), and then only

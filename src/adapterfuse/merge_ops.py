@@ -24,13 +24,17 @@ one panel is the whole layer) and added into the panel's sums, the
 total for every method and for TIES also the sums and counts of the
 positive and of the negative survivors, which then become the panel's
 output: alpha × the total (÷ N for uniform), or for TIES alpha × the
-mean of the survivors whose sign agrees with the total's.  A layer of
-one panel runs both passes inline, with no hand-off to a worker.
-Every method returns the same bytes whatever the number of workers or
-cores, and the same as the list-based operators it replaced
-(tests/conftest.py keeps those as oracles) on every dense-stored layer
-and every factored one of one panel; the product of a panel's rows may
-differ in its last bits from those rows of the whole product.
+mean of the survivors whose sign agrees with the total's.  Both passes
+take one task's row of a panel at a time, and every sum adds the tasks
+in task order from +0.0.  A layer of one panel runs both passes inline,
+with no hand-off to a worker.  Every method returns the same bytes
+whatever the number of workers or cores, and the same as the list-based
+operators it replaced (tests/conftest.py keeps those as oracles) on
+every dense-stored layer and every factored one of one panel, but one
+case: on a one-entry layer of 8 or more tasks their sums over the stack
+added the TIES survivors pairwise, which can differ from task order in
+the last bits.  The product of a panel's rows may differ in its last
+bits from those rows of the whole product.
 merge_deltas (a list of matrices) and merge_layer (one layer of an
 AdapterLibrary) are the two entries; each runs the method that
 cfg.method names.  merge_library merges every layer through
@@ -145,12 +149,10 @@ class _NonFinite(ValueError):
         self.task = task
 
 
-def _require_finite(x, first) -> None:
-    """x holds the rows (or the one row) of tasks first, first + 1, …:
-    raise _NonFinite naming the first with a non-finite entry."""
-    if not all_finite(x):
-        bad = ~np.isfinite(x.reshape(-1, x.shape[-1])).all(axis=1)
-        raise _NonFinite(first + int(np.argmax(bad)))
+def _require_finite(row, task) -> None:
+    """Raise _NonFinite for task if its row has a non-finite entry."""
+    if not all_finite(row):
+        raise _NonFinite(task)
 
 
 def _nonzero_magnitudes(row, flags, out) -> int:
@@ -166,29 +168,17 @@ def _nonzero_magnitudes(row, flags, out) -> int:
     return count
 
 
-def _fold_ties(x, sums, flags, tmp, zeros) -> None:
-    """Add the task rows x (tasks, entries), in task order, into the TIES
-    sums of their entries: the total, the sums of the positive and of the
-    negative entries, and the counts of each.
+def _fold_ties(row, sums, flags, tmp, zeros) -> None:
+    """Add a task's row in place into the TIES sums of its entries: the
+    total, the sums of the positive and of the negative entries, and the
+    counts of each.
 
-    flags (bool) and tmp (float64) are scratch of x's shape, zeros (all
-    zero) of a row's.  A group of several rows holds all the tasks, so
-    the sums start from zero, and numpy reduces over them in task order,
-    or pairwise for a one-entry layer, as the oracle's sum over the stack
-    does.  One row is added in place; max and min against an array of
-    zeros run twice as fast as against the scalar.  Either adds a zero in
-    place of the other sign's entries, which leaves a nonzero sum as it
-    is and a zero one +0.0.
+    flags (bool), tmp (float64) and zeros (all zero) are of row's shape;
+    max and min against an array of zeros run twice as fast as against
+    the scalar.  Each adds a zero in place of the other sign's entries,
+    which leaves a nonzero sum as it is and a zero one +0.0.
     """
     total, pos, neg, n_pos, n_neg = sums
-    if len(x) > 1:
-        total += np.add.reduce(x, axis=0)
-        pos += np.add.reduce(np.maximum(x, 0.0, out=tmp), axis=0)
-        neg += np.add.reduce(np.minimum(x, 0.0, out=tmp), axis=0)
-        n_pos += np.add.reduce(np.greater(x, 0.0, out=flags), axis=0, dtype=n_pos.dtype)
-        n_neg += np.add.reduce(np.less(x, 0.0, out=flags), axis=0, dtype=n_neg.dtype)
-        return
-    row, flags, tmp = x[0], flags[0], tmp[0]
     total += row
     n_pos += np.greater(row, 0.0, out=flags).view(np.uint8)
     n_neg += np.less(row, 0.0, out=flags).view(np.uint8)
@@ -217,8 +207,9 @@ def _elect(sums, alpha, flags) -> None:
 
 class _DenseMerge:
     """One layer of `shape` (tasks, d_in, d_out) merged by cfg.method in
-    row panels; fill(i, rows, out) writes rows `rows` (a slice) of task
-    i's delta into the float64 matrix out.  See the module docstring."""
+    row panels, one task's row of a panel at a time; fill(i, rows, out)
+    writes rows `rows` (a slice) of task i's delta into the float64
+    matrix out.  See the module docstring."""
 
     def __init__(self, cfg, salt, shape, fill):
         self.cfg, self.salt, self.fill = cfg, salt, fill
@@ -231,10 +222,6 @@ class _DenseMerge:
         rows = d_in if self.rank is not None else _panel_rows(d_in, self.d_out)
         self.panels = [(r0, min(r0 + rows, d_in)) for r0 in range(0, d_in, max(1, rows))] or [(0, 0)]
         self.width = (self.panels[0][1] - self.panels[0][0]) * self.d_out  # the widest panel
-        # tasks a panel takes at once: all of them where their rows fit in one
-        # panel (fewer calls on a small layer), or where the layer has one
-        # entry (_fold_ties), else one
-        self.group = self.n_tasks if self.n_tasks * self.width <= _PANEL or self.n == 1 else 1
         self.out = np.zeros(self.n)
         # the first pass's keep-bits, one bit per entry and task, and TIES cuts
         self.bits = (np.empty((self.n_tasks, len(self.panels), -(-self.width // 8)), np.uint8)
@@ -252,38 +239,35 @@ class _DenseMerge:
             raise min(failed.values(), key=lambda exc: exc.task)
         return self.out
 
-    def filled(self, first, b, x, check) -> np.ndarray:
-        """x (tasks, entries) with the rows of tasks first, first + 1, … in
-        panel b; finite-checked when `check`."""
+    def filled(self, i, b, row, check) -> np.ndarray:
+        """row with task i's entries in panel b; finite-checked when `check`."""
         r0, r1 = self.panels[b]
-        for i, row in enumerate(x, first):
-            self.fill(i, slice(r0, r1), row.reshape(r1 - r0, self.d_out))
+        self.fill(i, slice(r0, r1), row.reshape(r1 - r0, self.d_out))
         if check:
-            _require_finite(x, first)  # s·A·Bᵀ can overflow
-        return x
+            _require_finite(row, i)  # s·A·Bᵀ can overflow
+        return row
 
-    def keep(self, first, b, x) -> np.ndarray:
-        """DARE's survivors (bool) among the entries of x, the rows of tasks
-        first, first + 1, … in panel b, from the first pass's keep-bits."""
-        g, m = x.shape
-        return np.unpackbits(self.bits[first : first + g, b], axis=1, count=m).view(bool)
+    def keep(self, i, b, m) -> np.ndarray:
+        """DARE's survivors (bool) among task i's m entries in panel b,
+        from the first pass's keep-bits."""
+        return np.unpackbits(self.bits[i, b], count=m).view(bool)
 
-    def prepare(self, first, b, x, check) -> None:
-        """Fill x (tasks, entries) with the rows of tasks first, first + 1,
-        … in panel b and drop them by DARE; finite-check them when `check`."""
-        self.filled(first, b, x, check)
+    def prepare(self, i, b, row, check) -> None:
+        """Fill row with task i's entries in panel b and drop them by DARE;
+        finite-check them when `check`."""
+        self.filled(i, b, row, check)
         if self.dare:
             # a finite entry times 0 is a zero of either sign; no zero's sign
             # reaches the output, since every sum starts from +0.0
-            np.multiply(x, self.keep(first, b, x), out=x)
-            np.divide(x, 1.0 - self.cfg.dare_p, out=x)
+            np.multiply(row, self.keep(i, b, len(row)), out=row)
+            np.divide(row, 1.0 - self.cfg.dare_p, out=row)
             if check:
-                _require_finite(x, first)  # dividing by 1 − p can overflow
+                _require_finite(row, i)  # dividing by 1 − p can overflow
 
     def plan_scratch(self):
         """A worker's scratch for plan; TIES without DARE keeps its
         magnitudes here, a layer's worth, for one task after another."""
-        part = np.empty((1, self.width)) if self.k is not None else None  # DARE alone fills none
+        part = np.empty(self.width) if self.k is not None else None  # DARE alone fills none
         mags = np.empty(self.n) if self.k is not None and not self.dare else None
         return part, np.empty(self.width), np.empty(self.width, dtype=bool), mags
 
@@ -307,10 +291,9 @@ class _DenseMerge:
             mags = np.empty(kept)  # DARE's survivors bound the nonzeros
         nnz = 0
         for b, (r0, r1) in enumerate(self.panels):
-            x = self.filled(i, b, part[:, : (r1 - r0) * self.d_out], check=True)
-            row = x[0]
+            row = self.filled(i, b, part[: (r1 - r0) * self.d_out], check=True)
             if self.dare:  # only the survivors, rescaled
-                keep = self.keep(i, b, x)[0]
+                keep = self.keep(i, b, len(row))
                 row = row.compress(keep, out=tmp[: np.count_nonzero(keep)])
                 np.divide(row, 1.0 - p, out=row)
                 _require_finite(row, i)  # dividing by 1 − p can overflow
@@ -338,75 +321,69 @@ class _DenseMerge:
             return thr, self.n
         kept = k - np.count_nonzero(mags[nnz - k :] > thr)  # the ties it keeps
         for b, (r0, r1) in enumerate(self.panels):
-            x = part[:, : (r1 - r0) * self.d_out]
-            self.prepare(i, b, x, check=False)
-            ties = (np.abs(x[0], out=tmp[: x.shape[1]]) == thr).nonzero()[0]
+            row = part[: (r1 - r0) * self.d_out]
+            self.prepare(i, b, row, check=False)
+            ties = (np.abs(row, out=tmp[: len(row)]) == thr).nonzero()[0]
             if kept < len(ties):
                 return thr, r0 * self.d_out + int(ties[kept])
             kept -= len(ties)
         raise AssertionError("a threshold tie past the kept ones was counted but not found")
 
-    def trim(self, first, j0, x, mags, flags) -> None:
-        """TIES trim in place of x (tasks, entries), the rows of tasks first,
-        first + 1, … from the layer's entry j0 on, at each task's cut: its
-        entries below the threshold, and its threshold ties from the first
-        dropped one on, become zeros of either sign.  mags (float64) and
-        flags (bool) are scratch of x's shape."""
-        for row, mag, flag, cut in zip(x, mags, flags, self.cuts[first:]):
-            if cut is None:
-                continue
-            thr, at = cut
-            np.multiply(row, np.greater_equal(np.abs(row, out=mag), thr, out=flag), out=row)
-            at = max(at - j0, 0)
-            if at < len(row):
-                row[at:][mag[at:] == thr] = 0.0
+    def trim(self, i, j0, row, mag, flag) -> None:
+        """TIES trim in place of row, task i's entries from the layer's entry
+        j0 on, at the task's cut: its entries below the threshold, and its
+        threshold ties from the first dropped one on, become zeros of either
+        sign.  mag (float64) and flag (bool) are scratch of row's shape."""
+        if self.cuts[i] is None:
+            return
+        thr, at = self.cuts[i]
+        np.multiply(row, np.greater_equal(np.abs(row, out=mag), thr, out=flag), out=row)
+        at = max(at - j0, 0)
+        if at < len(row):
+            row[at:][mag[at:] == thr] = 0.0
 
     def panel_scratch(self):
-        """A worker's scratch for merge_panel: its group's rows, and for
-        TIES the trim's scratch of their shape and the sums but the total,
-        which is the output."""
-        shape = (self.group, self.width)
-        if self.k is None:
-            return np.empty(shape), None, None, None
-        count_type = np.min_scalar_type(self.n_tasks)  # the narrowest type that holds N
+        """A worker's scratch for merge_panel: a task's row, and for TIES the
+        trim's scratch of its shape and the sums but the total, which is
+        the output."""
         w = self.width
+        if self.k is None:
+            return np.empty(w), None, None, None
+        count_type = np.min_scalar_type(self.n_tasks)  # the narrowest type that holds N
         sums = (np.empty(w), np.empty(w), np.empty(w, count_type), np.empty(w, count_type))
-        return (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool),
-                (sums, np.zeros(w)))
+        return np.empty(w), np.empty(w), np.empty(w, dtype=bool), (sums, np.zeros(w))
 
-    def merge_panel(self, b, failed, rows, tmp, flags, ties) -> None:
-        """The second pass, over panel b: the tasks in order, a group at a
-        time, refilled, dropped, trimmed or truncated and added into the
-        panel's sums, which then become its output.  TIES checked its
-        tasks in the first pass, the other methods check them here: the
-        first task found non-finite goes to failed[b], and the panel stops
-        there."""
+    def merge_panel(self, b, failed, row, tmp, flags, ties) -> None:
+        """The second pass, over panel b: each task in order refilled,
+        dropped, trimmed or truncated and added into the panel's sums,
+        which then become its output.  TIES checked its tasks in the first
+        pass, the other methods check them here: the first task found
+        non-finite goes to failed[b], and the panel stops there."""
         r0, r1 = self.panels[b]
         j0, m = r0 * self.d_out, (r1 - r0) * self.d_out
+        row = row[:m]
         total = self.out[j0 : j0 + m]  # from +0.0, as sum() starts: −0.0 becomes +0.0
         if self.k is not None:
+            tmp, flags, zeros = tmp[:m], flags[:m], ties[1][:m]
             sums = (total, *(s[:m] for s in ties[0]))
             for s in sums[1:]:
                 s.fill(0)
         try:
-            for first in range(0, self.n_tasks, len(rows)):
-                g = min(len(rows), self.n_tasks - first)
-                x = rows[:g, :m]
-                self.prepare(first, b, x, check=self.k is None)
+            for i in range(self.n_tasks):
+                self.prepare(i, b, row, check=self.k is None)
                 if self.k is not None:
-                    self.trim(first, j0, x, tmp[:g, :m], flags[:g, :m])
-                    _fold_ties(x, sums, flags[:g, :m], tmp[:g, :m], ties[1][:m])
+                    self.trim(i, j0, row, tmp, flags)
+                    _fold_ties(row, sums, flags, tmp, zeros)
                     continue
-                for row in x:
-                    if self.rank is not None:
-                        matrix = row.reshape(r1 - r0, self.d_out)
-                        np.copyto(matrix, truncated_approx(matrix, self.rank))
-                    total += row
+                if self.rank is not None:
+                    matrix = row.reshape(r1 - r0, self.d_out)
+                    np.copyto(matrix, truncated_approx(matrix, self.rank))
+                total += row
         except _NonFinite as exc:
             failed[b] = exc
             return
         if self.k is not None:
-            _elect(sums, self.cfg.alpha, flags[0, :m])
+            _elect(sums, self.cfg.alpha, flags)
             return
         total *= self.cfg.alpha
         if self.cfg.method == "uniform":

@@ -1,13 +1,4 @@
-"""Dense tensor kernels: norms, finiteness.
-
-Conventions used throughout the package:
-
-* a matrix is a 2-D float64 ndarray,
-* a third-order tensor is a 3-D float64 ndarray with axes
-  (d_in, d_out, n_tasks); frontal slice ``i`` is ``t[:, :, i]``,
-* mode numbering is 1-based: mode 1 = rows (d_in), mode 2 = columns
-  (d_out), mode 3 = tasks.
-"""
+"""Dense tensor kernels: norms, finiteness."""
 
 from __future__ import annotations
 

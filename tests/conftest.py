@@ -39,12 +39,24 @@ def cp_reconstruct(f):
     return np.stack([cp_reconstruct_slice(f, i) for i in range(f.n_tasks)], axis=2)
 
 
+def task_order_sum(rows):
+    """rows summed over the first axis, one after another from +0.0, as
+    the merges add their tasks (test oracle).  It has the bits of
+    rows.sum(axis=0) but where a row has one entry: numpy then adds the
+    rows pairwise."""
+    total = np.zeros(rows.shape[1:])
+    for row in rows:
+        total += row
+    return total
+
+
 def ties_merge_oracle(deltas, cfg):
     """TIES over a list of matrices, one whole-stack pass per step (test oracle).
 
     Per task the k = ceil(k_density · n) largest magnitudes survive, ties
     at the k-th keeping the lowest indices; signs are elected from the
-    survivors' sum and the agreeing survivors averaged.
+    survivors' sum and the agreeing survivors averaged, both sums in
+    task order (task_order_sum).
     """
     stack = np.stack([np.asarray(d, dtype=np.float64) for d in deltas], axis=0)
     n_tasks = stack.shape[0]
@@ -59,10 +71,10 @@ def ties_merge_oracle(deltas, cfg):
         room = k - np.count_nonzero(keep)
         keep[np.flatnonzero(mag == thr)[:room]] = True
         out[keep] = row[keep]
-    elected = np.where(trimmed.sum(axis=0) >= 0.0, 1.0, -1.0)
+    elected = np.where(task_order_sum(trimmed) >= 0.0, 1.0, -1.0)
     agrees = (np.sign(trimmed) == elected) & (trimmed != 0.0)
     counts = agrees.sum(axis=0)
-    total = np.where(agrees, trimmed, 0.0).sum(axis=0)
+    total = task_order_sum(np.where(agrees, trimmed, 0.0))
     merged = np.where(counts > 0, total / np.maximum(counts, 1), 0.0)
     return (cfg.alpha * merged).reshape(stack.shape[1:])
 

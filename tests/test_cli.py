@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -343,7 +344,7 @@ class TestSweepCommand:
         capsys.readouterr()
         first = out.read_text()
         rows = first.splitlines()
-        assert rows[0] == "param,value,metric,score"
+        assert rows[0] == "param,value,metric,inputs,score"
         assert len(rows) == 3 and rows[1].startswith("cp-rank,1,recovery-error,")
 
         rc = main(["sweep", "--library", str(lib), "--param", "cp-rank",
@@ -356,6 +357,60 @@ class TestSweepCommand:
         assert len(rows) == 4
         # previously computed rows are preserved verbatim
         assert rows[1:3] == first.splitlines()[1:3]
+
+    def sweep(self, lib, truth, out, capsys, *flags):
+        """The stdout of a cp-rank sweep over ranks 1 and 2."""
+        assert main(["sweep", "--library", str(lib), "--param", "cp-rank", "--values", "1", "2",
+                     "--out", str(out), "--truth", str(truth), *flags]) == 0
+        return capsys.readouterr().out
+
+    def test_another_seed_is_computed_afresh(self, tmp_path, spec_path, capsys):
+        lib, truth = self.synth(tmp_path, spec_path)
+        out, fresh = tmp_path / "sweep.csv", tmp_path / "fresh.csv"
+        self.sweep(lib, truth, out, capsys, "--seed", "0")
+        stdout = self.sweep(lib, truth, out, capsys, "--seed", "3")
+        assert "cached" not in stdout
+        self.sweep(lib, truth, fresh, capsys, "--seed", "3")
+        rows = out.read_text().splitlines()
+        assert len(rows) == 5 and rows[3:] == fresh.read_text().splitlines()[1:]
+        assert self.sweep(lib, truth, out, capsys, "--seed", "3").count("cached") == 2
+        assert out.read_text().splitlines() == rows
+
+    def test_another_library_is_computed_afresh(self, tmp_path, spec_path, capsys):
+        lib, truth = self.synth(tmp_path, spec_path)
+        out = tmp_path / "sweep.csv"
+        self.sweep(lib, truth, out, capsys)
+        other = tmp_path / "other.alib"
+        spec_path.write_text(spec_path.read_text().replace("seed = 4", "seed = 5"))
+        assert main(["synth", "--spec", str(spec_path), "--out", str(other)]) == 0
+        capsys.readouterr()
+        assert "cached" not in self.sweep(other, f"{other}.truth", out, capsys)
+        assert len(out.read_text().splitlines()) == 5
+
+    def test_same_inputs_at_another_path_are_cached(self, tmp_path, spec_path, capsys):
+        lib, truth = self.synth(tmp_path, spec_path)
+        out = tmp_path / "sweep.csv"
+        self.sweep(lib, truth, out, capsys)
+        before = out.read_text()
+        moved = tmp_path / "moved"
+        moved.mkdir()
+        for path in (lib, truth):
+            shutil.copy(path, moved)
+        stdout = self.sweep(moved / lib.name, moved / f"{lib.name}.truth", out, capsys)
+        assert stdout.count("cached") == 2
+        assert out.read_text() == before
+
+    def test_four_column_csv_is_refused(self, tmp_path, spec_path, capsys):
+        # a CSV from before the inputs column: its scores may be of other inputs
+        lib, truth = self.synth(tmp_path, spec_path)
+        out = tmp_path / "sweep.csv"
+        before = "param,value,metric,score\ncp-rank,1,recovery-error,0.5\n"
+        out.write_text(before)
+        rc = main(["sweep", "--library", str(lib), "--param", "cp-rank",
+                   "--values", "1", "--out", str(out), "--truth", truth])
+        assert rc == 2
+        assert "bad header" in capsys.readouterr().err
+        assert out.read_text() == before
 
     def test_scores_shrink_with_rank(self, tmp_path, spec_path):
         # exact-rank planted input: at the planted rank the cp merge is exact
@@ -451,14 +506,14 @@ class TestSweepCommand:
         assert "bad header" in capsys.readouterr().err
 
     @pytest.mark.parametrize("row,message", [
-        ("cp-rank,3", "expected 4 fields, got 2"),
-        ("cp-rank,1,recovery-error,fast", "score 'fast' is not a number"),
+        ("cp-rank,3", "expected 5 fields, got 2"),
+        ("cp-rank,1,recovery-error,0123abcd,fast", "score 'fast' is not a number"),
     ], ids=["short-row", "score-not-a-float"])
     def test_malformed_csv_row_is_exit_2_naming_the_line(self, tmp_path, spec_path, capsys,
                                                          row, message):
         lib, truth = self.synth(tmp_path, spec_path)
         out = tmp_path / "sweep.csv"
-        before = f"param,value,metric,score\ncp-rank,2,recovery-error,0.5\n{row}\n"
+        before = f"param,value,metric,inputs,score\ncp-rank,2,recovery-error,0123abcd,0.5\n{row}\n"
         out.write_text(before)
         rc = main(["sweep", "--library", str(lib), "--param", "cp-rank",
                    "--values", "1", "--out", str(out), "--truth", truth])

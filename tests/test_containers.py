@@ -264,6 +264,24 @@ def test_written_file_gets_the_mode_open_would_give(tmp_path):
     assert (tmp_path / "x").stat().st_mode & 0o777 == 0o666 & ~umask
 
 
+def test_write_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # setting the umask to read it would leave other threads' files unmasked
+    # for a moment; the kernel applies it to the temp file's creation instead
+    umask = 0o027
+    before = os.umask(umask)
+    try:
+        def umask_fails(mask):
+            raise AssertionError("atomic_write set the umask")
+
+        monkeypatch.setattr(os, "umask", umask_fails)
+        containers.atomic_write(tmp_path / "x", [b"data"])
+    finally:
+        monkeypatch.undo()
+        os.umask(before)
+    assert (tmp_path / "x").stat().st_mode & 0o777 == 0o666 & ~umask == 0o640
+    assert [f.name for f in tmp_path.iterdir()] == ["x"]
+
+
 def reading_command(fmt, path, tmp_path):
     """argv of a subcommand that reads path as a fmt file, or None for .cpf:
     no subcommand reads a .cpf it did not just write."""

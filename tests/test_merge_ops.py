@@ -24,6 +24,7 @@ from adapterfuse.cli import main
 from adapterfuse.merge_ops import METHODS, layer_salt, merge_layer
 from adapterfuse.svd_kernel import truncated_approx
 
+import conftest
 from conftest import (
     assert_same_bytes,
     panel_products,
@@ -375,8 +376,9 @@ def oracle_cases():
         ("full-density", normal, dict(k_density=1.0, alpha=-0.7, seed=5)),
         ("p-zero", normal, dict(dare_p=0.0, alpha=1.3)),
         ("one-task", normal[:1], dict(k_density=0.4, seed=6)),
-        # one column: numpy sums over many tasks pairwise there, not in
-        # task order; same-signed entries all agree, so every one is summed
+        # one and two entries over 16 tasks: a stack's sum would add the
+        # tasks pairwise at one entry, in task order at two; same-signed
+        # entries all agree, so every one is summed
         ("tall-1x1", [np.abs(m) for m in wide_range(rng, 16, (1, 1))], dict(k_density=1.0)),
         ("tall-1x2", [np.abs(m) for m in wide_range(rng, 16, (1, 2))], dict(k_density=1.0)),
         # one panel, but 16 tasks' rows do not fit in one: a task at a time
@@ -393,6 +395,11 @@ def oracle_cases():
     ]
 
 
+def numpy_summed(monkeypatch):
+    """The oracles with numpy's sums over the stack in place of task order."""
+    monkeypatch.setattr(conftest, "task_order_sum", lambda rows: rows.sum(axis=0))
+
+
 class TestByteOracles:
     """Every dense method against the list-based oracles, bit for bit."""
 
@@ -403,6 +410,18 @@ class TestByteOracles:
         cfg = MergeConfig(method=method, **fields)
         salt = layer_salt("07")
         assert_same_bytes(merge_deltas(mats, cfg, salt=salt), dense_merge_oracle(mats, cfg, salt))
+
+    @pytest.mark.parametrize("method", ["ties", "dare-ties"])
+    @pytest.mark.parametrize("case", [c for c in oracle_cases() if c[1][0].size > 1],
+                             ids=lambda c: c[0])
+    def test_task_order_oracle_is_numpys_sum_past_one_entry(self, case, method, monkeypatch):
+        # pinning the oracle's sums to task order changed only one-entry layers
+        _, mats, fields = case
+        cfg = MergeConfig(method=method, **fields)
+        salt = layer_salt("07")
+        pinned = dense_merge_oracle(mats, cfg, salt)
+        numpy_summed(monkeypatch)
+        assert_same_bytes(pinned, dense_merge_oracle(mats, cfg, salt))
 
     @pytest.mark.parametrize("method", DENSE_METHODS)
     @pytest.mark.parametrize("case", oracle_cases()[:8], ids=lambda c: c[0])
@@ -788,7 +807,8 @@ class TestPanels:
     @pytest.mark.parametrize("shape", [(1, 1), (4, 5), (12, 10)], ids=str)
     def test_counts_past_255_tasks(self, shape, method):
         # 300 tasks, nearly all positive: a count in one byte would wrap and
-        # divide the sums by 44; (1, 1) is summed over its tasks pairwise
+        # divide the sums by 44; (1, 1) is a one-entry layer, whose sums
+        # over the stack numpy would add pairwise
         rng = np.random.default_rng(3)
         mats = [np.abs(m) + 0.5 for m in wide_range(rng, 300, shape)]
         mats[7][0, 0] = -1.0
@@ -797,6 +817,29 @@ class TestPanels:
         want = dense_merge_oracle(mats, cfg, salt)
         assert_same_bytes(merge_deltas(mats, cfg, salt=salt), want)
         assert_same_bytes(merge_library(dense_library(mats), cfg)["00"], want)
+
+
+class TestOneEntryLayers:
+    """A one-entry layer adds its tasks in task order, as every layer does,
+    where the stack operators' sums added them pairwise."""
+
+    @pytest.mark.parametrize("method", ["ties", "dare-ties"])
+    @pytest.mark.parametrize("n_tasks", [16, 300])
+    @pytest.mark.usefixtures("eight_workers", "uncapped")
+    def test_task_order_bytes_on_one_two_and_eight_workers(self, n_tasks, method, monkeypatch):
+        # draws whose task-order sums differ from the pairwise ones, for
+        # both methods at both task counts
+        mats = [np.abs(m) for m in wide_range(np.random.default_rng(0), n_tasks, (1, 1))]
+        lib = dense_library(mats)
+        cfg = MergeConfig(method=method, k_density=1.0, dare_p=0.1, seed=2)
+        salt = layer_salt("00")
+        want = dense_merge_oracle(mats, cfg, salt)
+        for workers in (1, 2, 8):
+            monkeypatch.setattr(blas, "_workers", workers)
+            assert_same_bytes(merge_library(lib, cfg)["00"], want)
+            assert_same_bytes(merge_deltas(mats, cfg, salt=salt), want)
+        numpy_summed(monkeypatch)
+        assert want.tobytes() != dense_merge_oracle(mats, cfg, salt).tobytes()
 
 
 class TestRowPanels:
