@@ -76,14 +76,12 @@ def _config(cls, args):
 def cmd_merge(args) -> int:
     lib = load_library(args.library)
     cfg = _config(MergeConfig, args)
-    truth = load_truth(args.truth) if args.truth else None
+    truth = _load_truth(args.truth, lib) if args.truth else None
 
     def merged_layers():
         """Each layer's merge, printed, then handed to export_merged, which
         narrows it to float32 before the next layer is merged."""
         for layer_id in lib.layers:
-            if truth is not None and layer_id not in truth:
-                raise ValueError(f"truth sidecar has no layer {layer_id!r}")
             delta = merge_layer(lib, layer_id, cfg)
             line = f"{layer_id}: frobenius = {frobenius_norm(delta)!r}"
             if truth is not None:
@@ -120,82 +118,43 @@ def cmd_interfere(args) -> int:
     return 0
 
 
-def _read_sweep_rows(path):
-    rows = []
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        if lines and lines[0] != "param,value,metric,inputs,score":
-            raise ValueError(f"{path}: not a sweep csv (bad header)")
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line:
-                continue
-            row = tuple(line.split(",", 4))
-            if len(row) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
-            try:
-                float(row[4])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: score {row[4]!r} is not a number") from None
-            rows.append(row)
-    return rows
-
-
-def _inputs_digest(paths, flags) -> str:
-    """A short digest of the files' bytes and of the flags given, not of
-    their paths: a sweep row is reused only for the same inputs."""
-    digest = hashlib.sha256(repr(sorted(flags.items())).encode("utf-8"))
-    buf = bytearray(1 << 16)  # read in place: a sweep's heap does not grow with its inputs
-    for path in paths:
-        file_digest = hashlib.sha256()
-        with open(path, "rb") as fh:
-            while n := fh.readinto(buf):
-                file_digest.update(memoryview(buf)[:n])
-        digest.update(file_digest.digest())
-    return digest.hexdigest()[:16]
+def _load_truth(path, lib) -> dict:
+    """The truth sidecar at path; it must hold every layer of lib, so a
+    missing one is refused before the first fit."""
+    truth = load_truth(path)
+    for layer_id in lib.layers:
+        if layer_id not in truth:
+            raise ValueError(f"truth sidecar has no layer {layer_id!r}")
+    return truth
 
 
 def cmd_sweep(args) -> int:
-    if "seed" in args and args.seed < 0:  # as MergeConfig and kmeans_fit do, even if all cached
-        raise ValueError(f"seed must be ≥ 0, got {args.seed}")
     if args.param == "cp-rank":
         metric = "recovery-error"
         if not args.library:
             raise ValueError("--param cp-rank requires --library")
         if not args.truth:
             raise ValueError("--param cp-rank requires --truth")
-        lib, truth = load_library(args.library), load_truth(args.truth)
-        inputs = _inputs_digest((args.library, args.truth), _given(args, ("seed",)))
+        lib = load_library(args.library)
+        truth = _load_truth(args.truth, lib)
     else:
         metric = "inertia"
         if not args.embeddings:
             raise ValueError("--param k-clusters requires --embeddings")
         embeds = load_embeddings(args.embeddings)
-        inputs = _inputs_digest((args.embeddings,), _given(args, _KMEANS_FLAGS))
 
-    rows = _read_sweep_rows(args.out)
-    done = {row[:4] for row in rows}
-
+    lines = ["param,value,metric,score"]
     for value in args.values:
-        key = (args.param, str(value), metric, inputs)
-        if key in done:
-            print(f"{args.param} = {value}: cached")
-            continue
         if args.param == "cp-rank":
             cfg = MergeConfig(method="cp", cp_rank=value, **_given(args, ("seed",)))
-            errs = []
-            for layer_id in lib.layers:  # one layer's merge held at a time
-                if layer_id not in truth:
-                    raise ValueError(f"truth sidecar has no layer {layer_id!r}")
-                errs.append(recovery_error(merge_layer(lib, layer_id, cfg), truth[layer_id]))
+            errs = [recovery_error(merge_layer(lib, layer_id, cfg), truth[layer_id])
+                    for layer_id in lib.layers]  # one layer's merge held at a time
             score = float(np.mean(errs))
         else:
             score = kmeans_fit(embeds, K=value, **_given(args, _KMEANS_FLAGS)).inertia
-        rows.append((*key, repr(score)))
-        done.add(key)
+        lines.append(f"{args.param},{value},{metric},{score!r}")
         print(f"{args.param} = {value}: {metric} = {score!r}")
 
-    lines = ["param,value,metric,inputs,score"] + [",".join(row) for row in rows]
     atomic_write(args.out, [("\n".join(lines) + "\n").encode("utf-8")])
     print(f"wrote {args.out}")
     return 0

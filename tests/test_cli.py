@@ -1,17 +1,24 @@
 """End-to-end CLI behaviour through main(argv)."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
-import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adapterfuse import (
+    AdapterDelta,
+    AdapterLibrary,
     EmbeddingSet,
     MergeConfig,
     PlantedSpec,
@@ -192,14 +199,14 @@ class TestMergeCommand:
 
     def test_truth_missing_a_later_layer_is_exit_2_and_writes_nothing(self, tmp_path, lib_path,
                                                                        capsys):
-        # layer 00 is merged, printed and narrowed before 01 finds no truth
+        # the truth is checked against every layer before layer 00 is merged
         t = tmp_path / "bad.truth"
         save_truth({"00": np.zeros((8, 6))}, t)
         rc = main(["merge", "--library", str(lib_path), "--method", "uniform",
                    "--out", str(tmp_path / "m.alib"), "--truth", str(t)])
         assert rc == 2
         out, err = capsys.readouterr()
-        assert out.startswith("00: frobenius = ") and len(out.splitlines()) == 1
+        assert out == ""
         assert "truth sidecar has no layer '01'" in err
         assert not (tmp_path / "m.alib").exists()
 
@@ -335,82 +342,48 @@ class TestSweepCommand:
         main(["synth", "--spec", str(spec_path), "--out", str(out)])
         return out, str(out) + ".truth"
 
-    def test_cp_rank_sweep_and_resume(self, tmp_path, spec_path, capsys):
-        lib, truth = self.synth(tmp_path, spec_path)
-        out = tmp_path / "sweep.csv"
-        rc = main(["sweep", "--library", str(lib), "--param", "cp-rank",
-                   "--values", "1", "2", "--out", str(out), "--truth", truth])
-        assert rc == 0
-        capsys.readouterr()
-        first = out.read_text()
-        rows = first.splitlines()
-        assert rows[0] == "param,value,metric,inputs,score"
-        assert len(rows) == 3 and rows[1].startswith("cp-rank,1,recovery-error,")
-
-        rc = main(["sweep", "--library", str(lib), "--param", "cp-rank",
-                   "--values", "2", "3", "--out", str(out), "--truth", truth])
-        assert rc == 0
-        stdout = capsys.readouterr().out
-        assert "cp-rank = 2: cached" in stdout
-        assert "cp-rank = 3: recovery-error" in stdout
-        rows = out.read_text().splitlines()
-        assert len(rows) == 4
-        # previously computed rows are preserved verbatim
-        assert rows[1:3] == first.splitlines()[1:3]
-
     def sweep(self, lib, truth, out, capsys, *flags):
         """The stdout of a cp-rank sweep over ranks 1 and 2."""
         assert main(["sweep", "--library", str(lib), "--param", "cp-rank", "--values", "1", "2",
                      "--out", str(out), "--truth", str(truth), *flags]) == 0
         return capsys.readouterr().out
 
-    def test_another_seed_is_computed_afresh(self, tmp_path, spec_path, capsys):
+    def test_cp_rank_sweep_replaces_the_file_at_out(self, tmp_path, spec_path, capsys):
         lib, truth = self.synth(tmp_path, spec_path)
-        out, fresh = tmp_path / "sweep.csv", tmp_path / "fresh.csv"
-        self.sweep(lib, truth, out, capsys, "--seed", "0")
-        stdout = self.sweep(lib, truth, out, capsys, "--seed", "3")
-        assert "cached" not in stdout
-        self.sweep(lib, truth, fresh, capsys, "--seed", "3")
-        rows = out.read_text().splitlines()
-        assert len(rows) == 5 and rows[3:] == fresh.read_text().splitlines()[1:]
-        assert self.sweep(lib, truth, out, capsys, "--seed", "3").count("cached") == 2
-        assert out.read_text().splitlines() == rows
-
-    def test_another_library_is_computed_afresh(self, tmp_path, spec_path, capsys):
-        lib, truth = self.synth(tmp_path, spec_path)
-        out = tmp_path / "sweep.csv"
-        self.sweep(lib, truth, out, capsys)
-        other = tmp_path / "other.alib"
-        spec_path.write_text(spec_path.read_text().replace("seed = 4", "seed = 5"))
-        assert main(["synth", "--spec", str(spec_path), "--out", str(other)]) == 0
         capsys.readouterr()
-        assert "cached" not in self.sweep(other, f"{other}.truth", out, capsys)
-        assert len(out.read_text().splitlines()) == 5
+        out, fresh = tmp_path / "sweep.csv", tmp_path / "fresh.csv"
+        for before in ("bogus header\n",
+                       "param,value,metric,inputs,score\ncp-rank,1,recovery-error,0123abcd,0.5\n"):
+            out.write_text(before)
+            stdout = self.sweep(lib, truth, out, capsys)
+            header, *rows = out.read_text().splitlines()
+            assert header == "param,value,metric,score"
+            assert [row.rsplit(",", 1)[0] for row in rows] == [
+                "cp-rank,1,recovery-error", "cp-rank,2,recovery-error"]
+            # each row holds the score this run printed for its value
+            printed = [f"{p} = {v}: {m} = {score}"
+                       for p, v, m, score in (row.split(",") for row in rows)]
+            assert stdout.splitlines() == printed + [f"wrote {out}"]
+        self.sweep(lib, truth, fresh, capsys, "--seed", "0")
+        assert out.read_bytes() == fresh.read_bytes()  # --seed 0 is the default
+        self.sweep(lib, truth, out, capsys, "--seed", "3")
+        self.sweep(lib, truth, fresh, capsys, "--seed", "3")
+        assert out.read_bytes() == fresh.read_bytes()
 
-    def test_same_inputs_at_another_path_are_cached(self, tmp_path, spec_path, capsys):
+    def test_a_failed_sweep_leaves_out_as_it_was(self, tmp_path, spec_path, capsys):
+        # the CSV is written once, after the last value: rank 99 is out of
+        # range after rank 1 is scored and printed
         lib, truth = self.synth(tmp_path, spec_path)
+        capsys.readouterr()
         out = tmp_path / "sweep.csv"
-        self.sweep(lib, truth, out, capsys)
-        before = out.read_text()
-        moved = tmp_path / "moved"
-        moved.mkdir()
-        for path in (lib, truth):
-            shutil.copy(path, moved)
-        stdout = self.sweep(moved / lib.name, moved / f"{lib.name}.truth", out, capsys)
-        assert stdout.count("cached") == 2
-        assert out.read_text() == before
-
-    def test_four_column_csv_is_refused(self, tmp_path, spec_path, capsys):
-        # a CSV from before the inputs column: its scores may be of other inputs
-        lib, truth = self.synth(tmp_path, spec_path)
-        out = tmp_path / "sweep.csv"
-        before = "param,value,metric,score\ncp-rank,1,recovery-error,0.5\n"
-        out.write_text(before)
-        rc = main(["sweep", "--library", str(lib), "--param", "cp-rank",
-                   "--values", "1", "--out", str(out), "--truth", truth])
+        out.write_text("earlier sweep\n")
+        rc = main(["sweep", "--library", str(lib), "--param", "cp-rank", "--values", "1", "99",
+                   "--out", str(out), "--truth", truth])
         assert rc == 2
-        assert "bad header" in capsys.readouterr().err
-        assert out.read_text() == before
+        stdout, err = capsys.readouterr()
+        assert stdout.startswith("cp-rank = 1: recovery-error = ") and stdout.count("\n") == 1
+        assert "R=99 out of range" in err
+        assert out.read_text() == "earlier sweep\n"
 
     def test_scores_shrink_with_rank(self, tmp_path, spec_path):
         # exact-rank planted input: at the planted rank the cp merge is exact
@@ -462,6 +435,23 @@ class TestSweepCommand:
         scores = [float(r.rsplit(",", 1)[1]) for r in rows[1:]]
         assert scores[1] < scores[0]  # two blobs: K=2 explains far more
 
+    def test_k_clusters_sweep_replaces_the_file_at_out(self, tmp_path, capsys):
+        vectors, _ = blob_points()
+        ep = tmp_path / "x.emb"
+        save_embeddings(EmbeddingSet(ids=[str(i) for i in range(len(vectors))],
+                                     vectors=vectors), ep)
+        out, fresh = tmp_path / "sweep.csv", tmp_path / "fresh.csv"
+        out.write_text("param,value,metric,inputs,score\nk-clusters,2,inertia,0123abcd,0.5\n")
+        for path in (out, fresh):
+            assert main(["sweep", "--param", "k-clusters", "--values", "2", "1",
+                         "--embeddings", str(ep), "--out", str(path)]) == 0
+        capsys.readouterr()
+        header, *rows = out.read_text().splitlines()
+        assert header == "param,value,metric,score"
+        assert [row.rsplit(",", 1)[0] for row in rows] == ["k-clusters,2,inertia",
+                                                           "k-clusters,1,inertia"]
+        assert out.read_bytes() == fresh.read_bytes()
+
     def test_missing_truth_is_exit_2(self, tmp_path, lib_path, capsys):
         rc = main(["sweep", "--library", str(lib_path), "--param", "cp-rank",
                    "--values", "1", "--out", str(tmp_path / "s.csv")])
@@ -484,6 +474,22 @@ class TestSweepCommand:
         assert "truth sidecar has no layer '01'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["merge", "--method", "cp"],
+        ["sweep", "--param", "cp-rank", "--values", "1"],
+    ], ids=["merge", "sweep"])
+    def test_truth_without_a_library_layer_is_refused_before_the_first_fit(
+            self, command, tmp_path, spec_path, capsys, monkeypatch):
+        import adapterfuse.cli as cli_mod
+        lib, truth = self.synth(tmp_path, spec_path)
+        save_truth({"00": load_truth(truth)["00"]}, truth)
+        fitted = []
+        monkeypatch.setattr(cli_mod, "merge_layer", lambda *args: fitted.append(args[1]))
+        rc = main([*command, "--library", str(lib), "--truth", truth,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2 and fitted == []
+        assert "truth sidecar has no layer '01'" in capsys.readouterr().err
+
     def test_missing_embeddings_is_exit_2(self, tmp_path, capsys):
         rc = main(["sweep", "--param", "k-clusters", "--values", "1",
                    "--out", str(tmp_path / "s.csv")])
@@ -495,31 +501,6 @@ class TestSweepCommand:
             main(["sweep", "--library", str(lib_path), "--param", "cp-rank",
                   "--values", "--out", str(tmp_path / "s.csv")])
         assert exc.value.code == 2
-
-    def test_corrupt_existing_csv_is_exit_2(self, tmp_path, spec_path, capsys):
-        lib, truth = self.synth(tmp_path, spec_path)
-        out = tmp_path / "sweep.csv"
-        out.write_text("bogus header\n")
-        rc = main(["sweep", "--library", str(lib), "--param", "cp-rank",
-                   "--values", "1", "--out", str(out), "--truth", truth])
-        assert rc == 2
-        assert "bad header" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("row,message", [
-        ("cp-rank,3", "expected 5 fields, got 2"),
-        ("cp-rank,1,recovery-error,0123abcd,fast", "score 'fast' is not a number"),
-    ], ids=["short-row", "score-not-a-float"])
-    def test_malformed_csv_row_is_exit_2_naming_the_line(self, tmp_path, spec_path, capsys,
-                                                         row, message):
-        lib, truth = self.synth(tmp_path, spec_path)
-        out = tmp_path / "sweep.csv"
-        before = f"param,value,metric,inputs,score\ncp-rank,2,recovery-error,0123abcd,0.5\n{row}\n"
-        out.write_text(before)
-        rc = main(["sweep", "--library", str(lib), "--param", "cp-rank",
-                   "--values", "1", "--out", str(out), "--truth", truth])
-        assert rc == 2
-        assert f"error: {out}:3: {message}" in capsys.readouterr().err
-        assert out.read_text() == before  # nothing is written back
 
 
 class TestCompressCommand:
@@ -687,7 +668,7 @@ class TestNegativeSeed:
                 "--param", "cp-rank", "--values", "1", "--out", str(tmp_path / "s.csv")]
         self.assert_rejected(argv + ["--seed", "-1"], tmp_path, capsys)
         assert main(argv) == 0
-        self.assert_rejected(argv + ["--seed", "-1"], tmp_path, capsys)  # the value is cached
+        self.assert_rejected(argv + ["--seed", "-1"], tmp_path, capsys)
 
     def test_sweep_k_clusters_and_cluster(self, tmp_path, capsys):
         ep, mp = TestClusterCommand().make_inputs(tmp_path)
@@ -695,7 +676,7 @@ class TestNegativeSeed:
                 "--values", "2", "--out", str(tmp_path / "s.csv")]
         self.assert_rejected(argv + ["--seed", "-1"], tmp_path, capsys)
         assert main(argv) == 0
-        self.assert_rejected(argv + ["--seed", "-1"], tmp_path, capsys)  # the value is cached
+        self.assert_rejected(argv + ["--seed", "-1"], tmp_path, capsys)
         self.assert_rejected(["cluster", "--embeddings", str(ep), "--manifest", str(mp),
                               "--k", "2", "--seed", "-1", "--out-dir", str(tmp_path / "parts")],
                              tmp_path, capsys)
@@ -705,6 +686,107 @@ class TestNegativeSeed:
         assert "seed = -1" in spec_path.read_text()
         self.assert_rejected(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "x.alib")],
                              tmp_path, capsys)
+
+
+# entry magnitudes up to the top of float32's range: as float32, 1e-300 is
+# zero and 1e-40 subnormal
+MAGNITUDES = (1.0, 1e-300, 1e-40, 1e-20, 1e20, 3e38)
+
+
+@st.composite
+def small_libraries(draw):
+    """A hand-built library of d ≤ 6 and N ≤ 5.  Each delta is factored or
+    dense-stored (B = I), and random, zero or rank-deficient; its A has
+    entries of one of MAGNITUDES and its scaling lies in [1, 3e38]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tasks = [str(t) for t in range(draw(st.integers(1, 5)))]
+    layers = [f"{j:02d}" for j in range(draw(st.integers(1, 2)))]
+    deltas = {}
+    for layer in layers:
+        d_in, d_out = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        for task in tasks:
+            dense = draw(st.booleans())
+            rank = d_out if dense else draw(st.integers(1, 3))
+            magnitude = draw(st.sampled_from(MAGNITUDES))
+            a = rng.uniform(-1.0, 1.0, (d_in, rank)) * magnitude
+            content = draw(st.sampled_from(("random", "rank-deficient", "zero")))
+            if content == "zero":
+                a[:] = 0.0
+            elif content == "rank-deficient":
+                a = np.outer(a[:, 0], rng.uniform(-1.0, 1.0, rank))
+            b = np.eye(d_out) if dense else rng.standard_normal((d_out, rank))
+            deltas[(task, layer)] = AdapterDelta(
+                layer_id=layer, a=a.astype(np.float32), b=b,
+                scaling_s=10.0 ** draw(st.floats(0.0, math.log10(3e38))))
+    return AdapterLibrary(tasks=tasks, layers=layers, deltas=deltas)
+
+
+@st.composite
+def small_embeddings(draw):
+    """A hand-built embedding set of n ≤ 8 and dim ≤ 6: random, zero or one
+    vector repeated, with entries of one of MAGNITUDES."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, dim = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    magnitude = draw(st.sampled_from(MAGNITUDES))
+    vectors = rng.uniform(-1.0, 1.0, (n, dim)) * magnitude
+    content = draw(st.sampled_from(("random", "repeated", "zero")))
+    if content == "zero":
+        vectors[:] = 0.0
+    elif content == "repeated":
+        vectors[:] = vectors[0]
+    return EmbeddingSet(ids=[f"s{i}" for i in range(n)], vectors=vectors.astype(np.float32))
+
+
+class TestExitContract:
+    """Valid inputs, whatever their magnitudes and ranks, exit 0 or 2, never 1."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lib=small_libraries(), rank=st.integers(1, 4), k=st.integers(1, 2))
+    def test_every_library_command_exits_0_or_2(self, lib, rank, k):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "lib.alib"
+            save_library(lib, path)
+            loaded = load_library(path)
+            save_truth({layer: sum(loaded.deltas[(task, layer)].materialize()
+                                   for task in loaded.tasks) for layer in loaded.layers},
+                       f"{path}.truth")
+            lib_flags = ["--library", str(path), "--cp-rank", str(rank)]
+            commands = [["merge", "--method", method, *lib_flags, "--truth", f"{path}.truth",
+                         "--out", f"{tmp}/{method}.alib"] for method in METHODS]
+            commands += [
+                ["interfere", *lib_flags, "--k", str(k)],
+                ["compress", *lib_flags, "--task", lib.tasks[-1], "--out", f"{tmp}/cpf"],
+                ["sweep", "--library", str(path), "--param", "cp-rank", "--values", str(rank),
+                 "--truth", f"{path}.truth", "--out", f"{tmp}/sweep.csv"],
+            ]
+            assert self.failures(commands) == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(e=small_embeddings(), k=st.integers(1, 4), distance=st.sampled_from(DISTANCES),
+           fraction=st.sampled_from(("0.2", "1.0")))
+    def test_every_embedding_command_exits_0_or_2(self, e, k, distance, fraction):
+        with tempfile.TemporaryDirectory() as tmp:
+            save_embeddings(e, f"{tmp}/x.emb")
+            save_manifest({sid: {"id": sid} for sid in e.ids}, f"{tmp}/m.jsonl")
+            flags = ["--embeddings", f"{tmp}/x.emb", "--sample-fraction", fraction]
+            assert self.failures([
+                ["cluster", *flags, "--manifest", f"{tmp}/m.jsonl", "--k", str(k),
+                 "--distance", distance, "--out-dir", f"{tmp}/parts"],
+                ["sweep", *flags, "--param", "k-clusters", "--values", str(k),
+                 "--out", f"{tmp}/sweep.csv"],
+            ]) == []
+
+    @staticmethod
+    def failures(commands):
+        """(argv head, exit code, stderr) of each command that exits neither 0 nor 2."""
+        found = []
+        for argv in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(argv)
+            if rc not in (0, 2):
+                found.append((argv[:3], rc, err.getvalue()))
+        return found
 
 
 class TestParser:

@@ -6,10 +6,11 @@ from pathlib import Path
 import adapterfuse
 
 
-def parsed_sources():
-    """(file name, ast) for every module of the package."""
+def parsed_sources(*dirs):
+    """(file name, ast) for every module of the package, then of dirs."""
     sources = sorted(Path(adapterfuse.__file__).parent.glob("*.py"))
     assert sources
+    sources += [path for d in dirs for path in sorted(d.glob("*.py"))]
     return [
         (path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         for path in sources
@@ -90,4 +91,24 @@ def test_only_containers_lays_out_payloads():
         for callee in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
         if callee in allowed and name not in allowed[callee]
     ]
+    assert found == []
+
+
+def test_no_unused_imports():
+    # an import that no name of its module uses is dead; the package's
+    # __init__ imports to re-export, and a __future__ import binds nothing
+    found = []
+    for name, tree in parsed_sources(Path(__file__).parent):
+        if name == "__init__.py":
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [
+            f"{name}:{node.lineno} {bound}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            for bound in [alias.asname or alias.name.split(".")[0]]
+            if bound not in used
+        ]
     assert found == []
